@@ -241,7 +241,14 @@ def cmd_evaluate(cfg: dict, args) -> None:
     if not plan_path.exists():
         raise EvaluateError(f"plan not found at {plan_path}; run place first")
     with open(plan_path, encoding="utf-8") as fh:
-        plan = hierarchy.plan_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise EvaluateError(f"plan {plan_path} is not valid JSON: {exc}") from None
+    try:
+        plan = hierarchy.plan_from_dict(data)
+    except (KeyError, TypeError) as exc:
+        raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
     households = ingest.load_prepared(out_dir / PREPARED_CSV)
 
     bl = cfg["baselines"]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SolveError
-from .kmedoids import MatrixLike, SolveParams, as_square_array, solve
+from .kmedoids import MatrixLike, SolveParams, as_square_array, require_int, solve
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class HierarchyParams:
     level2: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
+        require_int("k_banks", self.k_banks)
+        require_int("k_pantries_total", self.k_pantries_total)
         if self.k_banks < 1 or self.k_pantries_total < 1:
             raise SolveError("k_banks and k_pantries_total must be positive")
         if self.allocation != "proportional_largest_remainder":

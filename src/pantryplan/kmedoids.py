@@ -10,6 +10,19 @@ the medoid's own cluster and then commits only if the global objective does
 not increase; it can in principle oscillate, so max_passes is the guard
 there.
 
+A candidate is scored in O(n), not by a full O(n*k) reassignment. The
+solver keeps, for each medoid m, every point's distance to its nearest
+medoid other than m (the nearest and second-nearest caches of FasterPAM,
+Schubert & Rousseeuw, arXiv:2008.05171). Swapping m out for p leaves each
+point at min(d[i, p], that distance), and the objective is one np.dot of
+the weights with that vector. The caches are rebuilt after every accepted
+swap, which is committed with assign()'s own assignment and objective.
+Under the input contract (every cell finite and nonnegative, a zero
+diagonal, checked once per solve) the vector equals the one assign()
+gathers, element by element, so every objective is bit-identical to a full
+reassignment and the swap trajectory (candidate order, accepted swaps,
+final clustering) is the same as scoring each candidate with assign().
+
 A brute-force enumerator doubles as the test oracle for desk-size instances.
 """
 
@@ -50,10 +63,17 @@ class SolveParams:
     max_passes: Optional[int] = None
 
     def __post_init__(self):
+        require_int("k", self.k)
         if self.mode not in ("global_swap", "cluster_screened"):
             raise SolveError(f"unknown mode {self.mode!r}")
         if not self.epsilon > 0:
             raise SolveError(f"epsilon must be positive, got {self.epsilon}")
+
+
+def require_int(field: str, value) -> None:
+    """Reject a count that is not an integer; bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SolveError(f"{field} must be an integer, got {value!r}")
 
 
 def as_square_array(matrix: MatrixLike) -> np.ndarray:
@@ -61,6 +81,25 @@ def as_square_array(matrix: MatrixLike) -> np.ndarray:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise SolveError(f"need a square points x points matrix, got shape {d.shape}")
     return d
+
+
+def _check_distances(d: np.ndarray) -> None:
+    """The input contract of solve and brute_force_solve: every cell finite
+    and nonnegative, and a zero diagonal. DistanceMatrix guarantees this for
+    a matrix over one point list; raw arrays are checked here, once per
+    solve, not in assign(), which runs on every accepted swap."""
+    # NaN propagates through min and max, so a valid matrix passes here
+    # without building a points x points mask; the masks only locate a fault
+    if d.size and d.min() >= 0 and np.isfinite(d.max()) and not np.diagonal(d).any():
+        return
+    bad, what = ~np.isfinite(d), "non-finite"
+    if not bad.any():
+        bad, what = d < 0, "negative"
+    if not bad.any():
+        bad, what = np.diag(np.diagonal(d) != 0), "nonzero diagonal"
+    if bad.any():
+        r, c = (int(x) for x in np.argwhere(bad)[0])
+        raise SolveError(f"distance matrix has a {what} cell at ({r}, {c}): {d[r, c]!r}")
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -123,10 +162,27 @@ def _duplicate_classes(d: np.ndarray):
     return reps, class_of
 
 
+def _nearest_without(d: np.ndarray, medoids: Sequence[int]) -> dict[int, np.ndarray]:
+    """For each medoid m, every point's distance to its nearest medoid other
+    than m: the second-nearest distance where m is the nearest, else the
+    nearest. inf when m is the only medoid."""
+    med = sorted(medoids)
+    if len(med) == 1:
+        return {med[0]: np.full(d.shape[0], np.inf)}
+    sub = d[:, med]
+    rows = np.arange(d.shape[0])
+    first = np.argmin(sub, axis=1)
+    d1 = sub[rows, first]
+    sub[rows, first] = np.inf  # sub is a copy (fancy indexing)
+    d2 = sub.min(axis=1)
+    return {m: np.where(first == j, d2, d1) for j, m in enumerate(med)}
+
+
 def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None) -> Clustering:
     n = d.shape[0]
     medoids = initialize(n, k)
     assignment, obj = assign(d, medoids, w)
+    without = _nearest_without(d, medoids)
     rng = SplitMix64(params.seed)
     screened = params.mode == "cluster_screened"
     passes = 0
@@ -161,13 +217,17 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
                 within_new = float(np.dot(w[members], d[members, inn]))
                 if not within_new < within_old - params.epsilon:
                     continue
-            trial = sorted(current - {out} | {inn})
-            trial_assignment, trial_obj = assign(d, trial, w)
+            # Each point's distance after the swap, elementwise equal to what
+            # assign() gathers for the trial set under the input contract.
+            # One np.dot per candidate keeps the sum bit-identical to
+            # assign()'s; a matrix-vector product over many candidates does not.
+            trial_obj = float(np.dot(w, np.minimum(d[:, inn], without[out])))
             ok = trial_obj <= obj if screened else trial_obj < obj - params.epsilon
             if ok:
-                current = set(trial)
-                medoids = trial
-                assignment, obj = trial_assignment, trial_obj
+                medoids = sorted(current - {out} | {inn})
+                current = set(medoids)
+                assignment, obj = assign(d, medoids, w)
+                without = _nearest_without(d, medoids)
                 accepted_any = True
                 if trace is not None:
                     trace(passes, out, inn, obj)
@@ -196,6 +256,7 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     new_objective) after every accepted swap.
     """
     d = as_square_array(matrix)
+    _check_distances(d)
     n = d.shape[0]
     w = _check_weights(params.weights, n)
     if not 1 <= params.k <= n:
@@ -241,6 +302,7 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
 def brute_force_solve(matrix: MatrixLike, k: int, weights=None) -> Clustering:
     """Exact optimum by enumerating all k-subsets, lexicographic tie-break."""
     d = as_square_array(matrix)
+    _check_distances(d)
     n = d.shape[0]
     if not 1 <= k <= n:
         raise SolveError(f"k={k} out of range for {n} points")

@@ -203,6 +203,15 @@ def test_place_without_matrix_exits_4(tmp_path):
     assert run(["--config", cfg_path, "place"]) == 4
 
 
+def test_place_with_string_k_banks_exits_4(tmp_path, capsys):
+    pipeline_through_place(tmp_path)
+    cfg_path, _ = write_config(tmp_path, hierarchy={"k_banks": "2", "k_pantries_total": 4})
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k_banks" in err
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 def baseline_from_plan(out_dir, tmp_path):
@@ -252,6 +261,28 @@ def test_evaluate_groups_by_city_tags(tmp_path):
 def test_evaluate_without_plan_exits_5(tmp_path):
     cfg_path, _ = write_config(tmp_path)
     assert run(["--config", cfg_path, "evaluate"]) == 5
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key"])
+def test_evaluate_damaged_plan_exits_5(tmp_path, capsys, damage):
+    cfg_path, out_dir = pipeline_through_place(tmp_path)
+    _, pantry_csv = baseline_from_plan(out_dir, tmp_path)
+    cfg_path, _ = write_config(
+        tmp_path,
+        baselines={"banks": None, "pantries": str(pantry_csv), "schema": {"lat": "lat", "lon": "lon"}},
+    )
+    plan_path = out_dir / "plan.json"
+    text = plan_path.read_text()
+    if damage == "truncated":
+        plan_path.write_text(text[: len(text) // 2])
+    else:
+        data = json.loads(text)
+        del data["banks"]
+        plan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plan_path) in err
 
 
 def test_evaluate_city_bounding_boxes_override_tags(tmp_path):

@@ -142,6 +142,14 @@ def test_hierarchy_params_validation():
         HierarchyParams(k_banks=1, k_pantries_total=1, allocation="equal_split")
 
 
+@pytest.mark.parametrize("field", ["k_banks", "k_pantries_total"])
+@pytest.mark.parametrize("bad", ["2", True, 1.5])
+def test_hierarchy_params_reject_non_integer_counts(field, bad):
+    counts = {"k_banks": 1, "k_pantries_total": 2, field: bad}
+    with pytest.raises(SolveError, match=f"{field} must be an integer"):
+        HierarchyParams(**counts)
+
+
 def test_infeasible_allocation_propagates():
     d = two_blob_matrix()
     with pytest.raises(SolveError):

@@ -291,3 +291,33 @@ def test_trace_reports_monotone_accepted_swaps():
     assert passes == sorted(passes)
     for _, out, inn, _ in events:
         assert 0 <= out < 20 and 0 <= inn < 20
+
+
+# --- input contract ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "cell,value,what",
+    [
+        ((0, 3), -60.0, "negative"),  # solved to objective -59.0 before the check
+        ((1, 2), np.nan, "non-finite"),  # was silently ignored
+        ((3, 0), np.inf, "non-finite"),
+        ((2, 2), 3.0, "nonzero diagonal"),  # was accepted
+    ],
+)
+def test_solvers_reject_matrix_outside_contract(cell, value, what):
+    d = LINE.copy()
+    d[cell] = value
+    with pytest.raises(SolveError, match=f"{what} cell at \\({cell[0]}, {cell[1]}\\)"):
+        solve(d, SolveParams(k=2))
+    with pytest.raises(SolveError, match=what):
+        brute_force_solve(d, 2)
+
+
+@pytest.mark.parametrize("k", ["3", True, 2.0, None])
+def test_solve_params_reject_non_integer_k(k):
+    with pytest.raises(SolveError, match="k must be an integer"):
+        SolveParams(k=k)
+
+
+def test_solve_params_accept_numpy_integer_k():
+    assert solve(LINE, SolveParams(k=np.int64(2))) == solve(LINE, SolveParams(k=2))

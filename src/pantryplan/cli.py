@@ -69,17 +69,30 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_objects(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Every section that DEFAULTS holds as an object must stay one."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            if not isinstance(cfg[key], dict):
+                raise ConfigError(f"config key {prefix}{key} must be an object, got {cfg[key]!r}")
+            _check_objects(cfg[key], default, f"{prefix}{key}.")
+
+
 def load_config(path, overrides: dict) -> dict:
     cfg = DEFAULTS
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                cfg = _merge(cfg, json.load(fh))
+                loaded = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"no such config file: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config {path}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {type(loaded).__name__}")
+        cfg = _merge(cfg, loaded)
     cfg = _merge(cfg, overrides)
+    _check_objects(cfg, DEFAULTS)
     return cfg
 
 
@@ -94,8 +107,8 @@ def _provenance(cfg: dict) -> str:
 
 def _schema(sch: dict) -> ingest.ColumnSchema:
     return ingest.ColumnSchema(
-        lat=sch.get("lat", "lat"),
-        lon=sch.get("lon", "lon"),
+        lat=sch["lat"],
+        lon=sch["lon"],
         income=sch.get("income"),
         id=sch.get("id"),
         city=sch.get("city"),
@@ -105,9 +118,9 @@ def _schema(sch: dict) -> ingest.ColumnSchema:
 def _provider(cfg: dict) -> distance.ProviderSpec:
     p = cfg["provider"]
     return distance.ProviderSpec(
-        kind=p.get("kind", "great_circle"),
-        base_url=p.get("base_url"),
-        chunk_size=p.get("chunk_size", 100),
+        kind=p["kind"],
+        base_url=p["base_url"],
+        chunk_size=p["chunk_size"],
         earth_radius=p.get("earth_radius", distance.EARTH_RADIUS_M),
     )
 
@@ -143,7 +156,7 @@ def cmd_synth(cfg: dict, args) -> None:
 
 def cmd_ingest(cfg: dict, args) -> None:
     ds = cfg["dataset"]
-    if not ds.get("path"):
+    if not ds["path"]:
         raise ConfigError("dataset.path is required for ingest")
     icfg = ingest.IngestConfig(
         income_cap=cfg["ingest"]["income_cap"],
@@ -186,22 +199,29 @@ def cmd_matrix(cfg: dict, args) -> None:
     print(f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}")
 
 
-def cmd_place(cfg: dict, args) -> None:
-    out_dir = Path(cfg["out_dir"])
+def _matrix_and_households(out_dir: Path, error):
+    """The cached matrix and the prepared households it must cover, one row
+    per household; a missing or mismatched matrix raises error."""
     matrix_path = out_dir / MATRIX_FILE
     if not matrix_path.exists():
-        raise SolveError(f"matrix cache not found at {matrix_path}; run matrix first")
+        raise error(f"matrix cache not found at {matrix_path}; run matrix first")
     matrix = distance.load_matrix(matrix_path)
     households = ingest.load_prepared(out_dir / PREPARED_CSV)
     if matrix.shape[0] != len(households):
-        raise SolveError(f"matrix is {matrix.shape[0]} points but {len(households)} households are prepared")
+        raise error(f"matrix is {matrix.shape[0]} points but {len(households)} households are prepared")
+    return matrix, households
+
+
+def cmd_place(cfg: dict, args) -> None:
+    out_dir = Path(cfg["out_dir"])
+    matrix, households = _matrix_and_households(out_dir, SolveError)
 
     h = cfg["hierarchy"]
     opts = hierarchy.SolverOptions(
-        mode=h.get("mode", "global_swap"),
+        mode=h["mode"],
         seed=cfg["seed"],
-        epsilon=h.get("epsilon", 1e-6),
-        max_passes=h.get("max_passes"),
+        epsilon=h["epsilon"],
+        max_passes=h["max_passes"],
     )
     params = hierarchy.HierarchyParams(
         k_banks=h["k_banks"],
@@ -249,43 +269,42 @@ def cmd_evaluate(cfg: dict, args) -> None:
         plan = hierarchy.plan_from_dict(data)
     except (KeyError, TypeError) as exc:
         raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
-    households = ingest.load_prepared(out_dir / PREPARED_CSV)
+    matrix, households = _matrix_and_households(out_dir, EvaluateError)
 
     bl = cfg["baselines"]
-    if not bl.get("pantries"):
+    if not bl["pantries"]:
         raise EvaluateError("baselines.pantries file is required for evaluate")
-    bschema = _schema(bl.get("schema", {}))
-    baseline_rows = ingest.load_households(bl["pantries"], bschema)
+    bschema = _schema(bl["schema"])
     baseline = evaluate.FacilitySet(
         label="baseline",
-        points=tuple(r.location for r in baseline_rows),
-        city=tuple(r.city or "" for r in baseline_rows) if any(r.city for r in baseline_rows) else None,
+        points=tuple(r.location for r in ingest.load_households(bl["pantries"], bschema)),
     )
     candidate = evaluate.FacilitySet(
         label="candidate",
         points=tuple(households[p].location for p in plan.pantries),
     )
 
+    # candidate pantries are households, so their distances are matrix
+    # columns; only the baseline rectangles come from the provider
     spec = _provider(cfg)
-    groups = _city_groups(households, cfg.get("cities"))
-    report = evaluate.compare(candidate, baseline, households, spec, groups=groups)
+    cand_m, _, _ = evaluate.nearest_facility_stats(households, candidate, matrix.values[:, list(plan.pantries)])
+    base_m, _, _ = evaluate.nearest_facility_stats(households, baseline, spec)
 
     penalty = None
-    if bl.get("banks"):
+    if bl["banks"]:
         bank_rows = ingest.load_households(bl["banks"], bschema)
         banks = evaluate.FacilitySet(label="baseline-banks", points=tuple(r.location for r in bank_rows))
-        penalty = evaluate.penalty_report(plan, households, banks, baseline, spec)
-    report = evaluate.EvaluationReport(groups=report.groups, penalty=penalty)
+        penalty = evaluate.penalty_report(plan, matrix, banks, baseline, spec)
+    groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
+    report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
     _write_json(out_dir / REPORT_JSON, evaluate.report_to_dict(report), cfg)
     with open(out_dir / REPORT_CSV, "w", encoding="utf-8") as fh:
         fh.write(f"# pantryplan evaluate {_provenance(cfg)}\n")
         fh.write(evaluate.report_to_csv(report))
-    cand_m, _, _ = evaluate.nearest_facility_stats(households, candidate, spec)
-    base_m, _, _ = evaluate.nearest_facility_stats(households, baseline, spec)
     _write_geojson(out_dir / HOUSEHOLDS_GEOJSON, evaluate.households_geojson(households, cand_m, base_m), cfg)
 
-    overall = report.groups["overall"]
+    overall = groups["overall"]
     print(
         f"evaluate: candidate {overall.candidate_avg:.2f} mi vs baseline {overall.baseline_avg:.2f} mi "
         f"(saving {overall.saving_abs:.2f} mi, {overall.saving_pct:.1f}%) -> {out_dir / REPORT_JSON}"

@@ -1,6 +1,13 @@
 """Candidate-vs-baseline facility comparisons: household-to-nearest-pantry
 distance statistics, savings, and pantry-to-bank penalty.
 
+Each distance is evaluated once. Candidate pantries and banks are
+households, so their distances are cells of the households x households
+matrix that placement solved on; only the baseline rectangles (households x
+baseline pantries, baseline pantries x baseline banks) come from the
+distance provider. Each household's nearest-facility distance per set is
+computed once and feeds every report.
+
 Distances stay in meters until this module's reports, which convert to miles
 (1609.344 m). Averages are plain means over the household list as given;
 weighting is realized upstream by duplication, and a direct-weights mode
@@ -17,9 +24,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distance import DistanceMatrix, GeoPoint, ProviderSpec, build_matrix
+from .distance import GeoPoint, ProviderSpec, build_matrix
 from .errors import EvaluateError
-from .hierarchy import PlacementPlan
+from .hierarchy import PlacementPlan, pantry_bank_distances
+from .kmedoids import MatrixLike
 
 METERS_PER_MILE = 1609.344
 
@@ -28,13 +36,10 @@ METERS_PER_MILE = 1609.344
 class FacilitySet:
     label: str
     points: tuple[GeoPoint, ...]
-    city: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if not self.points:
             raise EvaluateError(f"facility set {self.label!r} is empty")
-        if self.city is not None and len(self.city) != len(self.points):
-            raise EvaluateError(f"facility set {self.label!r}: city tags do not match points")
 
 
 @dataclass(frozen=True)
@@ -72,35 +77,26 @@ class EvaluationReport:
     penalty: Optional[PenaltyBlock] = None
 
 
-def _points_of(households) -> list[GeoPoint]:
-    return [h.location if hasattr(h, "location") else h for h in households]
-
-
-def _distances(households, facility_points: Sequence[GeoPoint], provider, transport=None) -> np.ndarray:
-    """Rectangular households x facilities meters from a provider, a
-    DistanceMatrix, or a bare array."""
-    if isinstance(provider, ProviderSpec):
-        m = build_matrix(provider, _points_of(households), list(facility_points), transport=transport)
-        return m.values
-    vals = provider.values if isinstance(provider, DistanceMatrix) else np.asarray(provider, dtype=np.float64)
-    if vals.shape != (len(households), len(facility_points)):
-        raise EvaluateError(
-            f"distance matrix shape {vals.shape} does not match "
-            f"{len(households)} households x {len(facility_points)} facilities"
-        )
-    return vals
-
-
-def nearest_facility_stats(households, facilities: FacilitySet, provider, transport=None, weights=None):
+def nearest_facility_stats(households, facilities: FacilitySet, provider, weights=None):
     """Per-household distance to the closest facility, mean and total, meters.
 
-    The mean is plain over the household list; weighting normally arrives via
-    duplication. Passing weights instead computes the direct weighted mean,
-    which must agree with duplication for integer weights.
+    provider is a ProviderSpec, which builds the households x facilities
+    meters, or that matrix itself as an array. The mean is plain over the
+    household list; weighting normally arrives via duplication. Passing
+    weights instead computes the direct weighted mean, which must agree with
+    duplication for integer weights.
     """
     if not len(households):
         raise EvaluateError("no households to evaluate")
-    d = _distances(households, facilities.points, provider, transport)
+    if isinstance(provider, ProviderSpec):
+        d = build_matrix(provider, [h.location for h in households], facilities.points).values
+    else:
+        d = np.asarray(provider, dtype=np.float64)
+        if d.shape != (len(households), len(facilities.points)):
+            raise EvaluateError(
+                f"distance matrix shape {d.shape} does not match "
+                f"{len(households)} households x {len(facilities.points)} facilities"
+            )
     per_household = [float(x) for x in d.min(axis=1)]
     if weights is None:
         total = math.fsum(per_household)
@@ -131,36 +127,22 @@ def _group_stats(cand_m: Sequence[float], base_m: Sequence[float]) -> GroupStats
 
 
 def compare(
-    candidate: FacilitySet,
-    baseline: FacilitySet,
-    households,
-    provider,
+    candidate_m: Sequence[float],
+    baseline_m: Sequence[float],
     groups: Optional[Sequence[Optional[str]]] = None,
-    transport=None,
-) -> EvaluationReport:
-    """Nearest-facility statistics for both sets, per city group and overall.
-
-    provider is a ProviderSpec used for both sets, or a (candidate, baseline)
-    pair of precomputed households x facilities matrices.
-    """
-    if groups is not None and len(groups) != len(households):
+) -> dict[str, GroupStats]:
+    """Savings statistics from each household's nearest-candidate and
+    nearest-baseline meters, overall and per group label (None: no group)."""
+    if not len(candidate_m) or len(candidate_m) != len(baseline_m):
+        raise EvaluateError("candidate and baseline distances must cover the same, nonempty households")
+    if groups is not None and len(groups) != len(candidate_m):
         raise EvaluateError("group labels do not match households")
-    if isinstance(provider, tuple):
-        cand_provider, base_provider = provider
-    elif isinstance(provider, ProviderSpec):
-        cand_provider = base_provider = provider
-    else:
-        # a single raw matrix cannot serve two facility sets unambiguously
-        raise EvaluateError("compare needs a ProviderSpec or a (candidate, baseline) matrix pair")
-    cand_m, _, _ = nearest_facility_stats(households, candidate, cand_provider, transport)
-    base_m, _, _ = nearest_facility_stats(households, baseline, base_provider, transport)
-
-    out = {"overall": _group_stats(cand_m, base_m)}
+    out = {"overall": _group_stats(candidate_m, baseline_m)}
     if groups is not None:
         for label in sorted({g for g in groups if g is not None}):
             idx = [i for i, g in enumerate(groups) if g == label]
-            out[label] = _group_stats([cand_m[i] for i in idx], [base_m[i] for i in idx])
-    return EvaluationReport(groups=out)
+            out[label] = _group_stats([candidate_m[i] for i in idx], [baseline_m[i] for i in idx])
+    return out
 
 
 def penalty_from_distances(candidate_m: Sequence[float], baseline_m: Sequence[float]) -> PenaltyBlock:
@@ -184,23 +166,17 @@ def penalty_from_distances(candidate_m: Sequence[float], baseline_m: Sequence[fl
 
 def penalty_report(
     plan: PlacementPlan,
-    households,
+    matrix: MatrixLike,
     baseline_banks: FacilitySet,
     baseline_pantries: FacilitySet,
-    provider,
-    transport=None,
+    provider: ProviderSpec,
 ) -> PenaltyBlock:
-    """Candidate pantry-to-assigned-bank distances against baseline
-    pantry-to-nearest-bank distances."""
-    pantry_points = [households[p].location for p in plan.pantries]
-    bank_points = [households[b].location for b in plan.banks]
-    bank_pos = {b: i for i, b in enumerate(plan.banks)}
-    cand = _distances(pantry_points, bank_points, provider, transport)
-    candidate_m = [float(cand[i, bank_pos[plan.pantry_to_bank[p]]]) for i, p in enumerate(plan.pantries)]
-
-    base = _distances(baseline_pantries.points, baseline_banks.points, provider, transport)
-    baseline_m = [float(x) for x in base.min(axis=1)]
-    return penalty_from_distances(candidate_m, baseline_m)
+    """Candidate pantry-to-assigned-bank distances, read from the matrix the
+    plan was solved on, against baseline pantry-to-nearest-bank distances
+    from the provider."""
+    candidate_m, _, _ = pantry_bank_distances(plan, matrix)
+    base = build_matrix(provider, baseline_pantries.points, baseline_banks.points)
+    return penalty_from_distances(candidate_m, [float(x) for x in base.values.min(axis=1)])
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
@@ -255,7 +231,7 @@ def households_geojson(households, candidate_m: Sequence[float], baseline_m: Seq
     which set serves them better, for map rendering."""
     features = []
     for h, c, b in zip(households, candidate_m, baseline_m):
-        p = h.location if hasattr(h, "location") else h
+        p = h.location
         better = "tie" if c == b else ("candidate" if c < b else "baseline")
         features.append(
             {

@@ -79,13 +79,8 @@ def _parse_float(raw: str, what: str, line_no: int) -> float:
         raise IngestError(f"line {line_no}: cannot parse {what} from {raw!r}") from None
 
 
-def load_households(path, schema: ColumnSchema) -> list[Household]:
-    """Read one Household per CSV row, in file order, all weights 1.0.
-
-    Lines starting with '#' are provenance comments and are skipped. A row
-    with an unparseable or out-of-range coordinate is an error naming the
-    line; an empty income cell means income unknown.
-    """
+def _read_households(path, schema: ColumnSchema):
+    """Yield (raw row, Household) per CSV row, in file order, weight 1.0."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -98,7 +93,6 @@ def load_households(path, schema: ColumnSchema) -> list[Household]:
         for col in (schema.lat, schema.lon, schema.income, schema.id, schema.city):
             if col is not None and col not in reader.fieldnames:
                 raise IngestError(f"{path}: missing column {col!r}")
-        households = []
         for i, row in enumerate(reader):
             line_no = reader.line_num
             lat = _parse_float(row[schema.lat], "latitude", line_no)
@@ -112,8 +106,17 @@ def load_households(path, schema: ColumnSchema) -> list[Household]:
                     raise IngestError(f"line {line_no}: negative income {income}")
             hid = row[schema.id] if schema.id else str(i)
             city = row.get(schema.city) if schema.city else None
-            households.append(Household(id=hid, location=GeoPoint(lat, lon), income=income, city=city or None))
-    return households
+            yield row, Household(id=hid, location=GeoPoint(lat, lon), income=income, city=city or None)
+
+
+def load_households(path, schema: ColumnSchema) -> list[Household]:
+    """Read one Household per CSV row, in file order, all weights 1.0.
+
+    Lines starting with '#' are provenance comments and are skipped. A row
+    with an unparseable or out-of-range coordinate is an error naming the
+    line; an empty income cell means income unknown.
+    """
+    return [h for _, h in _read_households(path, schema)]
 
 
 def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> list[Household]:
@@ -218,17 +221,7 @@ def write_households_csv(households: Iterable[Household], path, header_comment: 
 def load_prepared(path) -> list[Household]:
     """Read a prepared-households CSV written by write_households_csv."""
     schema = ColumnSchema(lat="lat", lon="lon", income="income", id="id", city="city")
-    rows = load_households(path, schema)
-    out = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise IngestError(f"no such file: {path}") from None
-    with fh:
-        plain = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(plain)
-        for h, row in zip(rows, reader):
-            weight = float(row.get("weight") or 1.0)
-            origin = row.get("origin_id") or h.id
-            out.append(replace(h, weight=weight, origin_id=origin))
-    return out
+    return [
+        replace(h, weight=float(row.get("weight") or 1.0), origin_id=row.get("origin_id") or h.id)
+        for row, h in _read_households(path, schema)
+    ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -64,8 +65,12 @@ class SolveParams:
 
     def __post_init__(self):
         require_int("k", self.k)
+        if self.max_passes is not None:
+            require_int("max_passes", self.max_passes)
         if self.mode not in ("global_swap", "cluster_screened"):
             raise SolveError(f"unknown mode {self.mode!r}")
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, Real):
+            raise SolveError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not self.epsilon > 0:
             raise SolveError(f"epsilon must be positive, got {self.epsilon}")
 

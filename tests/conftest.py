@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pantryplan.distance import great_circle, GeoPoint
+from pantryplan.distance import GeoPoint, ProviderSpec, build_matrix, great_circle
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -21,6 +21,12 @@ def planar_matrix(rng: np.random.Generator, n: int, scale: float = 1000.0) -> np
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def household_matrix(households):
+    """Great-circle matrix over the households' locations."""
+    pts = [h.location for h in households]
+    return build_matrix(ProviderSpec(kind="great_circle"), pts, pts)
 
 
 def line_matrix(coords) -> np.ndarray:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import pantryplan.distance as distance
+import pantryplan.evaluate as evaluate
 from pantryplan.cli import main
-from pantryplan.distance import FixtureTransport, GeoPoint, ProviderSpec, build_matrix, load_matrix
+from pantryplan.distance import FixtureTransport, GeoPoint, ProviderSpec, build_matrix, load_matrix, save_matrix
 from pantryplan.hierarchy import HierarchyParams, SolverOptions, place_two_level, plan_from_dict
 from pantryplan.ingest import ColumnSchema, Household, load_households, load_prepared, write_households_csv
 from pantryplan.kmedoids import SolveParams, solve
@@ -212,6 +213,23 @@ def test_place_with_string_k_banks_exits_4(tmp_path, capsys):
     assert err.startswith("error: ") and "k_banks" in err
 
 
+@pytest.mark.parametrize(
+    "hierarchy, field",
+    [
+        ({"max_passes": "3"}, "max_passes"),
+        ({"epsilon": "x"}, "epsilon"),
+        ({"epsilon": True}, "epsilon"),
+    ],
+)
+def test_place_with_mistyped_solver_option_exits_4(tmp_path, capsys, hierarchy, field):
+    pipeline_through_place(tmp_path)
+    cfg_path, _ = write_config(tmp_path, hierarchy={"k_banks": 2, "k_pantries_total": 4, **hierarchy})
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 def baseline_from_plan(out_dir, tmp_path):
@@ -305,6 +323,94 @@ def test_evaluate_city_bounding_boxes_override_tags(tmp_path):
     assert set(report["groups"]) <= {"overall", "south", "north"}
     counted = sum(g["household_count"] for name, g in report["groups"].items() if name != "overall")
     assert counted == report["groups"]["overall"]["household_count"]
+
+
+def evaluate_config(tmp_path, out_dir, banks=True):
+    bank_csv, pantry_csv = baseline_from_plan(out_dir, tmp_path)
+    cfg_path, _ = write_config(
+        tmp_path,
+        baselines={"banks": str(bank_csv) if banks else None, "pantries": str(pantry_csv),
+                   "schema": {"lat": "lat", "lon": "lon"}},
+    )
+    return cfg_path
+
+
+def test_evaluate_without_matrix_exits_5(tmp_path, capsys):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    (out_dir / "matrix.dmat").unlink()
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir / "matrix.dmat") in err
+
+
+def test_evaluate_with_matrix_of_other_households_exits_5(tmp_path, capsys):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    pts = [h.location for h in load_prepared(out_dir / "prepared.csv")][:-1]
+    save_matrix(build_matrix(ProviderSpec(), pts, pts), out_dir / "matrix.dmat")
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"matrix is {len(pts)} points" in err
+
+
+def test_evaluate_builds_only_the_baseline_rectangles(tmp_path, monkeypatch):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    built = []
+
+    def counting(spec, sources, destinations, *args, **kwargs):
+        built.append((len(sources), len(destinations)))
+        return build_matrix(spec, sources, destinations, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "build_matrix", counting)
+    monkeypatch.setattr(distance, "build_matrix", counting)
+    assert run(["--config", cfg_path, "evaluate"]) == 0
+    households = len(load_prepared(out_dir / "prepared.csv"))
+    # households x baseline pantries, baseline pantries x baseline banks
+    assert built == [(households, 4), (4, 2)]
+
+
+def test_households_geojson_averages_to_report(tmp_path):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    assert run(["--config", cfg_path, "evaluate"]) == 0
+    overall = json.loads((out_dir / "report.json").read_text())["groups"]["overall"]
+    features = json.loads((out_dir / "households.geojson").read_text())["features"]
+    assert len(features) == overall["household_count"]
+    for key in ("candidate", "baseline"):
+        values = [f["properties"][f"nearest_{key}_mi"] for f in features]
+        assert sum(values) / len(values) == pytest.approx(overall[f"{key}_avg_mi"], rel=1e-12)
+
+
+# --- config shape -------------------------------------------------------------------
+
+@pytest.mark.parametrize("stage", ["synth", "ingest", "matrix", "place", "evaluate"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, stage):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[]")
+    argv = ["--config", cfg_path, stage] + (["--output", tmp_path / "x.csv"] if stage == "synth" else [])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, stage, key",
+    [
+        ({"dataset": {"path": "s.csv", "schema": None}}, "ingest", "dataset.schema"),
+        ({"hierarchy": None}, "place", "hierarchy"),
+        ({"provider": "osrm"}, "matrix", "provider"),
+    ],
+)
+def test_config_section_that_is_not_an_object_exits_2(tmp_path, capsys, overrides, stage, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(overrides))
+    assert run(["--config", cfg_path, stage]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key {key} must be an object" in err
 
 
 # --- global flags -------------------------------------------------------------------

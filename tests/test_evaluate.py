@@ -7,6 +7,7 @@ from pantryplan.distance import GeoPoint, ProviderSpec, great_circle
 from pantryplan.errors import EvaluateError
 from pantryplan.evaluate import (
     METERS_PER_MILE,
+    EvaluationReport,
     FacilitySet,
     compare,
     households_geojson,
@@ -20,6 +21,8 @@ from pantryplan.hierarchy import PlacementPlan
 from pantryplan.ingest import Household
 from pantryplan.kmedoids import brute_force_solve
 
+from conftest import household_matrix
+
 GC = ProviderSpec(kind="great_circle")
 
 
@@ -29,6 +32,13 @@ def hh(lat, lon, i=0, city=None):
 
 def facility_set(label, coords):
     return FacilitySet(label=label, points=tuple(GeoPoint(*c) for c in coords))
+
+
+def compare_sets(candidate, baseline, households, groups=None):
+    """The report evaluate writes for two facility sets, without a penalty."""
+    cand_m, _, _ = nearest_facility_stats(households, candidate, GC)
+    base_m, _, _ = nearest_facility_stats(households, baseline, GC)
+    return EvaluationReport(groups=compare(cand_m, base_m, groups))
 
 
 # --- nearest_facility_stats ---------------------------------------------------
@@ -89,7 +99,7 @@ def test_shape_mismatch_rejected():
 def test_identical_sets_give_zero_saving():
     households = [hh(0, i * 0.1, i) for i in range(5)]
     fs = facility_set("same", [(0, 0.05), (0, 0.35)])
-    report = compare(fs, fs, households, GC)
+    report = compare_sets(fs, fs, households)
     overall = report.groups["overall"]
     assert overall.saving_abs == 0.0
     assert overall.saving_pct == 0.0
@@ -116,7 +126,7 @@ def test_city_groups_partition_households():
     households = [hh(0, 0.0, 0, "east"), hh(0, 0.1, 1, "east"), hh(0, 5.0, 2, "west")]
     cand = facility_set("c", [(0, 0.0), (0, 5.0)])
     base = facility_set("b", [(0, 1.0)])
-    report = compare(cand, base, households, GC, groups=[h.city for h in households])
+    report = compare_sets(cand, base, households, groups=[h.city for h in households])
     assert set(report.groups) == {"overall", "east", "west"}
     assert report.groups["east"].household_count == 2
     assert report.groups["west"].household_count == 1
@@ -129,7 +139,7 @@ def test_compare_weighted_by_duplication_matches_direct_weights():
     duplicated = [pts[0], pts[0], pts[1]]
     fs_c = facility_set("c", [(0, 0.2)])
     fs_b = facility_set("b", [(0, 0.7)])
-    rep_dup = compare(fs_c, fs_b, duplicated, GC)
+    rep_dup = compare_sets(fs_c, fs_b, duplicated)
     d0c = great_circle(GeoPoint(0, 0), GeoPoint(0, 0.2))
     d1c = great_circle(GeoPoint(0, 1), GeoPoint(0, 0.2))
     d0b = great_circle(GeoPoint(0, 0), GeoPoint(0, 0.7))
@@ -151,7 +161,7 @@ def test_synthetic_town_optimum_beats_corner_baseline():
     candidate = FacilitySet(label="opt", points=tuple(pts[m] for m in optimum.medoids))
     baseline = facility_set("corner", [(0.0, 0.0), (0.0, 0.01), (0.01, 0.0)])
 
-    report = compare(candidate, baseline, households, GC)
+    report = compare_sets(candidate, baseline, households)
     overall = report.groups["overall"]
 
     # independent recomputation with plain loops
@@ -162,7 +172,35 @@ def test_synthetic_town_optimum_beats_corner_baseline():
     assert overall.saving_abs == pytest.approx(saving_hand, abs=1e-9)
 
 
+def test_compare_rejects_mismatched_vectors():
+    with pytest.raises(EvaluateError):
+        compare([1.0, 2.0], [1.0])
+    with pytest.raises(EvaluateError):
+        compare([], [])
+    with pytest.raises(EvaluateError, match="group labels"):
+        compare([1.0, 2.0], [1.0, 2.0], groups=["a"])
+
+
 # --- penalty ---------------------------------------------------------------------
+
+def test_candidate_legs_come_from_the_plan_matrix():
+    # a matrix at twice the great-circle distances, as a road network might be
+    households = [hh(0, 0, 0), hh(0, 1, 1), hh(0, 2, 2)]
+    plan = PlacementPlan(
+        banks=(0,),
+        pantries=(1, 2),
+        pantry_to_bank={1: 0, 2: 0},
+        household_to_pantry=(1, 1, 2),
+        level1_objective=0.0,
+        level2_objective=0.0,
+    )
+    road = 2.0 * household_matrix(households).values
+    banks = FacilitySet(label="bb", points=(households[0].location,))
+    pantries = FacilitySet(label="bp", points=(households[1].location, households[2].location))
+    block = penalty_report(plan, road, banks, pantries, GC)
+    assert block.candidate_total == pytest.approx((road[1, 0] + road[2, 0]) / METERS_PER_MILE, rel=1e-12)
+    assert block.total == pytest.approx(block.baseline_total, rel=1e-12)
+
 
 def test_identical_plan_and_baseline_zero_penalty():
     households = [hh(0, 0, 0), hh(0, 1, 1), hh(0, 2, 2)]
@@ -176,7 +214,7 @@ def test_identical_plan_and_baseline_zero_penalty():
     )
     banks = FacilitySet(label="bb", points=(households[0].location,))
     pantries = FacilitySet(label="bp", points=(households[1].location, households[2].location))
-    block = penalty_report(plan, households, banks, pantries, GC)
+    block = penalty_report(plan, household_matrix(households), banks, pantries, GC)
     assert block.per_pantry_avg == pytest.approx(0.0, abs=1e-12)
     assert block.total == pytest.approx(0.0, abs=1e-12)
 
@@ -213,7 +251,7 @@ def test_baseline_pantries_attributed_to_nearest_bank():
     )
     banks = facility_set("bb", [(0, 0.0), (0, 0.9)])
     pantries = facility_set("bp", [(0, 1.0)])
-    block = penalty_report(plan, households, banks, pantries, GC)
+    block = penalty_report(plan, household_matrix(households), banks, pantries, GC)
     # baseline pantry at lon 1.0 uses the bank at lon 0.9, not 0.0
     expected_base = great_circle(GeoPoint(0, 1.0), GeoPoint(0, 0.9)) / METERS_PER_MILE
     assert block.baseline_total == pytest.approx(expected_base, abs=1e-9)
@@ -225,7 +263,7 @@ def test_report_invariants_and_csv_rounding():
     households = [hh(0, i * 0.2, i, "core" if i < 3 else None) for i in range(5)]
     cand = facility_set("c", [(0, 0.1), (0, 0.7)])
     base = facility_set("b", [(0, 0.9)])
-    report = compare(cand, base, households, GC, groups=[h.city for h in households])
+    report = compare_sets(cand, base, households, groups=[h.city for h in households])
     for g in report.groups.values():
         assert g.saving_abs == pytest.approx(g.baseline_avg - g.candidate_avg, abs=1e-12)
         if g.baseline_avg > 0:
@@ -248,8 +286,8 @@ def test_reports_are_bit_stable_across_runs():
     households = [hh(0, i * 0.31, i) for i in range(9)]
     cand = facility_set("c", [(0, 0.4), (0, 2.0)])
     base = facility_set("b", [(0, 1.3)])
-    a = report_to_dict(compare(cand, base, households, GC))
-    b = report_to_dict(compare(cand, base, households, GC))
+    a = report_to_dict(compare_sets(cand, base, households))
+    b = report_to_dict(compare_sets(cand, base, households))
     assert a == b
 
 

@@ -240,3 +240,32 @@ def test_prepared_csv_round_trip(tmp_path, data_dir):
     write_households_csv(out, path, header_comment="test run")
     back = load_prepared(path)
     assert back == out
+
+
+def test_load_prepared_parses_the_file_once(tmp_path, data_dir, monkeypatch):
+    import csv
+
+    path = tmp_path / "prepared.csv"
+    write_households_csv(prepare(load_households(data_dir / "ca_blocks.csv", CA_SCHEMA),
+                                 IngestConfig(weighting_mode="direct")), path)
+    readers = []
+    real = csv.DictReader
+
+    def counting(*args, **kwargs):
+        readers.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "DictReader", counting)
+    back = load_prepared(path)
+    assert len(readers) == 1
+    assert any(h.weight != 1.0 for h in back)
+
+
+def test_load_prepared_names_the_bad_line(tmp_path):
+    path = tmp_path / "prepared.csv"
+    write_households_csv([hh(0, lat=1.0), hh(1, lat=2.0)], path, header_comment="test run")
+    text = path.read_text().replace("2.0,", "north,", 1)
+    path.write_text(text)
+    # line numbers count the header row but not provenance comments
+    with pytest.raises(IngestError, match="line 3: cannot parse latitude from 'north'"):
+        load_prepared(path)

@@ -321,3 +321,20 @@ def test_solve_params_reject_non_integer_k(k):
 
 def test_solve_params_accept_numpy_integer_k():
     assert solve(LINE, SolveParams(k=np.int64(2))) == solve(LINE, SolveParams(k=2))
+
+
+@pytest.mark.parametrize("max_passes", ["3", True, 3.0])
+def test_solve_params_reject_non_integer_max_passes(max_passes):
+    with pytest.raises(SolveError, match="max_passes must be an integer"):
+        SolveParams(k=2, max_passes=max_passes)
+
+
+@pytest.mark.parametrize("epsilon", ["x", True, None, [1e-6]])
+def test_solve_params_reject_non_real_epsilon(epsilon):
+    with pytest.raises(SolveError, match="epsilon must be a real number"):
+        SolveParams(k=2, epsilon=epsilon)
+
+
+def test_solve_params_accept_numpy_scalars():
+    params = SolveParams(k=2, epsilon=np.float32(1e-6), max_passes=np.int64(5))
+    assert solve(LINE, params).medoids == solve(LINE, SolveParams(k=2, max_passes=5)).medoids

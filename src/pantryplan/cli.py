@@ -175,6 +175,19 @@ def cmd_ingest(cfg: dict, args) -> None:
     print(f"ingest: {len(households)} read, {len(prepared)} prepared -> {path}")
 
 
+def _mismatch(matrix: distance.DistanceMatrix, points) -> str | None:
+    """Why matrix is not the households x households matrix over points, in
+    order, or None when it is."""
+    points = tuple(points)
+    if len(matrix.sources) != len(points):
+        return f"matrix is {len(matrix.sources)} points but {len(points)} households are prepared"
+    for side, got in (("sources", matrix.sources), ("destinations", matrix.destinations)):
+        if got != points:
+            i = next((i for i, (a, b) in enumerate(zip(got, points)) if a != b), min(len(got), len(points)))
+            return f"matrix {side} differ from the prepared households at index {i}"
+    return None
+
+
 def cmd_matrix(cfg: dict, args) -> None:
     out_dir = Path(cfg["out_dir"])
     prepared = out_dir / PREPARED_CSV
@@ -183,17 +196,23 @@ def cmd_matrix(cfg: dict, args) -> None:
     households = ingest.load_prepared(prepared)
     points = [h.location for h in households]
     path = out_dir / MATRIX_FILE
+    spec = _provider(cfg)
 
     if path.exists() and not args.force:
         try:
             cached = distance.load_matrix(path)
-            if cached.shape == (len(points), len(points)):
-                print(f"matrix: cache hit at {path}")
-                return
-        except distance.MatrixFormatError:
-            pass  # stale or corrupt: rebuild
+        except distance.MatrixFormatError as exc:
+            why = f"unreadable ({exc})"
+        else:
+            tag = distance.provider_tag(spec)
+            why = _mismatch(cached, points)
+            if why is None and cached.provider_tag != tag:
+                why = f"built by provider {cached.provider_tag}, config asks for {tag}"
+        if why is None:
+            print(f"matrix: cache hit at {path}")
+            return
+        print(f"matrix: rebuilding {path}: {why}")
 
-    spec = _provider(cfg)
     matrix = distance.build_matrix(spec, points, points, max_in_flight=cfg["threads"])
     distance.save_matrix(matrix, path, meta={"seed": cfg["seed"], "config_hash": config_hash(cfg)})
     print(f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}")
@@ -201,14 +220,16 @@ def cmd_matrix(cfg: dict, args) -> None:
 
 def _matrix_and_households(out_dir: Path, error):
     """The cached matrix and the prepared households it must cover, one row
-    per household; a missing or mismatched matrix raises error."""
+    and one column per household in order; a missing or mismatched matrix
+    raises error."""
     matrix_path = out_dir / MATRIX_FILE
     if not matrix_path.exists():
         raise error(f"matrix cache not found at {matrix_path}; run matrix first")
     matrix = distance.load_matrix(matrix_path)
     households = ingest.load_prepared(out_dir / PREPARED_CSV)
-    if matrix.shape[0] != len(households):
-        raise error(f"matrix is {matrix.shape[0]} points but {len(households)} households are prepared")
+    why = _mismatch(matrix, (h.location for h in households))
+    if why is not None:
+        raise error(f"{matrix_path} was not built from {out_dir / PREPARED_CSV}: {why}; run matrix again")
     return matrix, households
 
 
@@ -255,6 +276,35 @@ def _city_groups(households, boxes) -> list:
     return labels
 
 
+def _is_row(x, n: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
+def _check_plan(plan: hierarchy.PlacementPlan, n: int, plan_path) -> None:
+    """Every index in the plan names one of the n prepared households, no
+    bank or pantry is listed twice, every pantry's bank is a bank, and every
+    household's pantry is a pantry."""
+    for role, indices in (("bank", plan.banks), ("pantry", plan.pantries), ("bank_index", plan.pantry_to_bank.values())):
+        for x in indices:
+            if not _is_row(x, n):
+                raise EvaluateError(f"plan {plan_path}: {role} {x!r} is not a household index in [0, {n})")
+    for role, indices in (("bank", plan.banks), ("pantry", plan.pantries)):
+        if len(set(indices)) != len(indices):
+            raise EvaluateError(f"plan {plan_path}: a {role} index is listed more than once")
+    banks = set(plan.banks)
+    for p, b in plan.pantry_to_bank.items():
+        if b not in banks:
+            raise EvaluateError(f"plan {plan_path}: pantry {p} has bank_index {b}, which is not a bank")
+    if len(plan.household_to_pantry) != n:
+        raise EvaluateError(
+            f"plan {plan_path}: household_to_pantry has {len(plan.household_to_pantry)} entries for {n} households"
+        )
+    pantries = set(plan.pantries)
+    for i, p in enumerate(plan.household_to_pantry):
+        if not (_is_row(p, n) and p in pantries):
+            raise EvaluateError(f"plan {plan_path}: household {i} is assigned {p!r}, which is not a pantry")
+
+
 def cmd_evaluate(cfg: dict, args) -> None:
     out_dir = Path(cfg["out_dir"])
     plan_path = out_dir / PLAN_JSON
@@ -270,6 +320,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     except (KeyError, TypeError) as exc:
         raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
     matrix, households = _matrix_and_households(out_dir, EvaluateError)
+    _check_plan(plan, len(households), plan_path)
 
     bl = cfg["baselines"]
     if not bl["pantries"]:

@@ -5,6 +5,12 @@ distances in meters, null cells mean unreachable) and an offline great-circle
 fallback. Matrices are dense sources x destinations, row-major float64,
 always meters; road matrices are directed, so no symmetry is assumed.
 
+The great-circle provider computes one haversine per distinct pair of exact
+(lat, lon) coordinates and gathers the full matrix from that block, so the
+repeated rows of duplication weighting cost no extra trigonometry. Each cell is
+bit-identical to great_circle(a, b): the loop keeps its operation order and
+uses the same libm calls (numpy's arcsin and x**2 differ in the last bit).
+
 Cache format (DMAT1):
 
     magic b"DMAT1" | u32 rows | u32 cols | rows*cols float64 (LE, row-major)
@@ -28,7 +34,6 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .errors import DistanceError, MatrixFormatError, UnreachablePairsError
 
@@ -150,10 +155,14 @@ class RequestsTransport:
     """Default HTTP transport; returns (status_code, parsed JSON body)."""
 
     def __init__(self, timeout: float = 30.0):
+        import requests  # deferred: the great-circle path never needs it
+
         self.timeout = timeout
         self._session = requests.Session()
 
     def get(self, url: str):
+        import requests
+
         try:
             resp = self._session.get(url, timeout=self.timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
@@ -233,6 +242,46 @@ def _tiles(n_src: int, n_dst: int, chunk_size: int):
             yield r0, min(r0 + side, n_src), c0, min(c0 + side, n_dst)
 
 
+def provider_tag(spec: ProviderSpec) -> str:
+    """The tag a matrix built from spec carries; a cached matrix is reusable
+    for spec only if its tag is this one."""
+    if spec.kind == "table_api":
+        return f"table:{spec.base_url}"
+    if spec.earth_radius == EARTH_RADIUS_M:
+        return "great_circle"
+    return f"great_circle:{spec.earth_radius!r}"
+
+
+def _distinct(points: Sequence[GeoPoint]):
+    """Distinct exact (lat, lon) pairs in first-seen order, and each point's
+    index among them."""
+    first: dict = {}
+    inverse = [first.setdefault((p.lat, p.lon), len(first)) for p in points]
+    return list(first), np.asarray(inverse, dtype=np.intp)
+
+
+def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarray:
+    """great_circle for every (source, destination) cell, each distinct pair
+    of coordinates computed once, with great_circle's own arithmetic."""
+    src, si = _distinct(sources)
+    dst, di = _distinct(destinations)
+    ends = []
+    for lat, lon in dst:
+        lat2 = math.radians(lat)
+        ends.append((lat2, math.radians(lon), math.cos(lat2)))
+    asin, sin, sqrt = math.asin, math.sin, math.sqrt  # locals: the loop below is the hot path
+    diameter = earth_radius * 2.0
+    block = np.empty((len(src), len(dst)), dtype=np.float64)
+    for i, (lat, lon) in enumerate(src):
+        lat1, lon1 = math.radians(lat), math.radians(lon)
+        cos1 = math.cos(lat1)
+        block[i] = [
+            diameter * asin(min(1.0, sqrt(sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2)))
+            for lat2, lon2, cos2 in ends
+        ]
+    return block[np.ix_(si, di)]
+
+
 def build_matrix(
     spec: ProviderSpec,
     sources: Sequence[GeoPoint],
@@ -252,11 +301,8 @@ def build_matrix(
         raise DistanceError("sources and destinations must be nonempty")
 
     if spec.kind == "great_circle":
-        values = np.empty((len(sources), len(destinations)), dtype=np.float64)
-        for i, a in enumerate(sources):
-            for j, b in enumerate(destinations):
-                values[i, j] = great_circle(a, b, spec.earth_radius)
-        return DistanceMatrix(sources, destinations, values, provider_tag="great_circle")
+        values = _great_circle_values(sources, destinations, spec.earth_radius)
+        return DistanceMatrix(sources, destinations, values, provider_tag(spec))
 
     if transport is None:
         transport = RequestsTransport()
@@ -284,7 +330,7 @@ def build_matrix(
     if unreachable:
         raise UnreachablePairsError(unreachable)
 
-    return DistanceMatrix(sources, destinations, values, provider_tag=f"table:{spec.base_url}")
+    return DistanceMatrix(sources, destinations, values, provider_tag(spec))
 
 
 def save_matrix(matrix: DistanceMatrix, path, meta: Optional[dict] = None) -> None:

@@ -80,7 +80,8 @@ def _parse_float(raw: str, what: str, line_no: int) -> float:
 
 
 def _read_households(path, schema: ColumnSchema):
-    """Yield (raw row, Household) per CSV row, in file order, weight 1.0."""
+    """Yield (line number, raw row, Household) per CSV row, in file order,
+    weight 1.0."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -106,7 +107,7 @@ def _read_households(path, schema: ColumnSchema):
                     raise IngestError(f"line {line_no}: negative income {income}")
             hid = row[schema.id] if schema.id else str(i)
             city = row.get(schema.city) if schema.city else None
-            yield row, Household(id=hid, location=GeoPoint(lat, lon), income=income, city=city or None)
+            yield line_no, row, Household(id=hid, location=GeoPoint(lat, lon), income=income, city=city or None)
 
 
 def load_households(path, schema: ColumnSchema) -> list[Household]:
@@ -116,7 +117,7 @@ def load_households(path, schema: ColumnSchema) -> list[Household]:
     with an unparseable or out-of-range coordinate is an error naming the
     line; an empty income cell means income unknown.
     """
-    return [h for _, h in _read_households(path, schema)]
+    return [h for _, _, h in _read_households(path, schema)]
 
 
 def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> list[Household]:
@@ -219,9 +220,17 @@ def write_households_csv(households: Iterable[Household], path, header_comment: 
 
 
 def load_prepared(path) -> list[Household]:
-    """Read a prepared-households CSV written by write_households_csv."""
+    """Read a prepared-households CSV written by write_households_csv.
+
+    An empty weight cell means 1.0; a weight that does not parse, or is not
+    a positive finite number, is an error naming the line.
+    """
     schema = ColumnSchema(lat="lat", lon="lon", income="income", id="id", city="city")
-    return [
-        replace(h, weight=float(row.get("weight") or 1.0), origin_id=row.get("origin_id") or h.id)
-        for row, h in _read_households(path, schema)
-    ]
+    out = []
+    for line_no, row, h in _read_households(path, schema):
+        raw = row.get("weight") or ""
+        weight = _parse_float(raw, "weight", line_no) if raw else 1.0
+        if not (math.isfinite(weight) and weight > 0):
+            raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
+        out.append(replace(h, weight=weight, origin_id=row.get("origin_id") or h.id))
+    return out

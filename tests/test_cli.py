@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +134,55 @@ def test_matrix_force_rebuilds(tmp_path, capsys):
     capsys.readouterr()
     assert run(["--config", cfg_path, "--force", "matrix"]) == 0
     assert "cache hit" not in capsys.readouterr().out
+
+
+def resample(tmp_path, seed_a, seed_b):
+    """Ingest at seed_a, build the matrix and place, then ingest other
+    households of the same count at seed_b, leaving the matrix and plan of
+    the first."""
+    cfg_path, cfg = write_config(tmp_path, ingest={"sample_size": 8})
+    run(["--config", cfg_path, "synth", "--clusters", 2, "--points", 12, "--output", tmp_path / "synth.csv"])
+    for stage in ("ingest", "matrix", "place"):
+        assert run(["--config", cfg_path, "--seed", seed_a, stage]) == 0
+    assert run(["--config", cfg_path, "--seed", seed_b, "ingest"]) == 0
+    out_dir = Path(cfg["out_dir"])
+    assert load_matrix(out_dir / "matrix.dmat").sources != tuple(
+        h.location for h in load_prepared(out_dir / "prepared.csv"))
+    return cfg_path, out_dir
+
+
+def test_matrix_of_other_households_same_count_is_rebuilt(tmp_path, capsys):
+    cfg_path, out_dir = resample(tmp_path, 1, 2)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "--seed", 2, "matrix"]) == 0
+    out = capsys.readouterr().out
+    assert "cache hit" not in out and "rebuilding" in out and "differ from the prepared households" in out
+    pts = [h.location for h in load_prepared(out_dir / "prepared.csv")]
+    assert load_matrix(out_dir / "matrix.dmat").values.tobytes() == build_matrix(ProviderSpec(), pts, pts).values.tobytes()
+
+
+def test_matrix_from_another_provider_is_rebuilt(tmp_path, capsys):
+    cfg_path, cfg = write_config(tmp_path)
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 4, "--output", tmp_path / "synth.csv"])
+    run(["--config", cfg_path, "ingest"])
+    run(["--config", cfg_path, "matrix"])
+    cfg_path, _ = write_config(tmp_path, provider={"kind": "great_circle", "earth_radius": 1.0})
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "matrix"]) == 0
+    assert "rebuilding" in capsys.readouterr().out
+    saved = load_matrix(Path(cfg["out_dir"]) / "matrix.dmat")
+    assert saved.provider_tag == "great_circle:1.0" and saved.values.max() < 4.0
+
+
+@pytest.mark.parametrize("stage, code", [("place", 4), ("evaluate", 5)])
+def test_stage_with_matrix_of_other_households_same_count_exits(tmp_path, capsys, stage, code):
+    cfg_path, out_dir = resample(tmp_path, 1, 2)
+    if stage == "evaluate":
+        cfg_path = evaluate_config(tmp_path, out_dir)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "--seed", 2, stage]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir / "matrix.dmat") in err
 
 
 def test_matrix_without_prepared_exits_3(tmp_path):
@@ -356,6 +408,80 @@ def test_evaluate_with_matrix_of_other_households_exits_5(tmp_path, capsys):
     assert err.startswith("error: ") and f"matrix is {len(pts)} points" in err
 
 
+def set_first_pantry(value):
+    def damage(data):
+        data["pantries"][0]["index"] = value
+    return damage
+
+
+def set_first_bank_index(value):
+    def damage(data):
+        data["pantries"][0]["bank_index"] = value
+    return damage
+
+
+def point_bank_index_at_a_pantry(data):
+    banks = {b["index"] for b in data["banks"]}
+    data["pantries"][0]["bank_index"] = next(p["index"] for p in data["pantries"] if p["index"] not in banks)
+
+
+def repeat_first_pantry(data):
+    data["pantries"].append(dict(data["pantries"][0]))
+
+
+def drop_last_household(data):
+    data["household_to_pantry"].pop()
+
+
+def assign_household_to_a_non_pantry(data):
+    pantries = {p["index"] for p in data["pantries"]}
+    data["household_to_pantry"][0] = next(i for i in range(len(data["household_to_pantry"])) if i not in pantries)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        set_first_pantry(10000),
+        set_first_pantry(-1),
+        set_first_pantry(True),
+        set_first_pantry(1.0),
+        set_first_bank_index(10000),
+        set_first_bank_index("0"),
+        point_bank_index_at_a_pantry,
+        repeat_first_pantry,
+        drop_last_household,
+        assign_household_to_a_non_pantry,
+    ],
+    ids=["pantry_10000", "pantry_-1", "pantry_bool", "pantry_float", "bank_index_10000", "bank_index_str",
+         "bank_index_not_a_bank", "pantry_twice", "short_assignment", "assignment_not_a_pantry"],
+)
+def test_evaluate_plan_with_bad_indices_exits_5(tmp_path, capsys, damage):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    plan_path = out_dir / "plan.json"
+    data = json.loads(plan_path.read_text())
+    damage(data)
+    plan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plan_path) in err
+    assert not (out_dir / "report.json").exists()
+
+
+def test_place_with_unparseable_weight_exits_2(tmp_path, capsys):
+    cfg_path, out_dir = pipeline_through_place(tmp_path)
+    prepared = out_dir / "prepared.csv"
+    lines = prepared.read_text().splitlines(keepends=True)
+    assert lines[2].count(",1.0,") == 1  # line 2 of the CSV proper: the first household row
+    lines[2] = lines[2].replace(",1.0,", ",heavy,")
+    prepared.write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2: cannot parse weight from 'heavy'" in err
+
+
 def test_evaluate_builds_only_the_baseline_rectangles(tmp_path, monkeypatch):
     _, out_dir = pipeline_through_place(tmp_path)
     cfg_path = evaluate_config(tmp_path, out_dir)
@@ -414,6 +540,14 @@ def test_config_section_that_is_not_an_object_exits_2(tmp_path, capsys, override
 
 
 # --- global flags -------------------------------------------------------------------
+
+def test_importing_the_cli_does_not_import_requests():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, pantryplan.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
 
 def test_flag_overrides_config_seed(tmp_path):
     cfg_path, cfg = write_config(tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import pantryplan.distance as distance
 from pantryplan.distance import (
+    EARTH_RADIUS_M,
     DistanceMatrix,
     FixtureTransport,
     GeoPoint,
@@ -16,6 +17,7 @@ from pantryplan.distance import (
     build_matrix,
     great_circle,
     load_matrix,
+    provider_tag,
     save_matrix,
     table_request,
     table_url,
@@ -191,6 +193,61 @@ def test_great_circle_matrix_agrees_entrywise():
         for j, b in enumerate(pts):
             assert m.values[i, j] == great_circle(a, b)
     assert m.values[0, 0] == 0.0 and m.values[1, 1] == 0.0
+
+
+# signed zeros, poles and the antimeridian next to arbitrary points
+edge_or_any = st.sampled_from(
+    [GeoPoint(0.0, 0.0), GeoPoint(-0.0, -0.0), GeoPoint(90, 0), GeoPoint(-90, 180), GeoPoint(0, -180)]
+) | coords
+
+
+def scalar_loop(sources, destinations, radius):
+    return np.array([[great_circle(a, b, radius) for b in destinations] for a in sources], dtype=np.float64)
+
+
+@given(st.data())
+def test_great_circle_matrix_is_the_scalar_loop_byte_for_byte(data):
+    # few distinct points and longer lists, so both sides repeat points
+    pool = data.draw(st.lists(edge_or_any, min_size=1, max_size=5))
+    points = st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    sources = data.draw(points)
+    destinations = sources if data.draw(st.booleans()) else data.draw(points)
+    radius = data.draw(st.just(EARTH_RADIUS_M) | st.floats(1e-3, 1e8))
+    m = build_matrix(ProviderSpec(earth_radius=radius), sources, destinations)
+    assert m.values.tobytes() == scalar_loop(sources, destinations, radius).tobytes()
+    assert m.sources == tuple(sources) and m.destinations == tuple(destinations)
+
+
+@pytest.mark.parametrize("shape", ["repeated_rectangle", "identical_lists", "one_by_one"])
+def test_great_circle_matrix_is_the_scalar_loop_on_random_points(shape):
+    rng = np.random.default_rng(11)
+    distinct = [GeoPoint(float(a), float(b)) for a, b in zip(rng.uniform(-90, 90, 40), rng.uniform(-180, 180, 40))]
+    repeated = [distinct[i] for i in rng.integers(0, 40, 120)]
+    sources, destinations = {
+        "repeated_rectangle": (repeated, distinct[:25] * 2),
+        "identical_lists": (repeated, repeated),
+        "one_by_one": (distinct[:1], distinct[1:2]),
+    }[shape]
+    for radius in (EARTH_RADIUS_M, 6_378_137.0):
+        m = build_matrix(ProviderSpec(earth_radius=radius), sources, destinations)
+        assert m.values.tobytes() == scalar_loop(sources, destinations, radius).tobytes()
+
+
+def test_great_circle_matrix_computes_each_distinct_pair_once(monkeypatch):
+    calls = []
+    real = math.asin
+    monkeypatch.setattr(math, "asin", lambda x: calls.append(x) or real(x))
+    a, b, c = GeoPoint(1, 2), GeoPoint(3, 4), GeoPoint(5, 6)
+    m = build_matrix(GC_SPEC, [a, b, a, a, b], [c, a, c])
+    assert len(calls) == 2 * 2
+    assert m.values.tobytes() == scalar_loop([a, b, a, a, b], [c, a, c], EARTH_RADIUS_M).tobytes()
+
+
+def test_provider_tag_names_kind_url_and_custom_radius():
+    assert provider_tag(GC_SPEC) == build_matrix(GC_SPEC, [GeoPoint(0, 0)], [GeoPoint(0, 1)]).provider_tag
+    assert provider_tag(GC_SPEC) == "great_circle"
+    assert provider_tag(ProviderSpec(earth_radius=1.0)) == "great_circle:1.0"
+    assert provider_tag(TABLE_SPEC) == "table:http://osrm.test"
 
 
 def test_chunking_invariance():

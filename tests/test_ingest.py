@@ -269,3 +269,12 @@ def test_load_prepared_names_the_bad_line(tmp_path):
     # line numbers count the header row but not provenance comments
     with pytest.raises(IngestError, match="line 3: cannot parse latitude from 'north'"):
         load_prepared(path)
+
+
+@pytest.mark.parametrize("cell", ["heavy", "inf", "nan", "0", "-2.0"])
+def test_load_prepared_rejects_a_bad_weight_naming_the_line(tmp_path, cell):
+    path = tmp_path / "prepared.csv"
+    write_households_csv([hh(0, weight=2.0), hh(1, weight=3.0)], path, header_comment="test run")
+    path.write_text(path.read_text().replace(",3.0,", f",{cell},", 1))
+    with pytest.raises(IngestError, match=f"line 3: .*weight.*'{cell}'"):
+        load_prepared(path)

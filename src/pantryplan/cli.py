@@ -93,6 +93,9 @@ def load_config(path, overrides: dict) -> dict:
         cfg = _merge(cfg, loaded)
     cfg = _merge(cfg, overrides)
     _check_objects(cfg, DEFAULTS)
+    threads = cfg["threads"]
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"config key threads must be an integer >= 1, got {threads!r}")
     return cfg
 
 
@@ -280,10 +283,13 @@ def _is_row(x, n: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
-def _check_plan(plan: hierarchy.PlacementPlan, n: int, plan_path) -> None:
+def _check_plan(data: dict, plan: hierarchy.PlacementPlan, households, plan_path) -> None:
     """Every index in the plan names one of the n prepared households, no
-    bank or pantry is listed twice, every pantry's bank is a bank, and every
-    household's pantry is a pantry."""
+    bank or pantry is listed twice, every pantry's bank is a bank, every
+    household's pantry is a pantry, and every bank and pantry entry carries
+    the id and coordinates of the prepared household at its index, so a plan
+    placed on other households of the same count is refused."""
+    n = len(households)
     for role, indices in (("bank", plan.banks), ("pantry", plan.pantries), ("bank_index", plan.pantry_to_bank.values())):
         for x in indices:
             if not _is_row(x, n):
@@ -303,6 +309,16 @@ def _check_plan(plan: hierarchy.PlacementPlan, n: int, plan_path) -> None:
     for i, p in enumerate(plan.household_to_pantry):
         if not (_is_row(p, n) and p in pantries):
             raise EvaluateError(f"plan {plan_path}: household {i} is assigned {p!r}, which is not a pantry")
+    for role, key in (("bank", "banks"), ("pantry", "pantries")):
+        for entry in data[key]:
+            i = entry["index"]
+            got = (entry.get("id"), entry.get("lat"), entry.get("lon"))
+            want = (households[i].id, households[i].location.lat, households[i].location.lon)
+            if got != want:
+                raise EvaluateError(
+                    f"plan {plan_path}: {role} {i} has (id, lat, lon) {got!r}, but prepared household {i} "
+                    f"has {want!r}; the plan was placed on other households, run place again"
+                )
 
 
 def cmd_evaluate(cfg: dict, args) -> None:
@@ -320,7 +336,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     except (KeyError, TypeError) as exc:
         raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
     matrix, households = _matrix_and_households(out_dir, EvaluateError)
-    _check_plan(plan, len(households), plan_path)
+    _check_plan(data, plan, households, plan_path)
 
     bl = cfg["baselines"]
     if not bl["pantries"]:

@@ -31,6 +31,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,6 +70,8 @@ class ProviderSpec:
     def __post_init__(self):
         if self.kind not in ("great_circle", "table_api"):
             raise DistanceError(f"unknown provider kind {self.kind!r}")
+        if isinstance(self.chunk_size, bool) or not isinstance(self.chunk_size, Integral):
+            raise DistanceError(f"chunk_size must be an integer, got {self.chunk_size!r}")
         if self.chunk_size < 2:
             raise DistanceError(f"chunk_size must be >= 2, got {self.chunk_size}")
         if (self.kind == "table_api") != (self.base_url is not None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Iterable, Optional, Sequence, Union
 
 from .distance import GeoPoint
@@ -66,8 +67,14 @@ class IngestConfig:
         if self.weighting_mode not in ("none", "duplicate", "direct"):
             raise IngestError(f"unknown weighting_mode {self.weighting_mode!r}")
         if self.sample_size != "all":
-            if not isinstance(self.sample_size, int) or self.sample_size < 1:
+            if isinstance(self.sample_size, bool) or not isinstance(self.sample_size, int) or self.sample_size < 1:
                 raise IngestError(f"sample_size must be a positive integer or 'all', got {self.sample_size!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise IngestError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("income_cap", "weight_cap", "weight_numerator"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise IngestError(f"{name} must be a real number, got {value!r}")
         if self.weight_cap < 1.25:
             raise IngestError(f"weight_cap must be >= 1.25, got {self.weight_cap}")
 

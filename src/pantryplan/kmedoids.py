@@ -23,6 +23,12 @@ gathers, element by element, so every objective is bit-identical to a full
 reassignment and the swap trajectory (candidate order, accepted swaps,
 final clustering) is the same as scoring each candidate with assign().
 
+Each core solve makes one transposed contiguous copy of the matrix, so a
+candidate reads column p of d as one contiguous row; the values, and so
+every sum, are unchanged. Each pass's candidate list is shuffled with one
+block of splitmix64 draws (rng.SplitMix64.shuffle), the same permutation
+and stream state as one draw per swap.
+
 A brute-force enumerator doubles as the test oracle for desk-size instances.
 """
 
@@ -65,6 +71,7 @@ class SolveParams:
 
     def __post_init__(self):
         require_int("k", self.k)
+        require_int("seed", self.seed)
         if self.max_passes is not None:
             require_int("max_passes", self.max_passes)
         if self.mode not in ("global_swap", "cluster_screened"):
@@ -191,6 +198,9 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     rng = SplitMix64(params.seed)
     screened = params.mode == "cluster_screened"
     passes = 0
+    # columns[p] is d[:, p], contiguous: a candidate reads one row, not a
+    # strided column, and its values (hence every dot) are unchanged
+    columns = np.ascontiguousarray(d.T)
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
@@ -201,15 +211,16 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
         passes += 1
         accepted_any = False
 
-        in_set = np.zeros(n, dtype=bool)
-        in_set[medoids] = True
+        outside = np.ones(n, dtype=bool)
+        outside[medoids] = False
         if screened:
             # candidates pair each medoid with the points of its own cluster
             candidates = [
-                (m, p) for m in sorted(medoids) for p in range(n) if not in_set[p] and assignment[p] == m
+                (m, p) for m in sorted(medoids) for p in np.flatnonzero(outside & (assignment == m)).tolist()
             ]
         else:
-            candidates = [(m, p) for m in sorted(medoids) for p in range(n) if not in_set[p]]
+            points = np.flatnonzero(outside).tolist()
+            candidates = [(m, p) for m in sorted(medoids) for p in points]
         rng.shuffle(candidates)
 
         current = set(medoids)
@@ -217,7 +228,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             if out not in current or inn in current:
                 continue  # stale: the set changed since this pass was enumerated
             if screened:
-                members = np.flatnonzero(np.asarray(assignment) == out)
+                members = np.flatnonzero(assignment == out)
                 within_old = float(np.dot(w[members], d[members, out]))
                 within_new = float(np.dot(w[members], d[members, inn]))
                 if not within_new < within_old - params.epsilon:
@@ -226,7 +237,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             # assign() gathers for the trial set under the input contract.
             # One np.dot per candidate keeps the sum bit-identical to
             # assign()'s; a matrix-vector product over many candidates does not.
-            trial_obj = float(np.dot(w, np.minimum(d[:, inn], without[out])))
+            trial_obj = float(np.dot(w, np.minimum(columns[inn], without[out])))
             ok = trial_obj <= obj if screened else trial_obj < obj - params.epsilon
             if ok:
                 medoids = sorted(current - {out} | {inn})

@@ -5,6 +5,10 @@ nearest-medoid caches. It costs O(n*k) per candidate, which is too slow to
 ship, but its trajectory defines what the fast engine must reproduce
 exactly: the same accepted swaps in the same order, the same objectives to
 the last bit, and the same final clustering.
+
+It also shuffles each pass's candidates with its own scalar Fisher-Yates,
+one next_u64 per swap, so that the trajectory tests compare candidate order
+against a shuffle that does not share the package's block draws.
 """
 
 from __future__ import annotations
@@ -14,6 +18,13 @@ import numpy as np
 from pantryplan.errors import ConvergenceError
 from pantryplan.kmedoids import Clustering, SolveParams, assign, initialize
 from pantryplan.rng import SplitMix64
+
+
+def reference_shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates: swap items[i] with items[draw % (i + 1)], i from the end."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None) -> Clustering:
@@ -42,7 +53,7 @@ def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolvePara
             ]
         else:
             candidates = [(m, p) for m in sorted(medoids) for p in range(n) if not in_set[p]]
-        rng.shuffle(candidates)
+        reference_shuffle(rng, candidates)
 
         current = set(medoids)
         for out, inn in candidates:

@@ -94,6 +94,26 @@ def test_ingest_duplicate_mode_row_count(tmp_path, data_dir):
     assert len(prepared) >= 6
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"seed": "3", "ingest": {"sample_size": 8}}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"ingest": {"income_cap": "40000"}}, "income_cap"),
+        ({"ingest": {"weight_cap": "50"}}, "weight_cap"),
+        ({"ingest": {"weight_numerator": None}}, "weight_numerator"),
+    ],
+)
+def test_ingest_with_mistyped_config_value_exits_2(tmp_path, capsys, overrides, field):
+    cfg_path, _ = write_config(tmp_path)
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 12, "--output", tmp_path / "synth.csv"])
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "ingest"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+
+
 def test_ingest_bad_path_exits_2(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.csv"), "schema": {}})
     assert run(["--config", cfg_path, "ingest"]) == 2
@@ -183,6 +203,17 @@ def test_stage_with_matrix_of_other_households_same_count_exits(tmp_path, capsys
     assert run(["--config", cfg_path, "--seed", 2, stage]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out_dir / "matrix.dmat") in err
+
+
+def test_evaluate_plan_of_other_households_same_count_exits_5(tmp_path, capsys):
+    cfg_path, out_dir = resample(tmp_path, 1, 2)
+    assert run(["--config", cfg_path, "--seed", 2, "matrix"]) == 0  # rebuilt for the new households
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "--seed", 2, "evaluate"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir / "plan.json") in err and "prepared household" in err
+    assert not (out_dir / "report.json").exists()
 
 
 def test_matrix_without_prepared_exits_3(tmp_path):
@@ -280,6 +311,16 @@ def test_place_with_mistyped_solver_option_exits_4(tmp_path, capsys, hierarchy, 
     assert run(["--config", cfg_path, "place"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("seed", ["3", 1.5, True])
+def test_place_with_mistyped_seed_exits_4(tmp_path, capsys, seed):
+    pipeline_through_place(tmp_path)
+    cfg_path, _ = write_config(tmp_path, seed=seed)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be an integer" in err
 
 
 # --- evaluate ---------------------------------------------------------------------
@@ -482,6 +523,20 @@ def test_place_with_unparseable_weight_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "line 2: cannot parse weight from 'heavy'" in err
 
 
+def test_evaluate_with_string_chunk_size_exits_3(tmp_path, capsys):
+    _, out_dir = pipeline_through_place(tmp_path)
+    bank_csv, pantry_csv = baseline_from_plan(out_dir, tmp_path)
+    cfg_path, _ = write_config(
+        tmp_path,
+        provider={"kind": "great_circle", "base_url": None, "chunk_size": "100"},
+        baselines={"banks": str(bank_csv), "pantries": str(pantry_csv), "schema": {"lat": "lat", "lon": "lon"}},
+    )
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "chunk_size must be an integer" in err
+
+
 def test_evaluate_builds_only_the_baseline_rectangles(tmp_path, monkeypatch):
     _, out_dir = pipeline_through_place(tmp_path)
     cfg_path = evaluate_config(tmp_path, out_dir)
@@ -567,6 +622,19 @@ def test_threads_flag_accepted(tmp_path):
     run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 3, "--output", tmp_path / "synth.csv"])
     run(["--config", cfg_path, "ingest"])
     assert run(["--config", cfg_path, "--threads", 2, "matrix"]) == 0
+
+
+@pytest.mark.parametrize("config_threads, flag", [("2", None), (0, None), (None, 0), (None, -1)])
+def test_threads_that_is_not_a_positive_integer_exits_2(tmp_path, capsys, config_threads, flag):
+    cfg_path, _ = write_config(tmp_path)
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 3, "--output", tmp_path / "synth.csv"])
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    cfg_path, _ = write_config(tmp_path, **({} if config_threads is None else {"threads": config_threads}))
+    capsys.readouterr()
+    argv = ["--config", cfg_path] + ([] if flag is None else ["--threads", flag]) + ["matrix"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threads must be an integer >= 1" in err
 
 
 def test_outputs_embed_provenance(tmp_path):

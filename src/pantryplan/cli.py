@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from numbers import Real
 from pathlib import Path
 
 from . import distance, evaluate, hierarchy, ingest, synth
@@ -264,6 +265,25 @@ def cmd_place(cfg: dict, args) -> None:
     )
 
 
+def _city_boxes(boxes):
+    """The cities config: null, or an object of [lat_min, lon_min, lat_max,
+    lon_max] boxes of numbers."""
+    if boxes is None:
+        return None
+    if not isinstance(boxes, dict):
+        raise ConfigError(f"config key cities must be an object or null, got {boxes!r}")
+    for label, box in boxes.items():
+        if not (
+            isinstance(box, list)
+            and len(box) == 4
+            and all(isinstance(v, Real) and not isinstance(v, bool) for v in box)
+        ):
+            raise ConfigError(
+                f"config key cities.{label} must be [lat_min, lon_min, lat_max, lon_max] numbers, got {box!r}"
+            )
+    return boxes
+
+
 def _city_groups(households, boxes) -> list:
     if not boxes:
         tagged = [h.city for h in households]
@@ -322,6 +342,7 @@ def _check_plan(data: dict, plan: hierarchy.PlacementPlan, households, plan_path
 
 
 def cmd_evaluate(cfg: dict, args) -> None:
+    boxes = _city_boxes(cfg["cities"])
     out_dir = Path(cfg["out_dir"])
     plan_path = out_dir / PLAN_JSON
     if not plan_path.exists():
@@ -362,7 +383,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
         bank_rows = ingest.load_households(bl["banks"], bschema)
         banks = evaluate.FacilitySet(label="baseline-banks", points=tuple(r.location for r in bank_rows))
         penalty = evaluate.penalty_report(plan, matrix, banks, baseline, spec)
-    groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
+    groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, boxes))
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
     _write_json(out_dir / REPORT_JSON, evaluate.report_to_dict(report), cfg)

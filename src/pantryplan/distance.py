@@ -5,6 +5,11 @@ distances in meters, null cells mean unreachable) and an offline great-circle
 fallback. Matrices are dense sources x destinations, row-major float64,
 always meters; road matrices are directed, so no symmetry is assumed.
 
+The table client's default transport is the standard library's http.client,
+imported on first use, with one keep-alive connection per tile thread and no
+proxy. Network failures and HTTP 429 and 503 are retried with backoff; any
+other failure stops the build from sending further tiles.
+
 The great-circle provider computes one haversine per distinct pair of exact
 (lat, lon) coordinates and gathers the full matrix from that block, so the
 repeated rows of duplication weighting cost no extra trigonometry. Each cell is
@@ -26,13 +31,16 @@ import json
 import math
 import os
 import struct
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from numbers import Integral
 from typing import Optional, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -42,6 +50,7 @@ EARTH_RADIUS_M = 6_371_000.0
 MAGIC = b"DMAT1"
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SECONDS = 0.5
+RETRY_STATUSES = (429, 503)  # too many requests, unavailable: worth asking again
 
 
 @dataclass(frozen=True)
@@ -154,31 +163,86 @@ def table_url(spec: ProviderSpec, sources: Sequence[GeoPoint], destinations: Seq
     )
 
 
+class TransportError(DistanceError):
+    """Network-level failure; with HTTP 429 and 503, the only failure that is
+    retried."""
+
+
 class RequestsTransport:
-    """Default HTTP transport; returns (status_code, parsed JSON body)."""
+    """Default HTTP transport on http.client; get(url) returns (status code,
+    parsed JSON body or None).
+
+    Each thread that calls get keeps its own keep-alive connection per host
+    (HTTPS for https URLs), so build_matrix's tile threads never share one.
+    A reused connection that the server closed while it sat idle is reopened
+    and the request sent once more at once; any other network failure, or a
+    timeout, raises TransportError. Proxy settings (HTTP_PROXY, HTTPS_PROXY)
+    are not consulted: requests go straight to the host in the URL. close()
+    closes every connection the transport opened.
+    """
 
     def __init__(self, timeout: float = 30.0):
-        import requests  # deferred: the great-circle path never needs it
-
         self.timeout = timeout
-        self._session = requests.Session()
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened = []
+
+    def _connection(self, parts):
+        import http.client  # deferred: it loads ssl, which the great-circle path never needs
+
+        if not hasattr(self._local, "conns"):
+            self._local.conns = {}
+        conn = self._local.conns.get((parts.scheme, parts.netloc))
+        if conn is None:
+            kinds = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+            if parts.scheme not in kinds or not parts.hostname:
+                raise DistanceError(f"table URL needs an http or https host: {parts.geturl()}")
+            try:
+                port = parts.port or kinds[parts.scheme].default_port
+            except ValueError as exc:  # a port that is not a number in 0-65535
+                raise DistanceError(f"table URL {parts.geturl()}: {exc}") from None
+            conn = kinds[parts.scheme](parts.hostname, port, timeout=self.timeout)
+            self._local.conns[(parts.scheme, parts.netloc)] = conn
+            with self._lock:
+                self._opened.append(conn)
+        return conn
 
     def get(self, url: str):
-        import requests
+        import http.client
 
+        parts = urlsplit(url)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        conn = self._connection(parts)
+        reused = conn.sock is not None
         try:
-            resp = self._session.get(url, timeout=self.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise TransportError(str(exc)) from exc
+            try:
+                status, payload = _exchange(conn, target)
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()  # dropped by the server while idle: a new socket, no backoff
+                status, payload = _exchange(conn, target)
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
         try:
-            body = resp.json()
-        except ValueError:
+            body = json.loads(payload)
+        except ValueError:  # not JSON, or not UTF-8
             body = None
-        return resp.status_code, body
+        return status, body
+
+    def close(self) -> None:
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
 
 
-class TransportError(DistanceError):
-    """Network-level failure; the only error class that is retried."""
+def _exchange(conn, target: str):
+    """One GET on conn, the body read to the end so the connection can be
+    reused."""
+    conn.request("GET", target)
+    response = conn.getresponse()
+    return response.status, response.read()
 
 
 class FixtureTransport:
@@ -194,6 +258,15 @@ class FixtureTransport:
             raise TransportError(f"no fixture recorded for {url}")
         return 200, self.fixtures[url]
 
+    def close(self) -> None:
+        pass
+
+
+def _or_default(transport):
+    """A context giving transport, or when it is None a RequestsTransport
+    that is closed on exit."""
+    return closing(RequestsTransport()) if transport is None else nullcontext(transport)
+
 
 def table_request(
     spec: ProviderSpec,
@@ -203,39 +276,67 @@ def table_request(
 ) -> np.ndarray:
     """One GET against the table endpoint; returns the distances block.
 
-    Transport failures are retried up to RETRY_ATTEMPTS with exponential
-    backoff; HTTP errors and null (unreachable) cells are not retried.
+    A TransportError, HTTP 429 (too many requests) or HTTP 503 (unavailable)
+    is retried, up to RETRY_ATTEMPTS in all, after sleeping
+    RETRY_BASE_SECONDS * 2**attempt (0.5 s, then 1 s). Any other HTTP status
+    but 200, a malformed body and null (unreachable) cells are not retried.
     """
     if spec.kind != "table_api":
         raise DistanceError("table_request needs a table_api provider")
-    if transport is None:
-        transport = RequestsTransport()
     url = table_url(spec, sources, destinations)
 
-    last = None
-    for attempt in range(RETRY_ATTEMPTS):
-        try:
-            status, body = transport.get(url)
-            break
-        except TransportError as exc:
-            last = exc
+    with _or_default(transport) as transport:
+        for attempt in range(RETRY_ATTEMPTS):
+            try:
+                status, body = transport.get(url)
+            except TransportError as exc:
+                last = str(exc)
+            else:
+                if status not in RETRY_STATUSES:
+                    break
+                last = f"HTTP {status}"
             if attempt + 1 < RETRY_ATTEMPTS:
                 time.sleep(RETRY_BASE_SECONDS * 2**attempt)
-    else:
-        raise DistanceError(f"table request failed after {RETRY_ATTEMPTS} attempts: {last}")
+        else:
+            raise DistanceError(f"table request failed after {RETRY_ATTEMPTS} attempts: {last}: {url}")
 
     if status != 200:
         raise DistanceError(f"table request returned HTTP {status}: {url}")
     if not isinstance(body, dict) or "distances" not in body:
         raise DistanceError(f"malformed table response (no 'distances'): {url}")
-    rows = body["distances"]
-    if len(rows) != len(sources) or any(len(r) != len(destinations) for r in rows):
-        raise DistanceError(f"table response shape mismatch: {url}")
+    return _distances(body["distances"], len(sources), len(destinations), url)
 
-    bad = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v is None]
-    if bad:
-        raise UnreachablePairsError(bad)
-    return np.asarray(rows, dtype=np.float64)
+
+def _distances(rows, n_src: int, n_dst: int, url: str) -> np.ndarray:
+    """The n_src x n_dst float64 block of a response's distances.
+
+    numpy infers a numeric dtype when every cell is a JSON number (true and
+    false among numbers pass as 1 and 0), so the cells are looked at one by
+    one only when it does not: a cell that is not a number raises
+    DistanceError, and null cells raise UnreachablePairsError listing every
+    one. NaN, Infinity and integers past float64's range are refused too.
+    """
+    try:
+        block = np.asarray(rows)
+    except ValueError:  # ragged rows
+        block = None
+    if block is None or block.shape != (n_src, n_dst):
+        raise DistanceError(f"table response shape mismatch: {url}")
+    if block.dtype.kind not in "iuf":  # a null, a string, an object, or an int past 64 bits
+        cells = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)]
+        for i, j, v in cells:
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise DistanceError(f"table response cell ({i}, {j}) is not a number ({v!r}): {url}")
+        bad = [(i, j) for i, j, v in cells if v is None]
+        if bad:
+            raise UnreachablePairsError(bad)
+        try:
+            block = np.asarray(rows, dtype=np.float64)
+        except OverflowError:
+            block = None
+    if block is None or not np.isfinite(block).all():
+        raise DistanceError(f"table response has a distance that is not finite: {url}")
+    return block.astype(np.float64, copy=False)
 
 
 def _tiles(n_src: int, n_dst: int, chunk_size: int):
@@ -296,7 +397,10 @@ def build_matrix(
     concurrently, with tile placement independent of completion order.
 
     Any unreachable pair aborts the build; the error lists every bad pair
-    across all tiles, in global (source, destination) indices.
+    across all tiles, in global (source, destination) indices. Any other
+    DistanceError stops the build from sending tiles it has not sent yet,
+    and the first such error in tile order is raised. Without a transport,
+    a RequestsTransport is made for the call and closed after it.
     """
     sources = list(sources)
     destinations = list(destinations)
@@ -307,26 +411,37 @@ def build_matrix(
         values = _great_circle_values(sources, destinations, spec.earth_radius)
         return DistanceMatrix(sources, destinations, values, provider_tag(spec))
 
-    if transport is None:
-        transport = RequestsTransport()
     values = np.empty((len(sources), len(destinations)), dtype=np.float64)
     tiles = list(_tiles(len(sources), len(destinations), spec.chunk_size))
+    stop = threading.Event()  # set by the first hard error: tiles not yet sent are skipped
 
     def fetch(tile):
+        if stop.is_set():
+            return None
         r0, r1, c0, c1 = tile
-        return table_request(spec, sources[r0:r1], destinations[c0:c1], transport)
+        try:
+            return table_request(spec, sources[r0:r1], destinations[c0:c1], transport)
+        except UnreachablePairsError:
+            raise
+        except DistanceError:
+            stop.set()
+            raise
 
     unreachable = []
     hard_error = None
-    with ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
+    # the pool's threads are joined before the transport is closed
+    with _or_default(transport) as transport, ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
         futures = [pool.submit(fetch, t) for t in tiles]
         for (r0, r1, c0, c1), future in zip(tiles, futures):
             try:
-                values[r0:r1, c0:c1] = future.result()
+                block = future.result()
             except UnreachablePairsError as exc:
                 unreachable.extend((r0 + i, c0 + j) for i, j in exc.pairs)
             except DistanceError as exc:
                 hard_error = hard_error or exc
+            else:
+                if block is not None:
+                    values[r0:r1, c0:c1] = block
 
     if hard_error is not None:
         raise hard_error

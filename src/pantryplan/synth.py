@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Integral
 
 from .distance import GeoPoint
 from .errors import ConfigError
@@ -27,6 +28,8 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.clusters < 1 or self.points_per_cluster < 1:
             raise ConfigError("clusters and points_per_cluster must be positive")
         if self.spread_deg <= 0 or self.extent_deg <= 0:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pantryplan.distance as distance
 from pantryplan.distance import GeoPoint, ProviderSpec, build_matrix, great_circle
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -13,6 +14,14 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The seconds each retry backoff would have slept; nothing sleeps."""
+    slept = []
+    monkeypatch.setattr(distance.time, "sleep", slept.append)
+    return slept
 
 
 def planar_matrix(rng: np.random.Generator, n: int, scale: float = 1000.0) -> np.ndarray:

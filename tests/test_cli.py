@@ -61,6 +61,16 @@ def test_synth_row_count_and_determinism(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["3", True, 1.5])
+def test_synth_with_a_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, seed):
+    cfg_path, _ = write_config(tmp_path, seed=seed)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "synth", "--output", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be an integer" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # --- ingest ---------------------------------------------------------------------
 
 def test_ingest_pass_through_when_unweighted(tmp_path):
@@ -416,6 +426,31 @@ def test_evaluate_city_bounding_boxes_override_tags(tmp_path):
     assert set(report["groups"]) <= {"overall", "south", "north"}
     counted = sum(g["household_count"] for name, g in report["groups"].items() if name != "overall")
     assert counted == report["groups"]["overall"]["household_count"]
+
+
+@pytest.mark.parametrize(
+    "cities, key",
+    [
+        ({"a": [1, 2, 3]}, "cities.a"),
+        ({"a": [0, 0, 1, 1], "b": [0, 0, 1, "x"]}, "cities.b"),
+        ({"a": [0, 0, 1, True]}, "cities.a"),
+        ({"a": {"lat_min": 0}}, "cities.a"),
+        ([[0, 0, 1, 1]], "cities"),
+    ],
+)
+def test_evaluate_with_a_malformed_city_box_exits_2(tmp_path, capsys, cities, key):
+    _, out_dir = pipeline_through_place(tmp_path)
+    _, pantry_csv = baseline_from_plan(out_dir, tmp_path)
+    cfg_path, _ = write_config(
+        tmp_path,
+        baselines={"banks": None, "pantries": str(pantry_csv), "schema": {"lat": "lat", "lon": "lon"}},
+        cities=cities,
+    )
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key {key} must be" in err
+    assert not (out_dir / "report.json").exists()
 
 
 def evaluate_config(tmp_path, out_dir, banks=True):

@@ -173,15 +173,21 @@ def test_retries_are_bounded(monkeypatch):
     assert flaky.calls == 3
 
 
-class Http503Transport:
+class Http500Transport:
+    def __init__(self):
+        self.calls = 0
+
     def get(self, url):
-        return 503, {"message": "unavailable"}
+        self.calls += 1
+        return 500, {"message": "internal error"}
 
 
 def test_http_error_is_not_retried():
     pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
-    with pytest.raises(DistanceError, match="HTTP 503"):
-        table_request(TABLE_SPEC, pts, pts, transport=Http503Transport())
+    transport = Http500Transport()
+    with pytest.raises(DistanceError, match="HTTP 500"):
+        table_request(TABLE_SPEC, pts, pts, transport=transport)
+    assert transport.calls == 1
 
 
 # --- build_matrix -----------------------------------------------------------

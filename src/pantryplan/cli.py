@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, fields
 from numbers import Real
 from pathlib import Path
 
@@ -41,23 +42,57 @@ REPORT_JSON = "report.json"
 REPORT_CSV = "report.csv"
 HOUSEHOLDS_GEOJSON = "households.geojson"
 
+# Fields a config hashes only when it sets them: each was read with a
+# fallback before it was a checked key, so a default in DEFAULTS would change
+# the hash of every config that leaves it out.
+UNHASHED = {"provider": ("earth_radius",), "schema": ("income", "id", "city")}
+
+
+def _section(name: str, cls, **literals) -> dict:
+    """Defaults of the config section a stage builds as cls(**section): the
+    field defaults of cls, less seed (each stage passes the top-level one)
+    and the section's UNHASHED fields, plus literals for the fields cls
+    requires. These and the UNHASHED fields are the section's keys."""
+    skip = ("seed", *UNHASHED.get(name, ()))
+    section = {f.name: f.default for f in fields(cls) if f.name not in skip and f.default is not MISSING}
+    return {**section, **literals}
+
+
 DEFAULTS = {
     "seed": 0,
     "out_dir": "out",
     "threads": 4,
-    "dataset": {"path": None, "schema": {"lat": "lat", "lon": "lon"}},
-    "ingest": {
-        "income_cap": ingest.DEFAULT_INCOME_CAP,
-        "sample_size": "all",
-        "weighting_mode": "none",
-        "weight_cap": ingest.DEFAULT_WEIGHT_CAP,
-        "weight_numerator": ingest.DEFAULT_WEIGHT_NUMERATOR,
-    },
-    "provider": {"kind": "great_circle", "base_url": None, "chunk_size": 100},
-    "hierarchy": {"k_banks": 1, "k_pantries_total": 1, "mode": "global_swap", "epsilon": 1e-6, "max_passes": None},
-    "baselines": {"banks": None, "pantries": None, "schema": {"lat": "lat", "lon": "lon"}},
+    "dataset": {"path": None, "schema": _section("schema", ingest.ColumnSchema)},
+    "ingest": _section("ingest", ingest.IngestConfig),
+    "provider": _section("provider", distance.ProviderSpec),
+    "hierarchy": _section("hierarchy", hierarchy.HierarchyParams, k_banks=1, k_pantries_total=1),
+    "baselines": {"banks": None, "pantries": None, "schema": _section("schema", ingest.ColumnSchema)},
     "cities": None,  # optional {label: [lat_min, lon_min, lat_max, lon_max]}
 }
+
+
+def _path_or_null(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+# The CLI's own keys, what each must be and the test of it; the stage that
+# builds a section's dataclass checks that section's values.
+CLI_KEYS = (
+    ("threads", "an integer >= 1", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+    ("out_dir", "a path string", lambda v: isinstance(v, str)),
+    ("dataset.path", "a path string or null", _path_or_null),
+    ("baselines.pantries", "a path string or null", _path_or_null),
+    ("baselines.banks", "a path string or null", _path_or_null),
+    ("cities", "an object or null", lambda v: v is None or isinstance(v, dict)),
+)
+
+
+def _is_box(box) -> bool:
+    return (
+        isinstance(box, list)
+        and len(box) == 4
+        and all(isinstance(v, Real) and not isinstance(v, bool) for v in box)
+    )
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -70,21 +105,27 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_objects(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Every section that DEFAULTS holds as an object must stay one."""
-    for key, default in defaults.items():
-        if isinstance(default, dict):
-            if not isinstance(cfg[key], dict):
-                raise ConfigError(f"config key {prefix}{key} must be an object, got {cfg[key]!r}")
-            _check_objects(cfg[key], default, f"{prefix}{key}.")
+def _check_keys(cfg: dict, defaults: dict, prefix: str = "", unhashed=()) -> None:
+    """Refuse a key that defaults does not hold and that is not one of the
+    unhashed fields, and a section that is not an object."""
+    for key, value in cfg.items():
+        if key not in defaults and key not in unhashed:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+        if isinstance(defaults.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {prefix}{key} must be an object, got {value!r}")
+            _check_keys(value, defaults[key], f"{prefix}{key}.", UNHASHED.get(key, ()))
 
 
 def load_config(path, overrides: dict) -> dict:
+    def refuse(constant):
+        raise ConfigError(f"bad config {path}: {constant} is not a JSON number")
+
     cfg = DEFAULTS
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, parse_constant=refuse)
         except FileNotFoundError:
             raise ConfigError(f"no such config file: {path}") from None
         except json.JSONDecodeError as exc:
@@ -93,10 +134,17 @@ def load_config(path, overrides: dict) -> dict:
             raise ConfigError(f"config {path} must be a JSON object, got {type(loaded).__name__}")
         cfg = _merge(cfg, loaded)
     cfg = _merge(cfg, overrides)
-    _check_objects(cfg, DEFAULTS)
-    threads = cfg["threads"]
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"config key threads must be an integer >= 1, got {threads!r}")
+    _check_keys(cfg, DEFAULTS)
+    for key, want, ok in CLI_KEYS:
+        section, _, name = key.rpartition(".")
+        value = (cfg[section] if section else cfg)[name]
+        if not ok(value):
+            raise ConfigError(f"config key {key} must be {want}, got {value!r}")
+    for label, box in (cfg["cities"] or {}).items():
+        if not _is_box(box):
+            raise ConfigError(
+                f"config key cities.{label} must be [lat_min, lon_min, lat_max, lon_max] numbers, got {box!r}"
+            )
     return cfg
 
 
@@ -107,26 +155,6 @@ def config_hash(cfg: dict) -> str:
 
 def _provenance(cfg: dict) -> str:
     return f"seed={cfg['seed']} config_hash={config_hash(cfg)}"
-
-
-def _schema(sch: dict) -> ingest.ColumnSchema:
-    return ingest.ColumnSchema(
-        lat=sch["lat"],
-        lon=sch["lon"],
-        income=sch.get("income"),
-        id=sch.get("id"),
-        city=sch.get("city"),
-    )
-
-
-def _provider(cfg: dict) -> distance.ProviderSpec:
-    p = cfg["provider"]
-    return distance.ProviderSpec(
-        kind=p["kind"],
-        base_url=p["base_url"],
-        chunk_size=p["chunk_size"],
-        earth_radius=p.get("earth_radius", distance.EARTH_RADIUS_M),
-    )
 
 
 def _write_json(path, payload: dict, cfg: dict) -> None:
@@ -162,15 +190,8 @@ def cmd_ingest(cfg: dict, args) -> None:
     ds = cfg["dataset"]
     if not ds["path"]:
         raise ConfigError("dataset.path is required for ingest")
-    icfg = ingest.IngestConfig(
-        income_cap=cfg["ingest"]["income_cap"],
-        sample_size=cfg["ingest"]["sample_size"],
-        seed=cfg["seed"],
-        weighting_mode=cfg["ingest"]["weighting_mode"],
-        weight_cap=cfg["ingest"]["weight_cap"],
-        weight_numerator=cfg["ingest"]["weight_numerator"],
-    )
-    households = ingest.load_households(ds["path"], _schema(ds["schema"]))
+    icfg = ingest.IngestConfig(**cfg["ingest"], seed=cfg["seed"])
+    households = ingest.load_households(ds["path"], ingest.ColumnSchema(**ds["schema"]))
     prepared = ingest.prepare(households, icfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,7 +221,7 @@ def cmd_matrix(cfg: dict, args) -> None:
     households = ingest.load_prepared(prepared)
     points = [h.location for h in households]
     path = out_dir / MATRIX_FILE
-    spec = _provider(cfg)
+    spec = distance.ProviderSpec(**cfg["provider"])
 
     if path.exists() and not args.force:
         try:
@@ -241,19 +262,7 @@ def cmd_place(cfg: dict, args) -> None:
     out_dir = Path(cfg["out_dir"])
     matrix, households = _matrix_and_households(out_dir, SolveError)
 
-    h = cfg["hierarchy"]
-    opts = hierarchy.SolverOptions(
-        mode=h["mode"],
-        seed=cfg["seed"],
-        epsilon=h["epsilon"],
-        max_passes=h["max_passes"],
-    )
-    params = hierarchy.HierarchyParams(
-        k_banks=h["k_banks"],
-        k_pantries_total=h["k_pantries_total"],
-        level1=opts,
-        level2=opts,
-    )
+    params = hierarchy.HierarchyParams(**cfg["hierarchy"], seed=cfg["seed"])
     weights = [hh.weight for hh in households]
     plan = hierarchy.place_two_level(matrix, params, weights)
 
@@ -263,25 +272,6 @@ def cmd_place(cfg: dict, args) -> None:
         f"place: {len(plan.banks)} banks, {len(plan.pantries)} pantries, "
         f"objectives {plan.level1_objective:.1f}/{plan.level2_objective:.1f} m -> {out_dir / PLAN_JSON}"
     )
-
-
-def _city_boxes(boxes):
-    """The cities config: null, or an object of [lat_min, lon_min, lat_max,
-    lon_max] boxes of numbers."""
-    if boxes is None:
-        return None
-    if not isinstance(boxes, dict):
-        raise ConfigError(f"config key cities must be an object or null, got {boxes!r}")
-    for label, box in boxes.items():
-        if not (
-            isinstance(box, list)
-            and len(box) == 4
-            and all(isinstance(v, Real) and not isinstance(v, bool) for v in box)
-        ):
-            raise ConfigError(
-                f"config key cities.{label} must be [lat_min, lon_min, lat_max, lon_max] numbers, got {box!r}"
-            )
-    return boxes
 
 
 def _city_groups(households, boxes) -> list:
@@ -342,7 +332,6 @@ def _check_plan(data: dict, plan: hierarchy.PlacementPlan, households, plan_path
 
 
 def cmd_evaluate(cfg: dict, args) -> None:
-    boxes = _city_boxes(cfg["cities"])
     out_dir = Path(cfg["out_dir"])
     plan_path = out_dir / PLAN_JSON
     if not plan_path.exists():
@@ -362,7 +351,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     bl = cfg["baselines"]
     if not bl["pantries"]:
         raise EvaluateError("baselines.pantries file is required for evaluate")
-    bschema = _schema(bl["schema"])
+    bschema = ingest.ColumnSchema(**bl["schema"])
     baseline = evaluate.FacilitySet(
         label="baseline",
         points=tuple(r.location for r in ingest.load_households(bl["pantries"], bschema)),
@@ -374,7 +363,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
 
     # candidate pantries are households, so their distances are matrix
     # columns; only the baseline rectangles come from the provider
-    spec = _provider(cfg)
+    spec = distance.ProviderSpec(**cfg["provider"])
     cand_m, _, _ = evaluate.nearest_facility_stats(households, candidate, matrix.values[:, list(plan.pantries)])
     base_m, _, _ = evaluate.nearest_facility_stats(households, baseline, spec)
 
@@ -383,7 +372,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
         bank_rows = ingest.load_households(bl["banks"], bschema)
         banks = evaluate.FacilitySet(label="baseline-banks", points=tuple(r.location for r in bank_rows))
         penalty = evaluate.penalty_report(plan, matrix, banks, baseline, spec)
-    groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, boxes))
+    groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
     _write_json(out_dir / REPORT_JSON, evaluate.report_to_dict(report), cfg)

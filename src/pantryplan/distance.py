@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -83,8 +83,13 @@ class ProviderSpec:
             raise DistanceError(f"chunk_size must be an integer, got {self.chunk_size!r}")
         if self.chunk_size < 2:
             raise DistanceError(f"chunk_size must be >= 2, got {self.chunk_size}")
+        if self.base_url is not None and not isinstance(self.base_url, str):
+            raise DistanceError(f"base_url must be a string, got {self.base_url!r}")
         if (self.kind == "table_api") != (self.base_url is not None):
             raise DistanceError("base_url is required for table_api and forbidden otherwise")
+        r = self.earth_radius
+        if isinstance(r, bool) or not isinstance(r, Real) or not (math.isfinite(r) and r > 0):
+            raise DistanceError(f"earth_radius must be a positive finite number, got {r!r}")
 
 
 class DistanceMatrix:

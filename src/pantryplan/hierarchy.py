@@ -1,6 +1,9 @@
 """Two-level placement: banks over all households, pantries inside each
 bank's cluster, pantry counts apportioned by cluster size.
 
+Both levels run the same solver settings (mode, seed, epsilon, max_passes);
+only k differs. Pantry counts are always apportioned by largest remainder.
+
 Level-2 quality is always measured against the globally nearest pantry, so a
 household near a cluster boundary may be served by a neighboring cluster's
 pantry; that matches how household-to-pantry distance is reported.
@@ -8,7 +11,7 @@ pantry; that matches how household-to-pantry distance is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor
 from typing import Optional, Sequence
@@ -16,34 +19,26 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SolveError
-from .kmedoids import MatrixLike, SolveParams, as_square_array, require_int, solve
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Per-level solver knobs; k is supplied by the hierarchy."""
-
-    mode: str = "global_swap"
-    seed: int = 0
-    epsilon: float = 1e-6
-    max_passes: Optional[int] = None
+from .kmedoids import DEFAULT_EPSILON, DEFAULT_MODE, MatrixLike, SolveParams, as_square_array, require_int, solve
 
 
 @dataclass(frozen=True)
 class HierarchyParams:
+    """Bank and pantry counts, and the solver settings both levels share;
+    SolveParams checks the settings when place_two_level builds it."""
+
     k_banks: int
     k_pantries_total: int
-    allocation: str = "proportional_largest_remainder"
-    level1: SolverOptions = field(default_factory=SolverOptions)
-    level2: SolverOptions = field(default_factory=SolverOptions)
+    mode: str = DEFAULT_MODE
+    seed: int = 0
+    epsilon: float = DEFAULT_EPSILON
+    max_passes: Optional[int] = None
 
     def __post_init__(self):
         require_int("k_banks", self.k_banks)
         require_int("k_pantries_total", self.k_pantries_total)
         if self.k_banks < 1 or self.k_pantries_total < 1:
             raise SolveError("k_banks and k_pantries_total must be positive")
-        if self.allocation != "proportional_largest_remainder":
-            raise SolveError(f"unknown allocation policy {self.allocation!r}")
 
 
 @dataclass(frozen=True)
@@ -105,17 +100,13 @@ def place_two_level(matrix: MatrixLike, params: HierarchyParams, weights=None) -
     n = d.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
 
-    level1 = solve(
-        d,
-        SolveParams(
-            k=params.k_banks,
-            weights=w,
-            mode=params.level1.mode,
-            seed=params.level1.seed,
-            epsilon=params.level1.epsilon,
-            max_passes=params.level1.max_passes,
-        ),
+    # level 2 differs only in k and weights; solve is looked up in this
+    # module on each call, level 1 first, which bench/tracer.py relies on
+    level1_params = SolveParams(
+        k=params.k_banks, weights=w, mode=params.mode, seed=params.seed, epsilon=params.epsilon,
+        max_passes=params.max_passes,
     )
+    level1 = solve(d, level1_params)
     banks = list(level1.medoids)
     assignment = np.asarray(level1.assignment)
 
@@ -127,17 +118,7 @@ def place_two_level(matrix: MatrixLike, params: HierarchyParams, weights=None) -
     level2_passes: list[int] = []
     for bank, members, k_c in zip(banks, clusters, counts):
         sub = d[np.ix_(members, members)]
-        local = solve(
-            sub,
-            SolveParams(
-                k=k_c,
-                weights=w[members],
-                mode=params.level2.mode,
-                seed=params.level2.seed,
-                epsilon=params.level2.epsilon,
-                max_passes=params.level2.max_passes,
-            ),
-        )
+        local = solve(sub, replace(level1_params, k=k_c, weights=w[members]))
         level2_passes.append(local.passes)
         for local_idx in local.medoids:
             g = int(members[local_idx])

@@ -46,6 +46,7 @@ from .distance import DistanceMatrix
 from .errors import ConvergenceError, SolveError
 from .rng import SplitMix64
 
+DEFAULT_MODE = "global_swap"
 DEFAULT_EPSILON = 1e-6
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -64,7 +65,7 @@ class Clustering:
 class SolveParams:
     k: int
     weights: Optional[Sequence[float]] = None
-    mode: str = "global_swap"  # global_swap | cluster_screened
+    mode: str = DEFAULT_MODE  # global_swap | cluster_screened
     seed: int = 0
     epsilon: float = DEFAULT_EPSILON
     max_passes: Optional[int] = None

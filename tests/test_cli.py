@@ -11,7 +11,7 @@ import pantryplan.distance as distance
 import pantryplan.evaluate as evaluate
 from pantryplan.cli import main
 from pantryplan.distance import FixtureTransport, GeoPoint, ProviderSpec, build_matrix, load_matrix, save_matrix
-from pantryplan.hierarchy import HierarchyParams, SolverOptions, place_two_level, plan_from_dict
+from pantryplan.hierarchy import HierarchyParams, place_two_level, plan_from_dict
 from pantryplan.ingest import ColumnSchema, Household, load_households, load_prepared, write_households_csv
 from pantryplan.kmedoids import SolveParams, solve
 
@@ -166,6 +166,26 @@ def test_matrix_force_rebuilds(tmp_path, capsys):
     assert "cache hit" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "provider, field",
+    [
+        ({"kind": "table_api", "base_url": 5}, "base_url"),
+        ({"kind": "great_circle", "earth_radius": "big"}, "earth_radius"),
+        ({"kind": "great_circle", "earth_radius": -1.0}, "earth_radius"),
+    ],
+)
+def test_matrix_with_mistyped_provider_field_exits_3(tmp_path, capsys, provider, field):
+    cfg_path, cfg = write_config(tmp_path)
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 4, "--output", tmp_path / "synth.csv"])
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    cfg_path, _ = write_config(tmp_path, provider=provider)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "matrix"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert not (Path(cfg["out_dir"]) / "matrix.dmat").exists()
+
+
 def resample(tmp_path, seed_a, seed_b):
     """Ingest at seed_a, build the matrix and place, then ingest other
     households of the same count at seed_b, leaving the matrix and plan of
@@ -259,10 +279,9 @@ def test_place_matches_library_hierarchy(tmp_path):
 
     matrix = load_matrix(out_dir / "matrix.dmat")
     households = load_prepared(out_dir / "prepared.csv")
-    opts = SolverOptions(seed=5)
     expected = place_two_level(
         matrix,
-        HierarchyParams(k_banks=2, k_pantries_total=4, level1=opts, level2=opts),
+        HierarchyParams(k_banks=2, k_pantries_total=4, seed=5),
         [h.weight for h in households],
     )
     assert plan == expected

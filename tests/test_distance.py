@@ -51,6 +51,30 @@ def test_provider_spec_validation():
         ProviderSpec(kind="teleport")
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"kind": "table_api", "base_url": 5}, "base_url"),
+        ({"kind": "table_api", "base_url": b"http://osrm.test"}, "base_url"),
+        ({"base_url": 5}, "base_url"),
+        ({"earth_radius": "big"}, "earth_radius"),
+        ({"earth_radius": None}, "earth_radius"),
+        ({"earth_radius": True}, "earth_radius"),
+        ({"earth_radius": -1.0}, "earth_radius"),
+        ({"earth_radius": 0}, "earth_radius"),
+        ({"earth_radius": math.nan}, "earth_radius"),
+        ({"earth_radius": math.inf}, "earth_radius"),
+    ],
+)
+def test_provider_spec_rejects_mistyped_url_and_radius(fields, name):
+    with pytest.raises(DistanceError, match=f"^{name} must be"):
+        ProviderSpec(**fields)
+
+
+def test_provider_spec_accepts_an_integer_radius():
+    assert provider_tag(ProviderSpec(earth_radius=6_371_000)) == "great_circle"
+
+
 # --- great_circle -----------------------------------------------------------
 
 def test_identical_points_are_zero():

@@ -7,7 +7,6 @@ from pantryplan.errors import SolveError
 from pantryplan.hierarchy import (
     HierarchyParams,
     PlacementPlan,
-    SolverOptions,
     allocate_pantry_counts,
     pantry_bank_distances,
     place_two_level,
@@ -75,7 +74,7 @@ def test_allocation_properties(sizes, extra):
 
 def test_single_bank_equals_flat_solve():
     d = two_blob_matrix()
-    params = HierarchyParams(k_banks=1, k_pantries_total=3, level2=SolverOptions(seed=5))
+    params = HierarchyParams(k_banks=1, k_pantries_total=3, seed=5)
     plan = place_two_level(d, params)
     flat = solve(d, SolveParams(k=3, seed=5))
     assert tuple(sorted(plan.pantries)) == flat.medoids
@@ -138,8 +137,6 @@ def test_weights_flow_into_both_levels():
 def test_hierarchy_params_validation():
     with pytest.raises(SolveError):
         HierarchyParams(k_banks=0, k_pantries_total=1)
-    with pytest.raises(SolveError):
-        HierarchyParams(k_banks=1, k_pantries_total=1, allocation="equal_split")
 
 
 @pytest.mark.parametrize("field", ["k_banks", "k_pantries_total"])

@@ -508,9 +508,15 @@ def load_matrix(path) -> DistanceMatrix:
     if zlib.crc32(block) & 0xFFFFFFFF != trailer.get("crc32"):
         raise MatrixFormatError(f"{path}: checksum mismatch")
     values = np.frombuffer(block, dtype="<f8").reshape(rows, cols)
+    sources = [GeoPoint(lat, lon) for lat, lon in trailer["sources"]]
+    # a households x households matrix lists its points twice; build them once
+    if trailer["destinations"] == trailer["sources"]:
+        destinations = sources
+    else:
+        destinations = [GeoPoint(lat, lon) for lat, lon in trailer["destinations"]]
     return DistanceMatrix(
-        sources=[GeoPoint(lat, lon) for lat, lon in trailer["sources"]],
-        destinations=[GeoPoint(lat, lon) for lat, lon in trailer["destinations"]],
+        sources=sources,
+        destinations=destinations,
         values=values,
         provider_tag=trailer["provider_tag"],
         created_at=trailer["created_at"],

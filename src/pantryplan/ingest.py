@@ -87,8 +87,8 @@ def _parse_float(raw: str, what: str, line_no: int) -> float:
 
 
 def _read_households(path, schema: ColumnSchema):
-    """Yield (line number, raw row, Household) per CSV row, in file order,
-    weight 1.0."""
+    """Yield (line number, raw row, id, GeoPoint, income, city) per CSV row,
+    in file order."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -103,28 +103,36 @@ def _read_households(path, schema: ColumnSchema):
                 raise IngestError(f"{path}: missing column {col!r}")
         for i, row in enumerate(reader):
             line_no = reader.line_num
+            # DictReader fills the cells a short row lacks with None
+            if None in row.values():
+                col = next(k for k, v in row.items() if v is None)
+                raise IngestError(f"line {line_no}: no cell for column {col!r}")
             lat = _parse_float(row[schema.lat], "latitude", line_no)
             lon = _parse_float(row[schema.lon], "longitude", line_no)
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
             income = None
-            if schema.income and row.get(schema.income, "") != "":
+            if schema.income and row[schema.income] != "":
                 income = _parse_float(row[schema.income], "income", line_no)
                 if income < 0:
                     raise IngestError(f"line {line_no}: negative income {income}")
             hid = row[schema.id] if schema.id else str(i)
-            city = row.get(schema.city) if schema.city else None
-            yield line_no, row, Household(id=hid, location=GeoPoint(lat, lon), income=income, city=city or None)
+            city = (row[schema.city] or None) if schema.city else None
+            yield line_no, row, hid, GeoPoint(lat, lon), income, city
 
 
 def load_households(path, schema: ColumnSchema) -> list[Household]:
     """Read one Household per CSV row, in file order, all weights 1.0.
 
     Lines starting with '#' are provenance comments and are skipped. A row
-    with an unparseable or out-of-range coordinate is an error naming the
-    line; an empty income cell means income unknown.
+    with fewer cells than the header, or with an unparseable or out-of-range
+    coordinate, is an error naming the line; an empty income cell means
+    income unknown.
     """
-    return [h for _, _, h in _read_households(path, schema)]
+    return [
+        Household(id=hid, location=location, income=income, city=city)
+        for _, _, hid, location, income, city in _read_households(path, schema)
+    ]
 
 
 def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> list[Household]:
@@ -226,18 +234,21 @@ def write_households_csv(households: Iterable[Household], path, header_comment: 
             ])
 
 
+PREPARED_SCHEMA = ColumnSchema(lat="lat", lon="lon", income="income", id="id", city="city")
+
+
 def load_prepared(path) -> list[Household]:
     """Read a prepared-households CSV written by write_households_csv.
 
-    An empty weight cell means 1.0; a weight that does not parse, or is not
-    a positive finite number, is an error naming the line.
+    Each row becomes one Household with its weight and origin_id. An empty
+    weight cell means 1.0; a weight that does not parse, or is not a
+    positive finite number, is an error naming the line.
     """
-    schema = ColumnSchema(lat="lat", lon="lon", income="income", id="id", city="city")
     out = []
-    for line_no, row, h in _read_households(path, schema):
+    for line_no, row, hid, location, income, city in _read_households(path, PREPARED_SCHEMA):
         raw = row.get("weight") or ""
         weight = _parse_float(raw, "weight", line_no) if raw else 1.0
         if not (math.isfinite(weight) and weight > 0):
             raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
-        out.append(replace(h, weight=weight, origin_id=row.get("origin_id") or h.id))
+        out.append(Household(hid, location, income, weight, row.get("origin_id") or hid, city))
     return out

@@ -29,6 +29,12 @@ every sum, are unchanged. Each pass's candidate list is shuffled with one
 block of splitmix64 draws (rng.SplitMix64.shuffle), the same permutation
 and stream state as one draw per swap.
 
+solve collapses points with identical rows and columns (the copies of
+duplication weighting) into one weighted point before the core solve. Two
+such points are 0 apart both ways, so only points with an off-diagonal zero
+are hashed; on distinct points the scan is one comparison of the matrix
+with 0.
+
 A brute-force enumerator doubles as the test oracle for desk-size instances.
 """
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from numbers import Real
 from typing import Optional, Sequence, Union
 
@@ -79,8 +85,9 @@ class SolveParams:
             raise SolveError(f"unknown mode {self.mode!r}")
         if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, Real):
             raise SolveError(f"epsilon must be a real number, got {self.epsilon!r}")
-        if not self.epsilon > 0:
-            raise SolveError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.epsilon > 0 and isfinite(self.epsilon)):
+            # an infinite epsilon would refuse every swap and return the start
+            raise SolveError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def require_int(field: str, value) -> None:
@@ -160,18 +167,23 @@ def objective(matrix: MatrixLike, medoids: Sequence[int], assignment: Sequence[i
 
 def _duplicate_classes(d: np.ndarray):
     """Group points whose whole distance profile (row and column) is
-    identical. Representatives keep first-occurrence order."""
+    identical. Representatives keep first-occurrence order.
+
+    Under the input contract (zero diagonal) two points i, j of one class
+    have d[i, j] == d[i, i] == 0, so only a point with an off-diagonal zero
+    in its row is hashed; every other point is its own class."""
+    n = d.shape[0]
+    suspects = (np.count_nonzero(d == 0, axis=1) > 1).tolist()
     seen: dict[bytes, int] = {}
     reps: list[int] = []
-    class_of = np.empty(d.shape[0], dtype=np.int64)
-    for i in range(d.shape[0]):
-        key = d[i, :].tobytes() + d[:, i].tobytes()
-        if key in seen:
-            class_of[i] = seen[key]
-        else:
-            seen[key] = len(reps)
-            class_of[i] = len(reps)
+    class_of = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        c = len(reps)
+        if suspects[i]:
+            c = seen.setdefault(d[i, :].tobytes() + d[:, i].tobytes(), c)
+        if c == len(reps):
             reps.append(i)
+        class_of[i] = c
     return reps, class_of
 
 

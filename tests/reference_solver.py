@@ -85,3 +85,20 @@ def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolvePara
         objective=obj,
         passes=passes,
     )
+
+
+def full_scan_duplicate_classes(d: np.ndarray):
+    """Duplicate classes by hashing every point's row and column: the scan
+    solve() ran before it hashed only points with an off-diagonal zero."""
+    seen: dict[bytes, int] = {}
+    reps: list[int] = []
+    class_of = np.empty(d.shape[0], dtype=np.int64)
+    for i in range(d.shape[0]):
+        key = d[i, :].tobytes() + d[:, i].tobytes()
+        if key in seen:
+            class_of[i] = seen[key]
+        else:
+            seen[key] = len(reps)
+            class_of[i] = len(reps)
+            reps.append(i)
+    return reps, class_of

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import pantryplan.cli as cli
 import pantryplan.distance as distance
 import pantryplan.evaluate as evaluate
 from pantryplan.cli import main
@@ -342,14 +345,15 @@ def test_place_with_mistyped_solver_option_exits_4(tmp_path, capsys, hierarchy, 
     assert err.startswith("error: ") and field in err
 
 
-@pytest.mark.parametrize("seed", ["3", 1.5, True])
-def test_place_with_mistyped_seed_exits_4(tmp_path, capsys, seed):
+def test_place_with_infinite_epsilon_exits_4(tmp_path, capsys):
     pipeline_through_place(tmp_path)
-    cfg_path, _ = write_config(tmp_path, seed=seed)
+    cfg_path, _ = write_config(tmp_path, hierarchy={"k_banks": 1, "k_pantries_total": 2, "epsilon": 1e308})
+    # json reads 1e999 as inf without consulting parse_constant
+    cfg_path.write_text(cfg_path.read_text().replace("1e+308", "1e999"))
     capsys.readouterr()
     assert run(["--config", cfg_path, "place"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "seed must be an integer" in err
+    assert err.startswith("error: ") and "epsilon must be positive and finite" in err
 
 
 # --- evaluate ---------------------------------------------------------------------
@@ -472,12 +476,13 @@ def test_evaluate_with_a_malformed_city_box_exits_2(tmp_path, capsys, cities, ke
     assert not (out_dir / "report.json").exists()
 
 
-def evaluate_config(tmp_path, out_dir, banks=True):
+def evaluate_config(tmp_path, out_dir, banks=True, **overrides):
     bank_csv, pantry_csv = baseline_from_plan(out_dir, tmp_path)
     cfg_path, _ = write_config(
         tmp_path,
         baselines={"banks": str(bank_csv) if banks else None, "pantries": str(pantry_csv),
                    "schema": {"lat": "lat", "lon": "lon"}},
+        **overrides,
     )
     return cfg_path
 
@@ -618,6 +623,128 @@ def test_households_geojson_averages_to_report(tmp_path):
     for key in ("candidate", "baseline"):
         values = [f["properties"][f"nearest_{key}_mi"] for f in features]
         assert sum(values) / len(values) == pytest.approx(overall[f"{key}_avg_mi"], rel=1e-12)
+
+
+@pytest.mark.parametrize("stage", ["ingest", "matrix", "evaluate"])
+def test_short_csv_row_exits_2_naming_line_and_column(tmp_path, capsys, stage):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    # the dataset, prepared households and baseline pantries files
+    path, keep = {"ingest": (tmp_path / "synth.csv", 2), "matrix": (out_dir / "prepared.csv", 2),
+                  "evaluate": (tmp_path / "baseline_pantries.csv", 1)}[stage]
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[-1].rstrip("\n").split(",")
+    lines.append(",".join(cells[:keep]) + "\n")  # e.g. b,39.1 under id,lat,lon,...
+    path.write_text("".join(lines))
+    line_no = sum(1 for line in lines if not line.startswith("#"))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, stage]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {line_no}: no cell for column 'lon'" in err
+
+
+@pytest.mark.parametrize("seed", ["3", 1.5, True])
+@pytest.mark.parametrize("stage", ["matrix", "place", "evaluate"])
+def test_stage_with_mistyped_seed_exits_2(tmp_path, capsys, stage, seed):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir, seed=seed)
+    outputs = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    capsys.readouterr()
+    assert run(["--config", cfg_path, stage]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key seed must be an integer, got {seed!r}" in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
+
+
+# --- GeoJSON writer -----------------------------------------------------------------
+
+def test_geojson_files_are_json_dumps_indent_1(tmp_path):
+    _, out_dir = pipeline_through_place(tmp_path)
+    assert run(["--config", evaluate_config(tmp_path, out_dir), "evaluate"]) == 0
+    for name in ("plan.geojson", "households.geojson"):
+        text = (out_dir / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
+
+scalars = (
+    st.floats()  # NaN, infinities, -0.0, subnormals, 1e16 and above
+    | st.text()  # quotes, backslashes, control and non-ASCII characters
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+)
+
+
+def features(properties):
+    coordinates = st.lists(st.floats(), max_size=3) | st.tuples(st.floats(), st.floats())
+    return st.fixed_dictionaries({
+        "type": st.just("Feature"),
+        "geometry": st.fixed_dictionaries({"type": st.just("Point"), "coordinates": coordinates}),
+        "properties": properties,
+    })
+
+
+@st.composite
+def household_collections(draw):
+    """households_geojson over drawn ids, coordinates and distances, some
+    candidate and baseline distances equal."""
+    n = draw(st.integers(0, 6))
+    hh = [Household(id=draw(st.text()), location=GeoPoint(draw(st.floats(-90, 90)), draw(st.floats(-180, 180))))
+          for _ in range(n)]
+    cand = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    base = [c if draw(st.booleans()) else draw(st.floats()) for c in cand]
+    return evaluate.households_geojson(hh, cand, base)
+
+
+collections = st.fixed_dictionaries({
+    "type": st.just("FeatureCollection"),
+    "features": st.lists(features(st.dictionaries(st.text(), scalars, max_size=4)), max_size=4),
+}) | household_collections()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2e-308, 1e16, 1.5e300, math.nan, math.inf, -math.inf]
+EDGE_FEATURES = {
+    "type": "FeatureCollection",
+    "features": [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [x, -x]},
+         "properties": {"value": x, "id": 'h"\\ \u00e9\u6771\n'}}
+        for x in EDGE_FLOATS
+    ],
+}
+EDGE_HOUSEHOLDS = evaluate.households_geojson(
+    [Household(id=f'h"{i}\\ \u00e9\u6771', location=GeoPoint(0.0, -0.0)) for i in range(4)],
+    [1.0, 0.0, 3.0, math.inf],
+    [1.0, 2.0, 0.5, math.inf],  # ties first and last
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(collections, st.integers(-(2**63), 2**63), st.text())
+@example(EDGE_FEATURES, -1, "")
+@example(EDGE_HOUSEHOLDS, 0, "ab\u2028")
+@example({"type": "FeatureCollection", "features": []}, 3, "")
+def test_geojson_text_is_json_dumps_indent_1(collection, seed, config_hash):
+    collection = {**collection, "properties": {"seed": seed, "config_hash": config_hash}}
+    assert cli._geojson_text(collection) == json.dumps(collection, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda c: c.pop("properties"),
+        lambda c: c["features"][0].update(id=7),
+        lambda c: c["features"][0]["geometry"].update(coordinates=[[0.0, 1.0], [1.0, 0.0]]),
+        lambda c: c["features"][0]["properties"].update(tags=["a"]),
+        lambda c: c["features"][0]["properties"].update({1: "one"}),
+    ],
+    ids=["no_properties", "extra_feature_key", "nested_coordinates", "list_property", "integer_key"],
+)
+def test_geojson_text_refuses_other_shapes(damage):
+    feature = {"type": "Feature", "geometry": {"type": "Point", "coordinates": [0.0, 1.0]}, "properties": {}}
+    collection = {"type": "FeatureCollection", "features": [feature], "properties": {"seed": 1}}
+    damage(collection)
+    with pytest.raises(TypeError):
+        cli._geojson_text(collection)
 
 
 # --- config shape -------------------------------------------------------------------

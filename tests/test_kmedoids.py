@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pantryplan import kmedoids
 from pantryplan.errors import ConvergenceError, SolveError
 from pantryplan.kmedoids import (
     Clustering,
@@ -13,6 +17,7 @@ from pantryplan.kmedoids import (
 )
 
 from conftest import line_matrix, planar_matrix
+from reference_solver import full_scan_duplicate_classes
 
 LINE = line_matrix([0.0, 1.0, 5.0, 6.0])
 
@@ -335,6 +340,72 @@ def test_solve_params_reject_non_real_epsilon(epsilon):
         SolveParams(k=2, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [math.inf, np.float64("inf")])
+def test_solve_params_reject_infinite_epsilon(epsilon):
+    # an infinite epsilon refuses every swap, so solve would return the start
+    with pytest.raises(SolveError, match="epsilon must be positive and finite"):
+        SolveParams(k=2, epsilon=epsilon)
+
+
 def test_solve_params_accept_numpy_scalars():
     params = SolveParams(k=2, epsilon=np.float32(1e-6), max_passes=np.int64(5))
     assert solve(LINE, params).medoids == solve(LINE, SolveParams(k=2, max_passes=5)).medoids
+
+
+# --- duplicate classes ----------------------------------------------------------
+
+@st.composite
+def contract_matrices(draw):
+    """Square matrices under solve's input contract: distinct points, exact
+    duplicates, directed distances, and off-diagonal zeros between points
+    whose rows differ."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = planar_matrix(rng, n)
+    if draw(st.booleans()):  # directed: d[i, j] != d[j, i]
+        d = d * rng.uniform(0.5, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+    if draw(st.booleans()):  # coarse rounding makes near points 0 apart
+        d = np.round(d / 400.0)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        # a zero in one direction only: i, j stay distinct points
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        d[i, j] = 0.0
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        # point j becomes a copy of point i: same row, same column, 0 apart
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        d[j, :] = d[i, :]
+        d[:, j] = d[:, i]
+        d[i, j] = d[j, i] = 0.0
+    if draw(st.booleans()):  # -0.0 is a zero to the scan and other bytes to the hash
+        d[(d == 0) & (rng.uniform(size=(n, n)) < 0.5)] = -0.0
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_matrices())
+def test_duplicate_classes_match_a_full_scan(d):
+    reps, class_of = kmedoids._duplicate_classes(d)
+    want_reps, want_class_of = full_scan_duplicate_classes(d)
+    assert reps == want_reps
+    assert class_of.tolist() == want_class_of.tolist()
+
+
+
+def test_solve_trajectory_on_duplicated_rows_is_that_of_a_full_scan(monkeypatch):
+    # rows repeated adjacently, as duplication weighting writes them
+    rng = np.random.default_rng(17)
+    base = planar_matrix(rng, 40)
+    origin = [i for i in range(40) for _ in range(int(rng.integers(1, 4)))]
+    d = base[np.ix_(origin, origin)]
+    params = SolveParams(k=6, seed=11)
+
+    def walk():
+        events = []
+        return events, solve(d, params, lambda *e: events.append(e))
+
+    assert len(kmedoids._duplicate_classes(d)[0]) == 40 < len(origin)
+    fast = walk()
+    monkeypatch.setattr(kmedoids, "_duplicate_classes", full_scan_duplicate_classes)
+    assert walk() == fast
+    assert len(fast[0]) > 6  # many accepted swaps

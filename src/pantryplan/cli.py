@@ -19,6 +19,7 @@ Exit codes: 2 ingest/config, 3 distance, 4 solver, 5 evaluation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -481,6 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call (about 1 ms) and shared
+    by every later main call in the process: parse_args keeps no state."""
+    return build_parser()
+
+
 COMMANDS = {
     "synth": (cmd_synth, EXIT_INGEST),
     "ingest": (cmd_ingest, EXIT_INGEST),
@@ -499,7 +507,7 @@ _ERROR_EXITS = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

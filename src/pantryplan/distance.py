@@ -13,8 +13,14 @@ other failure stops the build from sending further tiles.
 The great-circle provider computes one haversine per distinct pair of exact
 (lat, lon) coordinates and gathers the full matrix from that block, so the
 repeated rows of duplication weighting cost no extra trigonometry. Each cell is
-bit-identical to great_circle(a, b): the loop keeps its operation order and
-uses the same libm calls (numpy's arcsin and x**2 differ in the last bit).
+bit-identical to great_circle(a, b). The subtractions, halvings, products, sum,
+square root, clamp to 1 and scaling by the diameter run in numpy, in
+great_circle's order; IEEE rounds each of them correctly, so numpy and CPython
+agree. The three calls whose result depends on libm stay libm calls, mapped
+over each cell: math.sin, x ** 2 (libm pow) and math.asin. numpy's own
+versions are not the same function: np.arcsin differs from math.asin in about
+8% of arguments, and x * x (np.square) from pow(x, 2) in about 0.09%; that
+np.sin matches math.sin on one host is no guarantee for another.
 
 Cache format (DMAT1):
 
@@ -38,6 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from numbers import Integral, Real
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
@@ -51,6 +58,7 @@ MAGIC = b"DMAT1"
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SECONDS = 0.5
 RETRY_STATUSES = (429, 503)  # too many requests, unavailable: worth asking again
+GC_BLOCK_CELLS = 4096  # cells per pass of the great-circle kernel
 
 
 @dataclass(frozen=True)
@@ -369,25 +377,48 @@ def _distinct(points: Sequence[GeoPoint]):
     return list(first), np.asarray(inverse, dtype=np.intp)
 
 
+def _radians_and_cos(points):
+    """Each point's latitude and longitude in radians, and the cosine of its
+    latitude, as great_circle computes them."""
+    lat = [math.radians(lat) for lat, _ in points]
+    lon = [math.radians(lon) for _, lon in points]
+    return np.array(lat), np.array(lon), np.array([math.cos(v) for v in lat])
+
+
+def _sin_squared(half: np.ndarray) -> np.ndarray:
+    """math.sin(x) ** 2 for every cell, each a libm call as in great_circle."""
+    flat = half.ravel().tolist()
+    return np.fromiter(map(pow, map(math.sin, flat), repeat(2)), np.float64, len(flat)).reshape(half.shape)
+
+
+def _asin(x: np.ndarray) -> np.ndarray:
+    """math.asin for every cell, each a libm call as in great_circle."""
+    flat = x.ravel().tolist()
+    return np.fromiter(map(math.asin, flat), np.float64, len(flat)).reshape(x.shape)
+
+
 def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarray:
     """great_circle for every (source, destination) cell, each distinct pair
-    of coordinates computed once, with great_circle's own arithmetic."""
+    of coordinates computed once, with great_circle's own arithmetic.
+
+    Rows of distinct sources go through in blocks of about GC_BLOCK_CELLS
+    cells, which bounds the temporary lists the libm calls map over.
+    """
     src, si = _distinct(sources)
     dst, di = _distinct(destinations)
-    ends = []
-    for lat, lon in dst:
-        lat2 = math.radians(lat)
-        ends.append((lat2, math.radians(lon), math.cos(lat2)))
-    asin, sin, sqrt = math.asin, math.sin, math.sqrt  # locals: the loop below is the hot path
+    lat1, lon1, cos1 = _radians_and_cos(src)
+    lat2, lon2, cos2 = _radians_and_cos(dst)
     diameter = earth_radius * 2.0
     block = np.empty((len(src), len(dst)), dtype=np.float64)
-    for i, (lat, lon) in enumerate(src):
-        lat1, lon1 = math.radians(lat), math.radians(lon)
-        cos1 = math.cos(lat1)
-        block[i] = [
-            diameter * asin(min(1.0, sqrt(sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2)))
-            for lat2, lon2, cos2 in ends
-        ]
+    step = max(1, GC_BLOCK_CELLS // len(dst))
+    for r0 in range(0, len(src), step):
+        rows = slice(r0, r0 + step)
+        ha = _sin_squared((lat2 - lat1[rows, None]) / 2.0)
+        hb = _sin_squared((lon2 - lon1[rows, None]) / 2.0)
+        # (cos1 * cos2) * hb, left to right as in great_circle; separate
+        # ufuncs round each step and never fuse into an FMA
+        root = np.minimum(1.0, np.sqrt(ha + cos1[rows, None] * cos2 * hb))
+        block[rows] = diameter * _asin(root)
     return block[np.ix_(si, di)]
 
 
@@ -484,8 +515,32 @@ def save_matrix(matrix: DistanceMatrix, path, meta: Optional[dict] = None) -> No
         fh.write(trailer)
 
 
+TRAILER_KEYS = (("sources", list), ("destinations", list), ("provider_tag", str), ("created_at", str))
+
+
+def _trailer_points(path, trailer: dict, key: str) -> list:
+    """The trailer's list under key as GeoPoints; MatrixFormatError names the
+    first entry that is not a [lat, lon] pair of numbers GeoPoint accepts."""
+    points = []
+    for i, pair in enumerate(trailer[key]):
+        # type() and not isinstance: JSON true and false are not coordinates
+        numbers = type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)
+        if not numbers:
+            raise MatrixFormatError(f"{path}: trailer {key}[{i}] is not a [lat, lon] pair of numbers: {pair!r}")
+        try:
+            points.append(GeoPoint(*pair))
+        except (ValueError, OverflowError) as exc:  # out of range, or an integer past float range
+            raise MatrixFormatError(f"{path}: trailer {key}[{i}]: {exc}") from None
+    return points
+
+
 def load_matrix(path) -> DistanceMatrix:
-    """Read a DMAT1 cache file back into a DistanceMatrix, bit-exact."""
+    """Read a DMAT1 cache file back into a DistanceMatrix, bit-exact.
+
+    The values are a read-only view of the file's bytes, not a copy. A file
+    that is not DMAT1, is cut short, fails its checksum or has a trailer
+    without the keys and points a matrix needs raises MatrixFormatError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
@@ -495,7 +550,7 @@ def load_matrix(path) -> DistanceMatrix:
     nbytes = rows * cols * 8
     if len(data) < off + nbytes + 4:
         raise MatrixFormatError(f"{path}: truncated float block")
-    block = data[off : off + nbytes]
+    block = memoryview(data)[off : off + nbytes]
     off += nbytes
     (tlen,) = struct.unpack_from("<I", data, off)
     off += 4
@@ -505,19 +560,29 @@ def load_matrix(path) -> DistanceMatrix:
         trailer = json.loads(data[off : off + tlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MatrixFormatError(f"{path}: bad trailer: {exc}") from None
+    if not isinstance(trailer, dict):
+        raise MatrixFormatError(f"{path}: trailer is not a JSON object")
+    for key, kind in TRAILER_KEYS:
+        if key not in trailer:
+            raise MatrixFormatError(f"{path}: trailer has no {key!r}")
+        if not isinstance(trailer[key], kind):
+            raise MatrixFormatError(f"{path}: trailer {key!r} must be a {kind.__name__}, got {type(trailer[key]).__name__}")
     if zlib.crc32(block) & 0xFFFFFFFF != trailer.get("crc32"):
         raise MatrixFormatError(f"{path}: checksum mismatch")
     values = np.frombuffer(block, dtype="<f8").reshape(rows, cols)
-    sources = [GeoPoint(lat, lon) for lat, lon in trailer["sources"]]
+    sources = _trailer_points(path, trailer, "sources")
     # a households x households matrix lists its points twice; build them once
     if trailer["destinations"] == trailer["sources"]:
         destinations = sources
     else:
-        destinations = [GeoPoint(lat, lon) for lat, lon in trailer["destinations"]]
-    return DistanceMatrix(
-        sources=sources,
-        destinations=destinations,
-        values=values,
-        provider_tag=trailer["provider_tag"],
-        created_at=trailer["created_at"],
-    )
+        destinations = _trailer_points(path, trailer, "destinations")
+    try:
+        return DistanceMatrix(
+            sources=sources,
+            destinations=destinations,
+            values=values,
+            provider_tag=trailer["provider_tag"],
+            created_at=trailer["created_at"],
+        )
+    except DistanceError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from None

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,16 @@ class MockTableTransport:
                 [self.scale * great_circle(a, GeoPoint(coords[j][1], coords[j][0])) for j in dst]
             )
         return 200, {"code": "Ok", "distances": rows}
+
+
+def rewrite_trailer(path, edit) -> None:
+    """Replace a DMAT1 file's JSON trailer by edit(trailer); the float block
+    and the trailer's CRC of it stay as they were."""
+    data = Path(path).read_bytes()
+    rows, cols = struct.unpack_from("<II", data, len(distance.MAGIC))
+    end = len(distance.MAGIC) + 8 + rows * cols * 8
+    text = json.dumps(edit(json.loads(data[end + 4 :]))).encode()
+    Path(path).write_bytes(data[:end] + struct.pack("<I", len(text)) + text)
 
 
 def load_table_fixtures() -> dict:

@@ -18,7 +18,7 @@ from pantryplan.hierarchy import HierarchyParams, place_two_level, plan_from_dic
 from pantryplan.ingest import ColumnSchema, Household, load_households, load_prepared, write_households_csv
 from pantryplan.kmedoids import SolveParams, solve
 
-from conftest import load_table_fixtures
+from conftest import load_table_fixtures, rewrite_trailer
 
 
 def write_config(tmp_path, **overrides):
@@ -247,6 +247,42 @@ def test_evaluate_plan_of_other_households_same_count_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out_dir / "plan.json") in err and "prepared household" in err
     assert not (out_dir / "report.json").exists()
+
+
+TRAILER_DAMAGE = {
+    "missing_key": (lambda trailer: {k: v for k, v in trailer.items() if k != "provider_tag"},
+                    "trailer has no 'provider_tag'"),
+    "not_an_object": (lambda trailer: [trailer], "trailer is not a JSON object"),
+    "bad_point": (lambda trailer: {**trailer, "sources": [[True, 0.0]] + trailer["sources"][1:]},
+                  "trailer sources[0] is not a [lat, lon] pair of numbers"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(TRAILER_DAMAGE))
+def test_matrix_with_malformed_trailer_is_rebuilt(tmp_path, capsys, damage):
+    cfg_path, out_dir = pipeline_through_place(tmp_path)
+    edit, why = TRAILER_DAMAGE[damage]
+    rewrite_trailer(out_dir / "matrix.dmat", edit)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "matrix"]) == 0
+    out = capsys.readouterr().out
+    assert f"rebuilding {out_dir / 'matrix.dmat'}: unreadable (" in out and why in out
+    pts = [h.location for h in load_prepared(out_dir / "prepared.csv")]
+    assert load_matrix(out_dir / "matrix.dmat").values.tobytes() == build_matrix(ProviderSpec(), pts, pts).values.tobytes()
+
+
+@pytest.mark.parametrize("damage", sorted(TRAILER_DAMAGE))
+@pytest.mark.parametrize("stage", ["place", "evaluate"])
+def test_stage_with_malformed_matrix_trailer_exits_3(tmp_path, capsys, stage, damage):
+    cfg_path, out_dir = pipeline_through_place(tmp_path)
+    if stage == "evaluate":
+        cfg_path = evaluate_config(tmp_path, out_dir)
+    edit, why = TRAILER_DAMAGE[damage]
+    rewrite_trailer(out_dir / "matrix.dmat", edit)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, stage]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_dir / 'matrix.dmat'}: ") and why in err
 
 
 def test_matrix_without_prepared_exits_3(tmp_path):
@@ -783,6 +819,31 @@ def test_importing_the_cli_does_not_import_requests():
     probe = "import sys, pantryplan.cli; print('requests' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: (lambda cfg, args: seen.append((cfg["seed"], vars(args))), code)
+        for name, (_, code) in cli.COMMANDS.items()
+    })
+    cfg_path, _ = write_config(tmp_path)
+    assert run(["--seed", 7, "--force", "synth", "--clusters", 2, "--output", "a.csv"]) == 0
+
+    def refuse():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)  # from here main must reuse the first
+    assert run(["--config", cfg_path, "place"]) == 0
+    assert run(["--threads", 2, "synth"]) == 0
+    assert seen == [
+        (7, {"config": None, "seed": 7, "threads": None, "out_dir": None, "force": True, "command": "synth",
+             "clusters": 2, "points": 100, "spread": 0.05, "output": "a.csv"}),
+        (5, {"config": str(cfg_path), "seed": None, "threads": None, "out_dir": None, "force": False,
+             "command": "place"}),
+        (0, {"config": None, "seed": None, "threads": 2, "out_dir": None, "force": False, "command": "synth",
+             "clusters": 3, "points": 100, "spread": 0.05, "output": "synth.csv"}),
+    ]
 
 
 def test_flag_overrides_config_seed(tmp_path):

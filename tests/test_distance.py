@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,7 +25,7 @@ from pantryplan.distance import (
 )
 from pantryplan.errors import DistanceError, MatrixFormatError, UnreachablePairsError
 
-from conftest import MockTableTransport, load_table_fixtures
+from conftest import MockTableTransport, load_table_fixtures, rewrite_trailer
 
 TABLE_SPEC = ProviderSpec(kind="table_api", base_url="http://osrm.test", chunk_size=100)
 GC_SPEC = ProviderSpec(kind="great_circle")
@@ -273,6 +274,43 @@ def test_great_circle_matrix_computes_each_distinct_pair_once(monkeypatch):
     assert m.values.tobytes() == scalar_loop([a, b, a, a, b], [c, a, c], EARTH_RADIUS_M).tobytes()
 
 
+# (distinct destinations, distinct sources): one short of, at and one past
+# the rows one block holds; past GC_BLOCK_CELLS columns a block is one row
+BLOCK_EDGES = [
+    (cols, rows)
+    for cols in (1, 7, distance.GC_BLOCK_CELLS + 1)
+    for rows in (max(1, distance.GC_BLOCK_CELLS // cols) + offset for offset in (-1, 0, 1))
+    if rows > 0
+]
+
+
+@pytest.mark.parametrize("cols, rows", BLOCK_EDGES)
+def test_great_circle_matrix_is_the_scalar_loop_across_block_edges(cols, rows):
+    rng = np.random.default_rng(cols)
+    lats, lons = rng.uniform(-90, 90, rows + cols), rng.uniform(-180, 180, rows + cols)
+    points = [GeoPoint(float(a), float(b)) for a, b in zip(lats, lons)]
+    sources = points[:rows] + points[: rows : 3]  # repeats: the gather still maps every row
+    destinations = points[rows:]
+    m = build_matrix(GC_SPEC, sources, destinations)
+    assert m.values.tobytes() == scalar_loop(sources, destinations, EARTH_RADIUS_M).tobytes()
+
+
+def test_great_circle_squares_the_sine_with_libm_pow():
+    # a pair whose latitude term has pow(x, 2) != x * x (about 0.09% of
+    # arguments on x86_64 glibc) and whose longitude term does not, and where
+    # that last bit reaches the distance: squaring as x * x (np.square) fails
+    a, b = GeoPoint(33.8879, -117.9984), GeoPoint(33.5181, -117.8536)
+    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
+    x = math.sin((lat2 - lat1) / 2.0)
+    y = math.sin((lon2 - lon1) / 2.0)
+    assert x ** 2 != x * x and y ** 2 == y * y, "this libm squares these sines otherwise; pick another pair"
+    product = x * x + math.cos(lat1) * math.cos(lat2) * (y * y)
+    by_product = EARTH_RADIUS_M * 2.0 * math.asin(min(1.0, math.sqrt(product)))
+    assert great_circle(a, b) != by_product
+    m = build_matrix(GC_SPEC, [a, b], [b, a])
+    assert m.values[0, 0] == m.values[1, 1] == great_circle(a, b)
+
+
 def test_provider_tag_names_kind_url_and_custom_radius():
     assert provider_tag(GC_SPEC) == build_matrix(GC_SPEC, [GeoPoint(0, 0)], [GeoPoint(0, 1)]).provider_tag
     assert provider_tag(GC_SPEC) == "great_circle"
@@ -372,6 +410,71 @@ def test_checksum_mismatch_detected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(MatrixFormatError, match="checksum"):
         load_matrix(path)
+
+
+def without(key):
+    return lambda trailer: {k: v for k, v in trailer.items() if k != key}
+
+
+def with_source(pair):
+    return lambda trailer: {**trailer, "sources": [pair] + trailer["sources"][1:]}
+
+
+TRAILER_DAMAGE = {
+    "list": (lambda trailer: [trailer], "trailer is not a JSON object"),
+    "null": (lambda trailer: None, "trailer is not a JSON object"),
+    "no_sources": (without("sources"), "trailer has no 'sources'"),
+    "no_destinations": (without("destinations"), "trailer has no 'destinations'"),
+    "no_provider_tag": (without("provider_tag"), "trailer has no 'provider_tag'"),
+    "no_created_at": (without("created_at"), "trailer has no 'created_at'"),
+    "sources_object": (lambda trailer: {**trailer, "sources": {}}, "trailer 'sources' must be a list, got dict"),
+    "provider_tag_number": (lambda trailer: {**trailer, "provider_tag": 5}, "trailer 'provider_tag' must be a str, got int"),
+    "created_at_null": (lambda trailer: {**trailer, "created_at": None}, "trailer 'created_at' must be a str, got NoneType"),
+    "short_point": (with_source([1.0]), "sources[0] is not a [lat, lon] pair"),
+    "long_point": (with_source([1.0, 2.0, 3.0]), "sources[0] is not a [lat, lon] pair"),
+    "string_point": (with_source("ab"), "sources[0] is not a [lat, lon] pair"),
+    "bool_coordinate": (with_source([True, 2.0]), "sources[0] is not a [lat, lon] pair"),
+    "string_coordinate": (with_source([1.0, "2"]), "sources[0] is not a [lat, lon] pair"),
+    "latitude_out_of_range": (with_source([91.0, 2.0]), "sources[0]: latitude 91.0 out of [-90, 90]"),
+    "integer_past_float": (with_source([10**400, 2.0]), "sources[0]: int too large"),
+    "destination_out_of_range": (
+        lambda trailer: {**trailer, "destinations": trailer["destinations"][:1] + [[0, 200]]},
+        "destinations[1]: longitude 200 out of [-180, 180]",
+    ),
+    "too_few_sources": (
+        lambda trailer: {**trailer, "sources": trailer["sources"][:1]},
+        "values shape (2, 2) does not match 1x2",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(TRAILER_DAMAGE))
+def test_malformed_trailer_is_format_error(tmp_path, damage):
+    edit, why = TRAILER_DAMAGE[damage]
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
+    path = tmp_path / "m.dmat"
+    save_matrix(build_matrix(GC_SPEC, pts, pts), path)
+    rewrite_trailer(path, edit)
+    with pytest.raises(MatrixFormatError) as err:
+        load_matrix(path)
+    assert str(err.value).startswith(f"{path}: ") and why in str(err.value)
+
+
+def test_load_does_not_copy_the_float_block(tmp_path):
+    pts = [GeoPoint(0, i / 100) for i in range(400)]
+    path = tmp_path / "m.dmat"
+    m = build_matrix(GC_SPEC, pts, pts)
+    save_matrix(m, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size  # the file's bytes once, not a second copy of the block
+    assert not back.values.flags.writeable
+    assert back.values.tobytes() == m.values.tobytes()
 
 
 def test_file_size_matches_format_definition(tmp_path):

@@ -22,6 +22,15 @@ versions are not the same function: np.arcsin differs from math.asin in about
 8% of arguments, and x * x (np.square) from pow(x, 2) in about 0.09%; that
 np.sin matches math.sin on one host is no guarantee for another.
 
+Only the cells an output needs are computed. A square matrix (distinct
+sources equal to distinct destinations) is computed one triangle at a time
+and mirrored: great_circle(a, b) == great_circle(b, a) bit for bit, because
+IEEE subtraction is exact under negation, libm's sin is odd, pow(x, 2) is
+even and the cosine product commutes. nearest_great_circle gives each
+source's distance to its nearest destination: a numpy screen of the
+haversine term, with 1e-9 relative slack, picks the candidate cells, and
+only those get the exact kernel.
+
 Cache format (DMAT1):
 
     magic b"DMAT1" | u32 rows | u32 cols | rows*cols float64 (LE, row-major)
@@ -101,12 +110,19 @@ class ProviderSpec:
 
 
 class DistanceMatrix:
-    """Immutable dense matrix of nonnegative finite distances in meters."""
+    """Immutable dense matrix of nonnegative finite distances in meters.
+
+    A writeable values array is copied, so the caller's array stays its own
+    and the matrix cannot change under it. A read-only float64 array is kept
+    as it is: it is taken as handed over.
+    """
 
     def __init__(self, sources, destinations, values, provider_tag: str, created_at: Optional[str] = None):
         self.sources = tuple(sources)
         self.destinations = tuple(destinations)
         vals = np.asarray(values, dtype=np.float64)
+        if vals.flags.writeable:
+            vals = vals.copy()
         if vals.shape != (len(self.sources), len(self.destinations)):
             raise DistanceError(
                 f"values shape {vals.shape} does not match "
@@ -397,29 +413,96 @@ def _asin(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.asin, flat), np.float64, len(flat)).reshape(x.shape)
 
 
+def _haversine(a, b, diameter: float) -> np.ndarray:
+    """great_circle for every cell of the broadcast (lat, lon, cos lat)
+    arrays a (sources) and b (destinations), with great_circle's own
+    arithmetic."""
+    lat1, lon1, cos1 = a
+    lat2, lon2, cos2 = b
+    ha = _sin_squared((lat2 - lat1) / 2.0)
+    hb = _sin_squared((lon2 - lon1) / 2.0)
+    # (cos1 * cos2) * hb, left to right as in great_circle; separate
+    # ufuncs round each step and never fuse into an FMA
+    root = np.minimum(1.0, np.sqrt(ha + cos1 * cos2 * hb))
+    return diameter * _asin(root)
+
+
+def _take(arrays, index) -> tuple:
+    """Each of the (lat, lon, cos lat) arrays indexed by index."""
+    return tuple(v[index] for v in arrays)
+
+
 def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarray:
     """great_circle for every (source, destination) cell, each distinct pair
     of coordinates computed once, with great_circle's own arithmetic.
 
-    Rows of distinct sources go through in blocks of about GC_BLOCK_CELLS
-    cells, which bounds the temporary lists the libm calls map over.
+    Rows of distinct sources go through in strips of about GC_BLOCK_CELLS
+    cells, which bounds the temporary lists the libm calls map over. When
+    the distinct sources are the distinct destinations, strip r0:r1 covers
+    only the columns r0: and is written with its transpose, so each pair is
+    computed once rather than twice.
     """
     src, si = _distinct(sources)
     dst, di = _distinct(destinations)
-    lat1, lon1, cos1 = _radians_and_cos(src)
-    lat2, lon2, cos2 = _radians_and_cos(dst)
+    a = _radians_and_cos(src)
     diameter = earth_radius * 2.0
     block = np.empty((len(src), len(dst)), dtype=np.float64)
+    if src == dst:  # the square is symmetric bit for bit (module docstring)
+        n = len(src)
+        r0 = 0
+        while r0 < n:
+            r1 = min(n, r0 + max(1, GC_BLOCK_CELLS // (n - r0)))
+            strip = _haversine(_take(a, np.s_[r0:r1, None]), _take(a, np.s_[r0:]), diameter)
+            block[r0:r1, r0:] = strip
+            block[r0:, r0:r1] = strip.T
+            r0 = r1
+    else:
+        b = _radians_and_cos(dst)
+        step = max(1, GC_BLOCK_CELLS // len(dst))
+        for r0 in range(0, len(src), step):
+            block[r0 : r0 + step] = _haversine(_take(a, np.s_[r0 : r0 + step, None]), b, diameter)
+    return block[np.ix_(si, di)]
+
+
+def nearest_great_circle(
+    sources: Sequence[GeoPoint], destinations: Sequence[GeoPoint], earth_radius: float = EARTH_RADIUS_M
+) -> np.ndarray:
+    """Each source's great-circle distance to its nearest destination, in
+    meters: the same bits as build_matrix(...).values.min(axis=1) with a
+    great_circle spec, from about one exact cell per distinct source.
+
+    A screen computes each cell's haversine term s (the square of the half
+    chord) with numpy's own sin, in row blocks of about GC_BLOCK_CELLS cells.
+    s is a sum of nonnegative products, so numpy's sines, a few ULP from
+    libm's, move it by a relative 1e-14 at most; the distance would not do,
+    since near the antipode arcsin's slope turns one ULP of s into
+    decimeters. great_circle is nondecreasing in s, so a row's nearest
+    destination is among the cells whose screened s is within 1e-9 relative
+    (plus the smallest normal float, for underflow) of the row's smallest.
+    Only those cells get the exact libm kernel, and the row keeps their
+    minimum.
+    """
+    sources = list(sources)
+    destinations = list(destinations)
+    if not sources or not destinations:
+        raise DistanceError("sources and destinations must be nonempty")
+    src, si = _distinct(sources)
+    dst, _ = _distinct(destinations)  # a repeated destination cannot be nearer
+    a = _radians_and_cos(src)
+    b = _radians_and_cos(dst)
+    lat2, lon2, cos2 = b
+    diameter = earth_radius * 2.0
+    floor = np.finfo(np.float64).tiny
+    nearest = np.empty(len(src), dtype=np.float64)
     step = max(1, GC_BLOCK_CELLS // len(dst))
     for r0 in range(0, len(src), step):
-        rows = slice(r0, r0 + step)
-        ha = _sin_squared((lat2 - lat1[rows, None]) / 2.0)
-        hb = _sin_squared((lon2 - lon1[rows, None]) / 2.0)
-        # (cos1 * cos2) * hb, left to right as in great_circle; separate
-        # ufuncs round each step and never fuse into an FMA
-        root = np.minimum(1.0, np.sqrt(ha + cos1[rows, None] * cos2 * hb))
-        block[rows] = diameter * _asin(root)
-    return block[np.ix_(si, di)]
+        lat1, lon1, cos1 = _take(a, np.s_[r0 : r0 + step, None])
+        s = np.square(np.sin((lat2 - lat1) / 2.0)) + cos1 * cos2 * np.square(np.sin((lon2 - lon1) / 2.0))
+        bound = s.min(axis=1, keepdims=True) * (1.0 + 1e-9) + floor
+        rows, cols = np.nonzero(s <= bound)  # row-major, and each row keeps at least its minimum
+        exact = _haversine(_take(a, rows + r0), _take(b, cols), diameter)
+        nearest[r0 : r0 + step] = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
+    return nearest[si]
 
 
 def build_matrix(
@@ -445,6 +528,7 @@ def build_matrix(
 
     if spec.kind == "great_circle":
         values = _great_circle_values(sources, destinations, spec.earth_radius)
+        values.setflags(write=False)  # nothing else holds it: handed over, not copied
         return DistanceMatrix(sources, destinations, values, provider_tag(spec))
 
     values = np.empty((len(sources), len(destinations)), dtype=np.float64)
@@ -484,6 +568,7 @@ def build_matrix(
     if unreachable:
         raise UnreachablePairsError(unreachable)
 
+    values.setflags(write=False)  # nothing else holds it: handed over, not copied
     return DistanceMatrix(sources, destinations, values, provider_tag(spec))
 
 
@@ -569,7 +654,7 @@ def load_matrix(path) -> DistanceMatrix:
             raise MatrixFormatError(f"{path}: trailer {key!r} must be a {kind.__name__}, got {type(trailer[key]).__name__}")
     if zlib.crc32(block) & 0xFFFFFFFF != trailer.get("crc32"):
         raise MatrixFormatError(f"{path}: checksum mismatch")
-    values = np.frombuffer(block, dtype="<f8").reshape(rows, cols)
+    values = np.frombuffer(block, dtype="<f8").reshape(rows, cols)  # read-only: data is bytes
     sources = _trailer_points(path, trailer, "sources")
     # a households x households matrix lists its points twice; build them once
     if trailer["destinations"] == trailer["sources"]:

@@ -5,8 +5,11 @@ Each distance is evaluated once. Candidate pantries and banks are
 households, so their distances are cells of the households x households
 matrix that placement solved on; only the baseline rectangles (households x
 baseline pantries, baseline pantries x baseline banks) come from the
-distance provider. Each household's nearest-facility distance per set is
-computed once and feeds every report.
+distance provider, and of them only each row's minimum is used. For the
+great-circle provider only those row minima are computed
+(distance.nearest_great_circle, about one exact cell per distinct row); a
+table provider builds the rectangles. Each household's nearest-facility
+distance per set is computed once and feeds every report.
 
 Distances stay in meters until this module's reports, which convert to miles
 (1609.344 m). Averages are plain means over the household list as given;
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distance import GeoPoint, ProviderSpec, build_matrix
+from .distance import GeoPoint, ProviderSpec, build_matrix, nearest_great_circle
 from .errors import EvaluateError
 from .hierarchy import PlacementPlan, pantry_bank_distances
 from .kmedoids import MatrixLike
@@ -77,19 +80,26 @@ class EvaluationReport:
     penalty: Optional[PenaltyBlock] = None
 
 
+def _nearest(spec: ProviderSpec, sources, destinations) -> np.ndarray:
+    """Each source's provider distance to its nearest destination, meters."""
+    if spec.kind == "great_circle":
+        return nearest_great_circle(sources, destinations, spec.earth_radius)
+    return build_matrix(spec, sources, destinations).values.min(axis=1)
+
+
 def nearest_facility_stats(households, facilities: FacilitySet, provider, weights=None):
     """Per-household distance to the closest facility, mean and total, meters.
 
-    provider is a ProviderSpec, which builds the households x facilities
-    meters, or that matrix itself as an array. The mean is plain over the
-    household list; weighting normally arrives via duplication. Passing
-    weights instead computes the direct weighted mean, which must agree with
-    duplication for integer weights.
+    provider is a ProviderSpec, which gives each household's nearest
+    facility meters, or the households x facilities matrix itself as an
+    array. The mean is plain over the household list; weighting normally
+    arrives via duplication. Passing weights instead computes the direct
+    weighted mean, which must agree with duplication for integer weights.
     """
     if not len(households):
         raise EvaluateError("no households to evaluate")
     if isinstance(provider, ProviderSpec):
-        d = build_matrix(provider, [h.location for h in households], facilities.points).values
+        nearest = _nearest(provider, [h.location for h in households], facilities.points)
     else:
         d = np.asarray(provider, dtype=np.float64)
         if d.shape != (len(households), len(facilities.points)):
@@ -97,7 +107,8 @@ def nearest_facility_stats(households, facilities: FacilitySet, provider, weight
                 f"distance matrix shape {d.shape} does not match "
                 f"{len(households)} households x {len(facilities.points)} facilities"
             )
-    per_household = [float(x) for x in d.min(axis=1)]
+        nearest = d.min(axis=1)
+    per_household = [float(x) for x in nearest]
     if weights is None:
         total = math.fsum(per_household)
         return per_household, total / len(per_household), total
@@ -175,8 +186,8 @@ def penalty_report(
     plan was solved on, against baseline pantry-to-nearest-bank distances
     from the provider."""
     candidate_m, _, _ = pantry_bank_distances(plan, matrix)
-    base = build_matrix(provider, baseline_pantries.points, baseline_banks.points)
-    return penalty_from_distances(candidate_m, [float(x) for x in base.values.min(axis=1)])
+    base = _nearest(provider, baseline_pantries.points, baseline_banks.points)
+    return penalty_from_distances(candidate_m, [float(x) for x in base])
 
 
 def report_to_dict(report: EvaluationReport) -> dict:

@@ -70,6 +70,9 @@ class MockTableTransport:
             )
         return 200, {"code": "Ok", "distances": rows}
 
+    def close(self) -> None:
+        pass
+
 
 def rewrite_trailer(path, edit) -> None:
     """Replace a DMAT1 file's JSON trailer by edit(trailer); the float block

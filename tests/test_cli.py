@@ -13,12 +13,20 @@ import pantryplan.cli as cli
 import pantryplan.distance as distance
 import pantryplan.evaluate as evaluate
 from pantryplan.cli import main
-from pantryplan.distance import FixtureTransport, GeoPoint, ProviderSpec, build_matrix, load_matrix, save_matrix
+from pantryplan.distance import (
+    FixtureTransport,
+    GeoPoint,
+    ProviderSpec,
+    build_matrix,
+    load_matrix,
+    nearest_great_circle,
+    save_matrix,
+)
 from pantryplan.hierarchy import HierarchyParams, place_two_level, plan_from_dict
 from pantryplan.ingest import ColumnSchema, Household, load_households, load_prepared, write_households_csv
 from pantryplan.kmedoids import SolveParams, solve
 
-from conftest import load_table_fixtures, rewrite_trailer
+from conftest import MockTableTransport, load_table_fixtures, rewrite_trailer
 
 
 def write_config(tmp_path, **overrides):
@@ -41,8 +49,8 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def pipeline_through_place(tmp_path):
-    cfg_path, cfg = write_config(tmp_path)
+def pipeline_through_place(tmp_path, **overrides):
+    cfg_path, cfg = write_config(tmp_path, **overrides)
     assert run(["--config", cfg_path, "synth", "--clusters", 2, "--points", 10,
                 "--output", tmp_path / "synth.csv"]) == 0
     assert run(["--config", cfg_path, "ingest"]) == 0
@@ -632,21 +640,45 @@ def test_evaluate_with_string_chunk_size_exits_3(tmp_path, capsys):
     assert err.startswith("error: ") and "chunk_size must be an integer" in err
 
 
-def test_evaluate_builds_only_the_baseline_rectangles(tmp_path, monkeypatch):
-    _, out_dir = pipeline_through_place(tmp_path)
-    cfg_path = evaluate_config(tmp_path, out_dir)
-    built = []
+def record_provider_calls(monkeypatch):
+    """The (sources, destinations) sizes of every build_matrix call and of
+    every nearest_great_circle call from here on."""
+    built, nearest = [], []
 
-    def counting(spec, sources, destinations, *args, **kwargs):
+    def counting_build(spec, sources, destinations, *args, **kwargs):
         built.append((len(sources), len(destinations)))
         return build_matrix(spec, sources, destinations, *args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "build_matrix", counting)
-    monkeypatch.setattr(distance, "build_matrix", counting)
+    def counting_nearest(sources, destinations, *args, **kwargs):
+        nearest.append((len(sources), len(destinations)))
+        return nearest_great_circle(sources, destinations, *args, **kwargs)
+
+    for module in (evaluate, distance):
+        monkeypatch.setattr(module, "build_matrix", counting_build)
+        monkeypatch.setattr(module, "nearest_great_circle", counting_nearest)
+    return built, nearest
+
+
+def test_evaluate_builds_only_the_baseline_rectangles(tmp_path, monkeypatch):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    built, nearest = record_provider_calls(monkeypatch)
     assert run(["--config", cfg_path, "evaluate"]) == 0
     households = len(load_prepared(out_dir / "prepared.csv"))
-    # households x baseline pantries, baseline pantries x baseline banks
-    assert built == [(households, 4), (4, 2)]
+    # households x baseline pantries, baseline pantries x baseline banks: only
+    # their row minima, and no matrix is built
+    assert nearest == [(households, 4), (4, 2)] and built == []
+
+
+def test_evaluate_with_a_table_provider_builds_the_baseline_rectangles(tmp_path, monkeypatch):
+    monkeypatch.setattr(distance, "RequestsTransport", MockTableTransport)
+    provider = {"kind": "table_api", "base_url": "http://osrm.test", "chunk_size": 100}
+    _, out_dir = pipeline_through_place(tmp_path, provider=provider)
+    cfg_path = evaluate_config(tmp_path, out_dir, provider=provider)
+    built, nearest = record_provider_calls(monkeypatch)
+    assert run(["--config", cfg_path, "evaluate"]) == 0
+    households = len(load_prepared(out_dir / "prepared.csv"))
+    assert built == [(households, 4), (4, 2)] and nearest == []
 
 
 def test_households_geojson_averages_to_report(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import tracemalloc
 import zlib
 
@@ -18,6 +19,7 @@ from pantryplan.distance import (
     build_matrix,
     great_circle,
     load_matrix,
+    nearest_great_circle,
     provider_tag,
     save_matrix,
     table_request,
@@ -104,6 +106,20 @@ def test_symmetric_and_nonnegative(a, b):
     assert ab == pytest.approx(great_circle(b, a), rel=1e-12, abs=1e-9)
 
 
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@given(coords | st.sampled_from([GeoPoint(0.0, 0.0), GeoPoint(-0.0, -0.0), GeoPoint(90, 0), GeoPoint(-90, 180)]),
+       coords, st.floats(-math.pi, math.pi))
+def test_great_circle_is_symmetric_bit_for_bit(a, b, x):
+    # what the square matrix's one triangle rests on: libm's sin is odd and
+    # pow(x, 2) even over the kernel's half differences, [-pi, pi]
+    assert bits(great_circle(a, b)) == bits(great_circle(b, a))
+    assert bits(math.sin(-x)) == bits(-math.sin(x))
+    assert bits((-x) ** 2) == bits(x ** 2)
+
+
 @given(coords, coords, coords)
 def test_triangle_inequality(a, b, c):
     ac = great_circle(a, c)
@@ -137,6 +153,30 @@ def test_matrix_allows_asymmetry():
     pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
     m = DistanceMatrix(pts, pts, [[0, 10], [12, 0]], "t")
     assert m.values[0, 1] != m.values[1, 0]
+
+
+def test_matrix_copies_a_writeable_array_and_leaves_it_to_the_caller():
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = DistanceMatrix(pts, pts, a, "x")
+    assert a.flags.writeable and m.values is not a
+    a[0, 1] = 5.0
+    assert m.values[0, 1] == 1.0
+    assert not m.values.flags.writeable
+
+
+def test_matrix_keeps_a_read_only_array_without_a_copy():
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a.setflags(write=False)
+    assert DistanceMatrix(pts, pts, a, "x").values is a
+
+
+@pytest.mark.parametrize("spec", [GC_SPEC, TABLE_SPEC])
+def test_build_matrix_hands_over_its_array_read_only(spec):
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 0)]
+    m = build_matrix(spec, pts, pts, transport=MockTableTransport())
+    assert not m.values.flags.writeable and m.values.base is None  # its own block, not a copy's view
 
 
 # --- table_request ----------------------------------------------------------
@@ -295,6 +335,40 @@ def test_great_circle_matrix_is_the_scalar_loop_across_block_edges(cols, rows):
     assert m.values.tobytes() == scalar_loop(sources, destinations, EARTH_RADIUS_M).tobytes()
 
 
+def random_points(seed: int, n: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [GeoPoint(float(a), float(b)) for a, b in zip(rng.uniform(-90, 90, n), rng.uniform(-180, 180, n))]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 13, 40])
+def test_square_matrix_is_the_scalar_loop_across_strip_edges(monkeypatch, cells, n):
+    # strips of rows r0:r1 x columns r0: about `cells` cells each, mirrored
+    monkeypatch.setattr(distance, "GC_BLOCK_CELLS", cells)
+    points = random_points(n, n)
+    repeated = points + points[::2] + points[:1]
+    for sources, destinations in [
+        (points, points),
+        (repeated, repeated),
+        (repeated, points),  # other lists, the same distinct points in the same order
+        (points[:1] * 3, points[:1]),  # a single distinct point
+    ]:
+        m = build_matrix(GC_SPEC, sources, destinations)
+        assert m.values.tobytes() == scalar_loop(sources, destinations, EARTH_RADIUS_M).tobytes()
+
+
+def test_square_matrix_computes_one_triangle(monkeypatch):
+    calls = []
+    real = math.asin
+    monkeypatch.setattr(math, "asin", lambda x: calls.append(x) or real(x))
+    monkeypatch.setattr(distance, "GC_BLOCK_CELLS", 1)  # one row per strip: no cell below the diagonal
+    points = random_points(5, 5)
+    sources = points + points[1:3]
+    m = build_matrix(GC_SPEC, sources, sources)
+    assert len(calls) == 5 * 6 // 2
+    assert m.values.tobytes() == scalar_loop(sources, sources, EARTH_RADIUS_M).tobytes()
+
+
 def test_great_circle_squares_the_sine_with_libm_pow():
     # a pair whose latitude term has pow(x, 2) != x * x (about 0.09% of
     # arguments on x86_64 glibc) and whose longitude term does not, and where
@@ -309,6 +383,110 @@ def test_great_circle_squares_the_sine_with_libm_pow():
     assert great_circle(a, b) != by_product
     m = build_matrix(GC_SPEC, [a, b], [b, a])
     assert m.values[0, 0] == m.values[1, 1] == great_circle(a, b)
+
+
+# --- nearest_great_circle ---------------------------------------------------
+
+def row_minima(sources, destinations, radius=EARTH_RADIUS_M):
+    return build_matrix(ProviderSpec(earth_radius=radius), sources, destinations).values.min(axis=1)
+
+
+@given(st.data())
+def test_nearest_is_the_matrix_row_minimum_byte_for_byte(data):
+    pool = data.draw(st.lists(edge_or_any, min_size=1, max_size=8))
+    points = st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    sources, destinations = data.draw(points), data.draw(points)
+    radius = data.draw(st.just(EARTH_RADIUS_M) | st.floats(1e-3, 1e8))
+    got = nearest_great_circle(sources, destinations, radius)
+    assert got.tobytes() == row_minima(sources, destinations, radius).tobytes()
+
+
+def _near_ties():
+    # facilities one latitude ULP apart at 10 degrees, about 1,100 km from
+    # each household: their distances lie a few ULP apart
+    lats = [10.0]
+    for _ in range(15):
+        lats.append(math.nextafter(lats[-1], -math.inf))
+    households = [GeoPoint(float(lat), 0.5) for lat in np.linspace(0.1, 5.0, 20)]
+    return households, [GeoPoint(lat, 10.0) for lat in lats]
+
+
+NEAREST_CASES = {
+    # mirrored across the household's meridian: an exact tie
+    "exact_tie": ([GeoPoint(40.1, -75.3)], [GeoPoint(40.4, -75.5), GeoPoint(40.4, -75.1), GeoPoint(41, -75.3)]),
+    "near_ties": _near_ties(),
+    "on_a_facility": ([GeoPoint(40.1, -75.3), GeoPoint(40.2, -75.3)], [GeoPoint(40.4, -75.1), GeoPoint(40.1, -75.3)]),
+    # within decimeters of the antipode, where the clamp acts and arcsin's
+    # slope turns one ULP of the haversine term into about 0.19 m
+    "near_antipodal": (
+        [GeoPoint(10, 20), GeoPoint(10 + 1e-7, 20), GeoPoint(10, 20 - 2e-7)],
+        [GeoPoint(-10 + a, -160 + b) for a, b in np.random.default_rng(2).normal(0, 3e-7, (8, 2)).tolist()]
+        + [GeoPoint(-10, -160)],
+    ),
+    "one_facility": (random_points(3, 20), [GeoPoint(12.5, -40.25)]),
+    "duplicated_households": (random_points(4, 6) * 3 + random_points(4, 2), random_points(5, 9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+def test_nearest_is_the_matrix_row_minimum_on_pinned_cases(case):
+    sources, destinations = NEAREST_CASES[case]
+    for radius in (EARTH_RADIUS_M, 6_378_137.0, 1.0):
+        got = nearest_great_circle(sources, destinations, radius)
+        assert got.tobytes() == row_minima(sources, destinations, radius).tobytes()
+
+
+def test_pinned_nearest_cases_hold_what_they_name():
+    d = scalar_loop(*NEAREST_CASES["exact_tie"], EARTH_RADIUS_M)[0]
+    assert d[0] == d[1] < d[2]
+    for d in scalar_loop(*NEAREST_CASES["near_ties"], EARTH_RADIUS_M):
+        assert len(set(d)) > 2 and (d.max() - d.min()) <= 16 * math.ulp(d.min())
+    assert nearest_great_circle(*NEAREST_CASES["on_a_facility"])[0] == 0.0
+    d = scalar_loop(*NEAREST_CASES["near_antipodal"], EARTH_RADIUS_M)[0]
+    assert len(set(d)) > 1 and np.all(abs(d - math.pi * EARTH_RADIUS_M) < 1.0)
+
+
+@pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+def test_nearest_holds_when_libm_sin_is_a_few_ulp_from_numpy(monkeypatch, case):
+    # numpy's sin agrees with this libm's; on another host it may not.
+    # A libm sin moved by up to 4 ULP stands in for that host: the exact
+    # cells and the oracle move with it, numpy's screen does not.
+    real = math.sin
+
+    def sin(x):
+        v = real(x)
+        return v + (struct.unpack("<q", bits(x))[0] % 9 - 4) * math.ulp(v)
+
+    monkeypatch.setattr(math, "sin", sin)
+    sources, destinations = NEAREST_CASES[case]
+    got = nearest_great_circle(sources, destinations)
+    assert got.tobytes() == row_minima(sources, destinations).tobytes()
+
+
+@pytest.mark.parametrize("cols, rows", BLOCK_EDGES)
+def test_nearest_is_the_matrix_row_minimum_across_block_edges(cols, rows):
+    points = random_points(cols + 1, rows + cols)
+    sources = points[:rows] + points[: rows : 3]
+    destinations = points[rows:]
+    got = nearest_great_circle(sources, destinations)
+    assert got.tobytes() == row_minima(sources, destinations).tobytes()
+
+
+def test_nearest_computes_about_one_exact_cell_per_distinct_source(monkeypatch):
+    calls = []
+    real = math.asin
+    monkeypatch.setattr(math, "asin", lambda x: calls.append(x) or real(x))
+    sources, destinations = random_points(6, 50), random_points(7, 30)
+    got = nearest_great_circle(sources * 2, destinations)
+    assert len(calls) == 50  # random points: no two facilities tie within the screen
+    assert got.tobytes() == scalar_loop(sources * 2, destinations, EARTH_RADIUS_M).min(axis=1).tobytes()
+
+
+def test_nearest_rejects_empty_inputs():
+    with pytest.raises(DistanceError):
+        nearest_great_circle([], [GeoPoint(0, 0)])
+    with pytest.raises(DistanceError):
+        nearest_great_circle([GeoPoint(0, 0)], [])
 
 
 def test_provider_tag_names_kind_url_and_custom_radius():

@@ -2,6 +2,8 @@
 
 Stages communicate through files in the output directory so an expensive
 distance matrix is computed once and reused across placement experiments.
+Each file is written beside its final name and renamed over it, so a stage
+that fails partway leaves the previous file whole.
 One seed in the config makes the whole chain reproducible; every output
 embeds the seed and a hash of the resolved config. Flag precedence is
 flags > config file > defaults.
@@ -23,7 +25,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from json.encoder import encode_basestring_ascii
 from numbers import Real
@@ -168,9 +172,24 @@ def _provenance(cfg: dict) -> str:
     return f"seed={cfg['seed']} config_hash={config_hash(cfg)}"
 
 
-def _write_json(path, payload: dict, cfg: dict) -> None:
+@contextmanager
+def _replacing(path: Path):
+    """A temporary path beside path, for the with block to write an artifact
+    to; it then replaces path in one rename, so a reader sees the previous
+    artifact or the whole new one. If the block raises, the temporary file
+    is removed and path is left as it was. There is no fsync: this guards
+    against a failed or killed run, not against a power loss."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = {"meta": {"seed": cfg["seed"], "config_hash": config_hash(cfg)}, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -236,10 +255,10 @@ def _geojson_text(collection: dict) -> str:
     )
 
 
-def _write_geojson(path, collection: dict, cfg: dict) -> None:
+def _write_geojson(path: Path, collection: dict, cfg: dict) -> None:
     # provenance rides along as a foreign member, which GeoJSON permits
     collection = {**collection, "properties": {"seed": cfg["seed"], "config_hash": config_hash(cfg)}}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_geojson_text(collection))
         fh.write("\n")
 
@@ -268,14 +287,15 @@ def cmd_ingest(cfg: dict, args) -> None:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / PREPARED_CSV
-    ingest.write_households_csv(prepared, path, header_comment=f"pantryplan ingest {_provenance(cfg)}")
+    with _replacing(path) as tmp:
+        ingest.write_households_csv(prepared, tmp, header_comment=f"pantryplan ingest {_provenance(cfg)}")
     print(f"ingest: {len(households)} read, {len(prepared)} prepared -> {path}")
 
 
-def _mismatch(matrix: distance.DistanceMatrix, points) -> str | None:
+def _mismatch(matrix: distance.DistanceMatrix, points: tuple) -> str | None:
     """Why matrix is not the households x households matrix over points, in
-    order, or None when it is."""
-    points = tuple(points)
+    order, or None when it is. A matrix that load_matrix(path, points) read
+    holds points' own objects, so each comparison is an identity check."""
     if len(matrix.sources) != len(points):
         return f"matrix is {len(matrix.sources)} points but {len(points)} households are prepared"
     for side, got in (("sources", matrix.sources), ("destinations", matrix.destinations)):
@@ -291,13 +311,13 @@ def cmd_matrix(cfg: dict, args) -> None:
     if not prepared.exists():
         raise DistanceError(f"prepared households not found at {prepared}; run ingest first")
     households = ingest.load_prepared(prepared)
-    points = [h.location for h in households]
+    points = tuple(h.location for h in households)
     path = out_dir / MATRIX_FILE
     spec = distance.ProviderSpec(**cfg["provider"])
 
     if path.exists() and not args.force:
         try:
-            cached = distance.load_matrix(path)
+            cached = distance.load_matrix(path, points)
         except distance.MatrixFormatError as exc:
             why = f"unreadable ({exc})"
         else:
@@ -311,7 +331,8 @@ def cmd_matrix(cfg: dict, args) -> None:
         print(f"matrix: rebuilding {path}: {why}")
 
     matrix = distance.build_matrix(spec, points, points, max_in_flight=cfg["threads"])
-    distance.save_matrix(matrix, path, meta={"seed": cfg["seed"], "config_hash": config_hash(cfg)})
+    with _replacing(path) as tmp:
+        distance.save_matrix(matrix, tmp, meta={"seed": cfg["seed"], "config_hash": config_hash(cfg)})
     print(f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}")
 
 
@@ -322,9 +343,10 @@ def _matrix_and_households(out_dir: Path, error):
     matrix_path = out_dir / MATRIX_FILE
     if not matrix_path.exists():
         raise error(f"matrix cache not found at {matrix_path}; run matrix first")
-    matrix = distance.load_matrix(matrix_path)
     households = ingest.load_prepared(out_dir / PREPARED_CSV)
-    why = _mismatch(matrix, (h.location for h in households))
+    points = tuple(h.location for h in households)
+    matrix = distance.load_matrix(matrix_path, points)
+    why = _mismatch(matrix, points)
     if why is not None:
         raise error(f"{matrix_path} was not built from {out_dir / PREPARED_CSV}: {why}; run matrix again")
     return matrix, households
@@ -448,7 +470,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
     _write_json(out_dir / REPORT_JSON, evaluate.report_to_dict(report), cfg)
-    with open(out_dir / REPORT_CSV, "w", encoding="utf-8") as fh:
+    with _replacing(out_dir / REPORT_CSV) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"# pantryplan evaluate {_provenance(cfg)}\n")
         fh.write(evaluate.report_to_csv(report))
     _write_geojson(out_dir / HOUSEHOLDS_GEOJSON, evaluate.households_geojson(households, cand_m, base_m), cfg)

@@ -274,23 +274,6 @@ def _exchange(conn, target: str):
     return response.status, response.read()
 
 
-class FixtureTransport:
-    """Replays recorded request-URL -> response-body pairs, no network."""
-
-    def __init__(self, fixtures: dict):
-        self.fixtures = dict(fixtures)
-        self.requests_seen = []
-
-    def get(self, url: str):
-        self.requests_seen.append(url)
-        if url not in self.fixtures:
-            raise TransportError(f"no fixture recorded for {url}")
-        return 200, self.fixtures[url]
-
-    def close(self) -> None:
-        pass
-
-
 def _or_default(transport):
     """A context giving transport, or when it is None a RequestsTransport
     that is closed on exit."""
@@ -439,8 +422,8 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
     Rows of distinct sources go through in strips of about GC_BLOCK_CELLS
     cells, which bounds the temporary lists the libm calls map over. When
     the distinct sources are the distinct destinations, strip r0:r1 covers
-    only the columns r0: and is written with its transpose, so each pair is
-    computed once rather than twice.
+    only the cells (i, j) with j >= i, each written to (i, j) and (j, i), so
+    n distinct points cost n(n + 1) / 2 cells rather than n^2.
     """
     src, si = _distinct(sources)
     dst, di = _distinct(destinations)
@@ -452,9 +435,13 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
         r0 = 0
         while r0 < n:
             r1 = min(n, r0 + max(1, GC_BLOCK_CELLS // (n - r0)))
-            strip = _haversine(_take(a, np.s_[r0:r1, None]), _take(a, np.s_[r0:]), diameter)
-            block[r0:r1, r0:] = strip
-            block[r0:, r0:r1] = strip.T
+            # the strip's cells on or above the diagonal, row by row
+            rows, cols = np.nonzero(np.arange(r0, r1)[:, None] <= np.arange(r0, n))
+            rows += r0
+            cols += r0
+            cells = _haversine(_take(a, rows), _take(a, cols), diameter)
+            block[rows, cols] = cells
+            block[cols, rows] = cells
             r0 = r1
     else:
         b = _radians_and_cos(dst)
@@ -619,12 +606,29 @@ def _trailer_points(path, trailer: dict, key: str) -> list:
     return points
 
 
-def load_matrix(path) -> DistanceMatrix:
+def _lists_points(listed, pairs: list) -> bool:
+    """Whether each of the trailer's lists in listed holds exactly pairs,
+    every coordinate a float: under == JSON true would equal 1.0, and 1
+    would equal 1.0, so any other list is left to _trailer_points."""
+    return all(
+        side == pairs and all(type(lat) is float and type(lon) is float for lat, lon in side) for side in listed
+    )
+
+
+def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMatrix:
     """Read a DMAT1 cache file back into a DistanceMatrix, bit-exact.
 
     The values are a read-only view of the file's bytes, not a copy. A file
     that is not DMAT1, is cut short, fails its checksum or has a trailer
     without the keys and points a matrix needs raises MatrixFormatError.
+
+    points, when given, are the GeoPoints the caller expects the matrix to
+    be over. When the trailer's sources and destinations both list exactly
+    those points, in order, the matrix's sources and destinations are the
+    tuple of the caller's objects, which are valid already, so the trailer
+    builds no GeoPoint of its own and a caller comparing them with its
+    points finds each the same object. Any other trailer is read as when
+    points is None, and is refused for the same faults.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -655,12 +659,16 @@ def load_matrix(path) -> DistanceMatrix:
     if zlib.crc32(block) & 0xFFFFFFFF != trailer.get("crc32"):
         raise MatrixFormatError(f"{path}: checksum mismatch")
     values = np.frombuffer(block, dtype="<f8").reshape(rows, cols)  # read-only: data is bytes
-    sources = _trailer_points(path, trailer, "sources")
-    # a households x households matrix lists its points twice; build them once
-    if trailer["destinations"] == trailer["sources"]:
-        destinations = sources
+    listed = trailer["sources"], trailer["destinations"]
+    if points is not None and _lists_points(listed, [[p.lat, p.lon] for p in points]):
+        sources = destinations = tuple(points)
     else:
-        destinations = _trailer_points(path, trailer, "destinations")
+        sources = _trailer_points(path, trailer, "sources")
+        # a households x households matrix lists its points twice; build them once
+        if trailer["destinations"] == trailer["sources"]:
+            destinations = sources
+        else:
+            destinations = _trailer_points(path, trailer, "destinations")
     try:
         return DistanceMatrix(
             sources=sources,

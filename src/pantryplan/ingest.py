@@ -86,39 +86,63 @@ def _parse_float(raw: str, what: str, line_no: int) -> float:
         raise IngestError(f"line {line_no}: cannot parse {what} from {raw!r}") from None
 
 
-def _read_households(path, schema: ColumnSchema):
-    """Yield (line number, raw row, id, GeoPoint, income, city) per CSV row,
-    in file order."""
+def _first_missing(header: list, cells: int) -> str:
+    """The column csv.DictReader would name first as lacking a cell in a row
+    of cells cells: the first header name, by first appearance, whose last
+    appearance is past the row's end."""
+    last = {name: j for j, name in enumerate(header)}
+    return next(name for name in last if last[name] >= cells)
+
+
+def _read_households(path, schema: ColumnSchema, extra: tuple = ()):
+    """Yield (line number, id, GeoPoint, income, city, extra cells) per CSV
+    row, in file order; extra cells are those of the extra columns, "" for a
+    column the header lacks.
+
+    Lines starting with '#' never reach the CSV reader. The rows are read
+    with csv.reader and each column's cell taken by its index in the header,
+    where a later duplicate header wins, with the checks, messages and line
+    numbers csv.DictReader gives: blank rows are skipped, a row's line number
+    is that of its last physical line, a row shorter than the header is an
+    error naming its first missing column, and cells past the header's
+    width are ignored.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise IngestError(f"no such file: {path}") from None
     with fh:
-        plain = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(plain)
-        if reader.fieldnames is None:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(reader, None)
+        if header is None:
             raise IngestError(f"{path}: empty file, expected a CSV header")
+        where = {name: j for j, name in enumerate(header)}
         for col in (schema.lat, schema.lon, schema.income, schema.id, schema.city):
-            if col is not None and col not in reader.fieldnames:
+            if col is not None and col not in where:
                 raise IngestError(f"{path}: missing column {col!r}")
-        for i, row in enumerate(reader):
+        width = len(header)
+        lat_at, lon_at = where[schema.lat], where[schema.lon]
+        income_at = where[schema.income] if schema.income else None
+        id_at = where[schema.id] if schema.id else None
+        city_at = where[schema.city] if schema.city else None
+        extra_at = [where.get(col) for col in extra]
+        for i, row in enumerate(filter(None, reader)):  # a blank line reads as [], which is skipped
             line_no = reader.line_num
-            # DictReader fills the cells a short row lacks with None
-            if None in row.values():
-                col = next(k for k, v in row.items() if v is None)
-                raise IngestError(f"line {line_no}: no cell for column {col!r}")
-            lat = _parse_float(row[schema.lat], "latitude", line_no)
-            lon = _parse_float(row[schema.lon], "longitude", line_no)
+            if len(row) < width:
+                raise IngestError(f"line {line_no}: no cell for column {_first_missing(header, len(row))!r}")
+            lat = _parse_float(row[lat_at], "latitude", line_no)
+            lon = _parse_float(row[lon_at], "longitude", line_no)
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
             income = None
-            if schema.income and row[schema.income] != "":
-                income = _parse_float(row[schema.income], "income", line_no)
+            if income_at is not None and row[income_at] != "":
+                income = _parse_float(row[income_at], "income", line_no)
                 if income < 0:
                     raise IngestError(f"line {line_no}: negative income {income}")
-            hid = row[schema.id] if schema.id else str(i)
-            city = (row[schema.city] or None) if schema.city else None
-            yield line_no, row, hid, GeoPoint(lat, lon), income, city
+            hid = row[id_at] if id_at is not None else str(i)
+            city = (row[city_at] or None) if city_at is not None else None
+            cells = tuple([row[j] if j is not None else "" for j in extra_at])
+            yield line_no, hid, GeoPoint(lat, lon), income, city, cells
 
 
 def load_households(path, schema: ColumnSchema) -> list[Household]:
@@ -131,7 +155,7 @@ def load_households(path, schema: ColumnSchema) -> list[Household]:
     """
     return [
         Household(id=hid, location=location, income=income, city=city)
-        for _, _, hid, location, income, city in _read_households(path, schema)
+        for _, hid, location, income, city, _ in _read_households(path, schema)
     ]
 
 
@@ -235,6 +259,7 @@ def write_households_csv(households: Iterable[Household], path, header_comment: 
 
 
 PREPARED_SCHEMA = ColumnSchema(lat="lat", lon="lon", income="income", id="id", city="city")
+PREPARED_EXTRA = ("weight", "origin_id")  # optional: a file without them reads weight 1.0 and origin_id = id
 
 
 def load_prepared(path) -> list[Household]:
@@ -245,10 +270,9 @@ def load_prepared(path) -> list[Household]:
     positive finite number, is an error naming the line.
     """
     out = []
-    for line_no, row, hid, location, income, city in _read_households(path, PREPARED_SCHEMA):
-        raw = row.get("weight") or ""
+    for line_no, hid, location, income, city, (raw, origin) in _read_households(path, PREPARED_SCHEMA, PREPARED_EXTRA):
         weight = _parse_float(raw, "weight", line_no) if raw else 1.0
         if not (math.isfinite(weight) and weight > 0):
             raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
-        out.append(Household(hid, location, income, weight, row.get("origin_id") or hid, city))
+        out.append(Household(hid, location, income, weight, origin or hid, city))
     return out

@@ -14,20 +14,23 @@ A candidate is scored in O(n), not by a full O(n*k) reassignment. The
 solver keeps, for each medoid m, every point's distance to its nearest
 medoid other than m (the nearest and second-nearest caches of FasterPAM,
 Schubert & Rousseeuw, arXiv:2008.05171). Swapping m out for p leaves each
-point at min(d[i, p], that distance), and the objective is one np.dot of
-the weights with that vector. The caches are rebuilt after every accepted
-swap, which is committed with assign()'s own assignment and objective.
+point at min(d[i, p], that distance), and the objective is one dot
+product of the weights with that vector. The caches are rebuilt after
+every accepted swap, which is committed with assign()'s own assignment
+and objective.
 Under the input contract (every cell finite and nonnegative, a zero
 diagonal, checked once per solve) the vector equals the one assign()
 gathers, element by element, so every objective is bit-identical to a full
 reassignment and the swap trajectory (candidate order, accepted swaps,
 final clustering) is the same as scoring each candidate with assign().
 
-Each core solve makes one transposed contiguous copy of the matrix, so a
-candidate reads column p of d as one contiguous row; the values, and so
-every sum, are unchanged. Each pass's candidate list is shuffled with one
-block of splitmix64 draws (rng.SplitMix64.shuffle), the same permutation
-and stream state as one draw per swap.
+Each core solve makes one transposed contiguous copy of the matrix and
+keeps its rows in a list, so a candidate reads column p of d as one
+contiguous row and is scored by one bound w.dot, the BLAS routine np.dot
+itself calls; the values, and so every sum, are unchanged. Each pass's
+candidate list is shuffled with one block of splitmix64 draws
+(rng.SplitMix64.shuffle), the same permutation and stream state as one
+draw per swap.
 
 solve collapses points with identical rows and columns (the copies of
 duplication weighting) into one weighted point before the core solve. Two
@@ -211,9 +214,13 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     rng = SplitMix64(params.seed)
     screened = params.mode == "cluster_screened"
     passes = 0
-    # columns[p] is d[:, p], contiguous: a candidate reads one row, not a
-    # strided column, and its values (hence every dot) are unchanged
-    columns = np.ascontiguousarray(d.T)
+    # columns[p] is d[:, p] as its own contiguous array: a candidate reads
+    # one row, not a strided column, and its values (hence every dot) are
+    # unchanged; list indexing and the bound w.dot skip numpy's per-call
+    # dispatch, and w.dot is np.dot's own BLAS routine, so the same bits
+    columns = list(np.ascontiguousarray(d.T))
+    weigh = w.dot
+    minimum = np.minimum
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
@@ -248,9 +255,9 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
                     continue
             # Each point's distance after the swap, elementwise equal to what
             # assign() gathers for the trial set under the input contract.
-            # One np.dot per candidate keeps the sum bit-identical to
-            # assign()'s; a matrix-vector product over many candidates does not.
-            trial_obj = float(np.dot(w, np.minimum(columns[inn], without[out])))
+            # One dot per candidate keeps the sum bit-identical to assign()'s
+            # np.dot; a matrix-vector product over many candidates does not.
+            trial_obj = float(weigh(minimum(columns[inn], without[out])))
             ok = trial_obj <= obj if screened else trial_obj < obj - params.epsilon
             if ok:
                 medoids = sorted(current - {out} | {inn})

@@ -46,18 +46,26 @@ def line_matrix(coords) -> np.ndarray:
 
 
 class MockTableTransport:
-    """Offline table service whose metric is a scalable great-circle.
+    """Offline table service, the one fake transport of the tests.
 
-    Parses coordinates and source/destination indices straight out of the
-    request URL, so any chunking must reassemble to the same matrix.
+    By default its metric is a scalable great-circle: it parses coordinates
+    and source/destination indices straight out of the request URL, so any
+    chunking must reassemble to the same matrix. Given fixtures, a dict of
+    recorded request URL -> response body, it replays those instead, and a
+    URL with no recording raises TransportError.
     """
 
-    def __init__(self, scale: float = 1.0):
+    def __init__(self, scale: float = 1.0, fixtures: dict | None = None):
         self.scale = scale
+        self.fixtures = fixtures
         self.requests_seen = []
 
     def get(self, url: str):
         self.requests_seen.append(url)
+        if self.fixtures is not None:
+            if url not in self.fixtures:
+                raise distance.TransportError(f"no fixture recorded for {url}")
+            return 200, self.fixtures[url]
         m = re.match(r".*/table/v1/driving/([^?]*)\?sources=([^&]*)&destinations=([^&]*)&annotations=distance", url)
         coords = [tuple(map(float, part.split(","))) for part in m.group(1).split(";")]
         src = [int(i) for i in m.group(2).split(";")]

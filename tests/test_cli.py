@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -12,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 import pantryplan.cli as cli
 import pantryplan.distance as distance
 import pantryplan.evaluate as evaluate
+import pantryplan.ingest as ingest
 from pantryplan.cli import main
 from pantryplan.distance import (
-    FixtureTransport,
     GeoPoint,
     ProviderSpec,
     build_matrix,
@@ -300,7 +301,7 @@ def test_matrix_without_prepared_exits_3(tmp_path):
 
 def test_matrix_from_recorded_fixture(tmp_path, monkeypatch):
     fixtures = load_table_fixtures()
-    monkeypatch.setattr(distance, "RequestsTransport", lambda: FixtureTransport(fixtures))
+    monkeypatch.setattr(distance, "RequestsTransport", lambda: MockTableTransport(fixtures=fixtures))
     pts = [GeoPoint(34.0522, -118.2437), GeoPoint(34.0622, -118.2537), GeoPoint(34.0722, -118.2637)]
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -691,6 +692,56 @@ def test_households_geojson_averages_to_report(tmp_path):
     for key in ("candidate", "baseline"):
         values = [f["properties"][f"nearest_{key}_mi"] for f in features]
         assert sum(values) / len(values) == pytest.approx(overall[f"{key}_avg_mi"], rel=1e-12)
+
+
+class HalfWrite:
+    """A file that takes half of its first write and then reports the disk
+    full, as a write that fails partway does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "artifact, stage, module, code",
+    [
+        ("prepared.csv", ["ingest"], ingest, 2),
+        ("matrix.dmat", ["--force", "matrix"], distance, 3),
+        ("plan.json", ["place"], cli, 4),
+        ("plan.geojson", ["place"], cli, 4),
+        ("report.json", ["evaluate"], cli, 5),
+        ("report.csv", ["evaluate"], cli, 5),
+        ("households.geojson", ["evaluate"], cli, 5),
+    ],
+)
+def test_a_write_failing_partway_leaves_the_previous_artifact(tmp_path, monkeypatch, capsys, artifact, stage, module, code):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    for again in (["ingest"], ["--force", "matrix"], ["place"], ["evaluate"]):  # every artifact from one config
+        assert run(["--config", cfg_path, *again]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert artifact in before and not any(name.startswith(".") for name in before)
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return HalfWrite(fh) if "w" in mode and artifact in Path(file).name else fh
+
+    monkeypatch.setattr(module, "open", open_failing, raising=False)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, *stage]) == code
+    assert "No space left on device" in capsys.readouterr().err
+    # the previous file whole, and no temporary file left behind
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 @pytest.mark.parametrize("stage", ["ingest", "matrix", "evaluate"])

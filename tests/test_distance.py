@@ -12,7 +12,6 @@ import pantryplan.distance as distance
 from pantryplan.distance import (
     EARTH_RADIUS_M,
     DistanceMatrix,
-    FixtureTransport,
     GeoPoint,
     ProviderSpec,
     TransportError,
@@ -182,7 +181,7 @@ def test_build_matrix_hands_over_its_array_read_only(spec):
 # --- table_request ----------------------------------------------------------
 
 def test_recorded_2x2_identical_lists_zero_diagonal():
-    fixtures = FixtureTransport(load_table_fixtures())
+    fixtures = MockTableTransport(fixtures=load_table_fixtures())
     pts = [GeoPoint(34.05, -118.24), GeoPoint(34.06, -118.25)]
     block = table_request(TABLE_SPEC, pts, pts, transport=fixtures)
     assert block.shape == (2, 2)
@@ -191,7 +190,7 @@ def test_recorded_2x2_identical_lists_zero_diagonal():
 
 def test_recorded_3x3_block_equals_fixture_values():
     raw = load_table_fixtures()
-    fixtures = FixtureTransport(raw)
+    fixtures = MockTableTransport(fixtures=raw)
     pts = [GeoPoint(34.0522, -118.2437), GeoPoint(34.0622, -118.2537), GeoPoint(34.0722, -118.2637)]
     block = table_request(TABLE_SPEC, pts, pts, transport=fixtures)
     url = table_url(TABLE_SPEC, pts, pts)
@@ -200,7 +199,7 @@ def test_recorded_3x3_block_equals_fixture_values():
 
 
 def test_null_cell_reports_the_pair():
-    fixtures = FixtureTransport(load_table_fixtures())
+    fixtures = MockTableTransport(fixtures=load_table_fixtures())
     pts = [GeoPoint(34.05, -118.24), GeoPoint(33.40, -118.42)]
     with pytest.raises(UnreachablePairsError) as err:
         table_request(TABLE_SPEC, pts, pts, transport=fixtures)
@@ -367,6 +366,23 @@ def test_square_matrix_computes_one_triangle(monkeypatch):
     m = build_matrix(GC_SPEC, sources, sources)
     assert len(calls) == 5 * 6 // 2
     assert m.values.tobytes() == scalar_loop(sources, sources, EARTH_RADIUS_M).tobytes()
+
+
+@pytest.mark.parametrize("cells", [None, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 300])
+def test_square_matrix_computes_exactly_the_triangle(monkeypatch, cells, n):
+    # strips taller than one row hold no cell below the diagonal either
+    if cells is not None:
+        monkeypatch.setattr(distance, "GC_BLOCK_CELLS", cells)
+    calls = []
+    real = math.asin
+    monkeypatch.setattr(math, "asin", lambda x: calls.append(x) or real(x))
+    points = random_points(n, n)
+    sources = points + points[: n // 2]
+    m = build_matrix(GC_SPEC, sources, sources)
+    assert len(calls) == n * (n + 1) // 2
+    if n <= 40:
+        assert m.values.tobytes() == scalar_loop(sources, sources, EARTH_RADIUS_M).tobytes()
 
 
 def test_great_circle_squares_the_sine_with_libm_pow():
@@ -636,6 +652,93 @@ def test_malformed_trailer_is_format_error(tmp_path, damage):
     with pytest.raises(MatrixFormatError) as err:
         load_matrix(path)
     assert str(err.value).startswith(f"{path}: ") and why in str(err.value)
+
+
+FLOAT_POINTS = [GeoPoint(1.0, 2.0), GeoPoint(0.0, 1.0)]  # 1.0 == true under ==
+
+
+def saved_square(tmp_path, points=FLOAT_POINTS):
+    path = tmp_path / "m.dmat"
+    save_matrix(build_matrix(GC_SPEC, points, points), path)
+    return path
+
+
+def outcome(load):
+    try:
+        return "matrix", load()
+    except MatrixFormatError as exc:
+        return "error", str(exc)
+
+
+def test_load_with_the_listed_points_keeps_the_callers_objects(tmp_path):
+    path = saved_square(tmp_path)
+    points = [GeoPoint(1.0, 2.0), GeoPoint(0.0, 1.0)]  # equal to the saved points, not the same objects
+    back = load_matrix(path, points)
+    assert back == load_matrix(path)
+    assert back.values.tobytes() == load_matrix(path).values.tobytes()
+    assert all(a is b for a, b in zip(back.sources, points)) and back.destinations is back.sources
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [GeoPoint(1.0, 2.0), GeoPoint(0.0, 1.5)],  # another point
+        [GeoPoint(0.0, 1.0), GeoPoint(1.0, 2.0)],  # the same points in another order
+        FLOAT_POINTS[:1],  # too few
+        [],
+    ],
+)
+def test_load_with_other_points_reads_the_trailers_own(tmp_path, points):
+    path = saved_square(tmp_path)
+    back = load_matrix(path, points)
+    assert back == load_matrix(path)
+    assert not any(a is b for a, b in zip(back.sources, points))
+
+
+def both_sides(pair, i=0):
+    def edit(trailer):
+        for side in ("sources", "destinations"):
+            trailer[side][i] = pair
+        return trailer
+
+    return edit
+
+
+POINTS_PATH_DAMAGE = {
+    **{name: edit for name, (edit, _) in TRAILER_DAMAGE.items()},
+    "bool_coordinate_both_sides": both_sides([True, 2.0]),  # == would take it for FLOAT_POINTS[0]
+    "bool_longitude_both_sides": both_sides([0.0, True], 1),  # == would take it for FLOAT_POINTS[1]
+    "integer_coordinate_both_sides": both_sides([1, 2]),  # readable: GeoPoint(1, 2) == GeoPoint(1.0, 2.0)
+    "nan_both_sides": both_sides([float("nan"), 2.0]),
+    "extra_point": lambda trailer: {**trailer, "sources": trailer["sources"] + [[0.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(POINTS_PATH_DAMAGE))
+def test_load_with_points_refuses_what_load_refuses(tmp_path, damage):
+    path = saved_square(tmp_path)
+    rewrite_trailer(path, POINTS_PATH_DAMAGE[damage])
+    plain = outcome(lambda: load_matrix(path))
+    assert outcome(lambda: load_matrix(path, FLOAT_POINTS)) == plain
+    if "bool" in damage:
+        assert plain[0] == "error" and "is not a [lat, lon] pair of numbers" in plain[1]
+
+
+@given(
+    side=st.sampled_from(["sources", "destinations"]),
+    index=st.integers(0, 1),
+    axis=st.integers(0, 1),
+    value=st.sampled_from([True, False, 1, 0, 2, 1.0, 0.0, 2.0, -0.0, "1", None, [], 10**400, 1e300, float("nan")]),
+)
+def test_load_with_points_reads_every_edited_coordinate_as_load_does(tmp_path_factory, side, index, axis, value):
+    path = saved_square(tmp_path_factory.mktemp("dmat"))
+
+    def edit(trailer):
+        trailer[side][index][axis] = value
+        return trailer
+
+    rewrite_trailer(path, edit)
+    assert outcome(lambda: load_matrix(path, FLOAT_POINTS)) == outcome(lambda: load_matrix(path))
 
 
 def test_load_does_not_copy_the_float_block(tmp_path):

@@ -1,6 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+import csv
+import io
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference_ingest
+from pantryplan import ingest
 from pantryplan.distance import GeoPoint
 from pantryplan.errors import IngestError
 from pantryplan.ingest import (
@@ -243,19 +248,17 @@ def test_prepared_csv_round_trip(tmp_path, data_dir):
 
 
 def test_load_prepared_parses_the_file_once(tmp_path, data_dir, monkeypatch):
-    import csv
-
     path = tmp_path / "prepared.csv"
     write_households_csv(prepare(load_households(data_dir / "ca_blocks.csv", CA_SCHEMA),
                                  IngestConfig(weighting_mode="direct")), path)
     readers = []
-    real = csv.DictReader
+    real = csv.reader
 
     def counting(*args, **kwargs):
         readers.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(csv, "DictReader", counting)
+    monkeypatch.setattr(csv, "reader", counting)
     back = load_prepared(path)
     assert len(readers) == 1
     assert any(h.weight != 1.0 for h in back)
@@ -278,3 +281,68 @@ def test_load_prepared_rejects_a_bad_weight_naming_the_line(tmp_path, cell):
     path.write_text(path.read_text().replace(",3.0,", f",{cell},", 1))
     with pytest.raises(IngestError, match=f"line 3: .*weight.*'{cell}'"):
         load_prepared(path)
+
+
+# --- the csv.reader loader against the csv.DictReader reference -------------
+
+def _outcome(read, path, schema, extra):
+    try:
+        return "rows", list(read(path, schema, extra))
+    except IngestError as exc:
+        return "error", str(exc)
+
+
+COLUMNS = ["lat", "lon", "income", "id", "city", "weight", "origin_id", "x", ""]
+CELLS = ["1.5", "-45", "12e0", "0", "", "91", "-200", "nan", "north", "30000", "-5", "2.0", "a\nb", "#c", " 7", "s,t", 'q"r']
+SCHEMAS = [
+    (ColumnSchema(), ()),
+    (ColumnSchema(income="income", id="id", city="city"), ()),
+    (ingest.PREPARED_SCHEMA, ingest.PREPARED_EXTRA),
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files around a lat/lon header: duplicate and extra columns, short
+    and long rows, empty cells, quoted cells holding newlines or a leading
+    '#', blank lines and '#' comment lines between rows."""
+    header = ["lat", "lon"] + draw(st.lists(st.sampled_from(COLUMNS), max_size=5))
+    header = draw(st.permutations(header))
+    if draw(st.booleans()):
+        header = header[: draw(st.integers(0, len(header)))]  # a column may be missing
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "row":
+            width = len(header) + draw(st.sampled_from([0, 0, 0, -1, -2, 1, 2]))
+            lines.append([draw(st.sampled_from(CELLS)) for _ in range(max(0, width))])
+        else:
+            lines.append(kind)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    for line in lines:
+        if line == "blank":
+            buffer.write("\r\n")
+        elif line == "comment":
+            buffer.write("# provenance, 1,2\r\n")
+        else:
+            writer.writerow(line)
+    return buffer.getvalue() if draw(st.booleans()) else buffer.getvalue().replace("\r\n", "\n")
+
+
+@settings(max_examples=400)
+@given(text=csv_texts(), schema=st.sampled_from(SCHEMAS))
+@example(text="", schema=SCHEMAS[0])
+@example(text="\nlat,lon\n1,2\n", schema=SCHEMAS[0])
+@example(text="lat,lon,lat\n1,2,3\n4,5\n", schema=SCHEMAS[0])
+@example(text="lat,lon,x,lat\n1,2,3\n", schema=SCHEMAS[0])
+@example(text="lat,lon\n\n\n1,2\n\n3,4,5,6\n\n", schema=SCHEMAS[0])
+@example(text='lat,lon\n"1\n#2",3\n', schema=SCHEMAS[0])
+@example(text="id,lat,lon,income,weight,origin_id,city\na,1,2,,3,,\n", schema=SCHEMAS[2])
+def test_read_households_matches_the_dictreader_reference(tmp_path_factory, text, schema):
+    schema, extra = schema
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(ingest._read_households, path, schema, extra) == _outcome(
+        reference_ingest.read_households, path, schema, extra
+    )

@@ -664,8 +664,9 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMa
         sources = destinations = tuple(points)
     else:
         sources = _trailer_points(path, trailer, "sources")
-        # a households x households matrix lists its points twice; build them once
-        if trailer["destinations"] == trailer["sources"]:
+        # a households x households matrix lists its points twice; build them
+        # once. Not ==, which takes a JSON true in destinations for a 1.0
+        if _lists_points((trailer["destinations"],), trailer["sources"]):
             destinations = sources
         else:
             destinations = _trailer_points(path, trailer, "destinations")

@@ -1,6 +1,5 @@
 import errno
 import json
-import math
 import os
 import subprocess
 import sys
@@ -8,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import pantryplan.cli as cli
 import pantryplan.distance as distance
 import pantryplan.evaluate as evaluate
+import pantryplan.hierarchy as hierarchy
 import pantryplan.ingest as ingest
 from pantryplan.cli import main
 from pantryplan.distance import (
@@ -777,93 +776,25 @@ def test_stage_with_mistyped_seed_exits_2(tmp_path, capsys, stage, seed):
 
 # --- GeoJSON writer -----------------------------------------------------------------
 
-def test_geojson_files_are_json_dumps_indent_1(tmp_path):
+def test_geojson_files_are_canonical_json(tmp_path, monkeypatch):
     _, out_dir = pipeline_through_place(tmp_path)
-    assert run(["--config", evaluate_config(tmp_path, out_dir), "evaluate"]) == 0
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    built = {}
+
+    def keeping(module, name, artifact):
+        make = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: built.setdefault(artifact, make(*args)))
+
+    keeping(hierarchy, "plan_to_geojson", "plan.geojson")
+    keeping(evaluate, "households_geojson", "households.geojson")
+    assert run(["--config", cfg_path, "place"]) == 0
+    assert run(["--config", cfg_path, "evaluate"]) == 0
+    cfg = cli.load_config(str(cfg_path), {})
+    provenance = {"seed": cfg["seed"], "config_hash": cli.config_hash(cfg)}
     for name in ("plan.geojson", "households.geojson"):
         text = (out_dir / name).read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
-
-
-scalars = (
-    st.floats()  # NaN, infinities, -0.0, subnormals, 1e16 and above
-    | st.text()  # quotes, backslashes, control and non-ASCII characters
-    | st.integers(-(2**70), 2**70)
-    | st.booleans()
-    | st.none()
-)
-
-
-def features(properties):
-    coordinates = st.lists(st.floats(), max_size=3) | st.tuples(st.floats(), st.floats())
-    return st.fixed_dictionaries({
-        "type": st.just("Feature"),
-        "geometry": st.fixed_dictionaries({"type": st.just("Point"), "coordinates": coordinates}),
-        "properties": properties,
-    })
-
-
-@st.composite
-def household_collections(draw):
-    """households_geojson over drawn ids, coordinates and distances, some
-    candidate and baseline distances equal."""
-    n = draw(st.integers(0, 6))
-    hh = [Household(id=draw(st.text()), location=GeoPoint(draw(st.floats(-90, 90)), draw(st.floats(-180, 180))))
-          for _ in range(n)]
-    cand = draw(st.lists(st.floats(), min_size=n, max_size=n))
-    base = [c if draw(st.booleans()) else draw(st.floats()) for c in cand]
-    return evaluate.households_geojson(hh, cand, base)
-
-
-collections = st.fixed_dictionaries({
-    "type": st.just("FeatureCollection"),
-    "features": st.lists(features(st.dictionaries(st.text(), scalars, max_size=4)), max_size=4),
-}) | household_collections()
-
-
-EDGE_FLOATS = [-0.0, 5e-324, 2.2e-308, 1e16, 1.5e300, math.nan, math.inf, -math.inf]
-EDGE_FEATURES = {
-    "type": "FeatureCollection",
-    "features": [
-        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [x, -x]},
-         "properties": {"value": x, "id": 'h"\\ \u00e9\u6771\n'}}
-        for x in EDGE_FLOATS
-    ],
-}
-EDGE_HOUSEHOLDS = evaluate.households_geojson(
-    [Household(id=f'h"{i}\\ \u00e9\u6771', location=GeoPoint(0.0, -0.0)) for i in range(4)],
-    [1.0, 0.0, 3.0, math.inf],
-    [1.0, 2.0, 0.5, math.inf],  # ties first and last
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(collections, st.integers(-(2**63), 2**63), st.text())
-@example(EDGE_FEATURES, -1, "")
-@example(EDGE_HOUSEHOLDS, 0, "ab\u2028")
-@example({"type": "FeatureCollection", "features": []}, 3, "")
-def test_geojson_text_is_json_dumps_indent_1(collection, seed, config_hash):
-    collection = {**collection, "properties": {"seed": seed, "config_hash": config_hash}}
-    assert cli._geojson_text(collection) == json.dumps(collection, sort_keys=True, indent=1)
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda c: c.pop("properties"),
-        lambda c: c["features"][0].update(id=7),
-        lambda c: c["features"][0]["geometry"].update(coordinates=[[0.0, 1.0], [1.0, 0.0]]),
-        lambda c: c["features"][0]["properties"].update(tags=["a"]),
-        lambda c: c["features"][0]["properties"].update({1: "one"}),
-    ],
-    ids=["no_properties", "extra_feature_key", "nested_coordinates", "list_property", "integer_key"],
-)
-def test_geojson_text_refuses_other_shapes(damage):
-    feature = {"type": "Feature", "geometry": {"type": "Point", "coordinates": [0.0, 1.0]}, "properties": {}}
-    collection = {"type": "FeatureCollection", "features": [feature], "properties": {"seed": 1}}
-    damage(collection)
-    with pytest.raises(TypeError):
-        cli._geojson_text(collection)
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        assert json.loads(text) == {**built[name], "properties": provenance}
 
 
 # --- config shape -------------------------------------------------------------------

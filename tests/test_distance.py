@@ -631,6 +631,10 @@ TRAILER_DAMAGE = {
     "string_coordinate": (with_source([1.0, "2"]), "sources[0] is not a [lat, lon] pair"),
     "latitude_out_of_range": (with_source([91.0, 2.0]), "sources[0]: latitude 91.0 out of [-90, 90]"),
     "integer_past_float": (with_source([10**400, 2.0]), "sources[0]: int too large"),
+    "bool_destination": (  # == takes [false, 0] for the sources' [0, 0]
+        lambda trailer: {**trailer, "destinations": [[False, 0]] + trailer["destinations"][1:]},
+        "destinations[0] is not a [lat, lon] pair",
+    ),
     "destination_out_of_range": (
         lambda trailer: {**trailer, "destinations": trailer["destinations"][:1] + [[0, 200]]},
         "destinations[1]: longitude 200 out of [-180, 180]",

@@ -618,7 +618,7 @@ def _lists_points(listed, pairs: list) -> bool:
 def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMatrix:
     """Read a DMAT1 cache file back into a DistanceMatrix, bit-exact.
 
-    The values are a read-only view of the file's bytes, not a copy. A file
+    The values are read once, into an aligned read-only array. A file
     that is not DMAT1, is cut short, fails its checksum or has a trailer
     without the keys and points a matrix needs raises MatrixFormatError.
 
@@ -631,22 +631,29 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMa
     points is None, and is refused for the same faults.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
-        raise MatrixFormatError(f"{path}: not a DMAT1 file")
-    rows, cols = struct.unpack_from("<II", data, len(MAGIC))
-    off = len(MAGIC) + 8
-    nbytes = rows * cols * 8
-    if len(data) < off + nbytes + 4:
-        raise MatrixFormatError(f"{path}: truncated float block")
-    block = memoryview(data)[off : off + nbytes]
-    off += nbytes
-    (tlen,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if len(data) < off + tlen:
+        head = fh.read(len(MAGIC) + 8)
+        if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
+            raise MatrixFormatError(f"{path}: not a DMAT1 file")
+        rows, cols = struct.unpack_from("<II", head, len(MAGIC))
+        nbytes = rows * cols * 8
+        # the size is checked before the block is allocated, so a header
+        # that claims more than the file holds costs no memory
+        if os.fstat(fh.fileno()).st_size < len(head) + nbytes + 4:
+            raise MatrixFormatError(f"{path}: truncated float block")
+        # read into a numpy allocation, which is aligned: a view of the
+        # file's bytes would start 13 bytes in, and gathers from it are slow
+        values = np.empty((rows, cols), dtype="<f8")
+        block = values.reshape(-1).view(np.uint8)  # the same memory, as bytes
+        got = fh.readinto(block)
+        tail = fh.read(4)
+        if got != nbytes or len(tail) < 4:  # the file shrank since fstat
+            raise MatrixFormatError(f"{path}: truncated float block")
+        (tlen,) = struct.unpack("<I", tail)
+        text = fh.read(tlen)
+    if len(text) < tlen:
         raise MatrixFormatError(f"{path}: truncated trailer")
     try:
-        trailer = json.loads(data[off : off + tlen].decode("utf-8"))
+        trailer = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MatrixFormatError(f"{path}: bad trailer: {exc}") from None
     if not isinstance(trailer, dict):
@@ -658,7 +665,7 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMa
             raise MatrixFormatError(f"{path}: trailer {key!r} must be a {kind.__name__}, got {type(trailer[key]).__name__}")
     if zlib.crc32(block) & 0xFFFFFFFF != trailer.get("crc32"):
         raise MatrixFormatError(f"{path}: checksum mismatch")
-    values = np.frombuffer(block, dtype="<f8").reshape(rows, cols)  # read-only: data is bytes
+    values.setflags(write=False)
     listed = trailer["sources"], trailer["destinations"]
     if points is not None and _lists_points(listed, [[p.lat, p.lon] for p in points]):
         sources = destinations = tuple(points)

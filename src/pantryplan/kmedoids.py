@@ -15,22 +15,32 @@ solver keeps, for each medoid m, every point's distance to its nearest
 medoid other than m (the nearest and second-nearest caches of FasterPAM,
 Schubert & Rousseeuw, arXiv:2008.05171). Swapping m out for p leaves each
 point at min(d[i, p], that distance), and the objective is one dot
-product of the weights with that vector. The caches are rebuilt after
-every accepted swap, which is committed with assign()'s own assignment
-and objective.
-Under the input contract (every cell finite and nonnegative, a zero
+product of the weights with that vector. After every accepted swap the
+assignment, the objective and those caches are rebuilt from one gather of
+the medoids' columns; the objective is assign()'s own sum over the same
+values. Under the input contract (every cell finite and nonnegative, a zero
 diagonal, checked once per solve) the vector equals the one assign()
 gathers, element by element, so every objective is bit-identical to a full
 reassignment and the swap trajectory (candidate order, accepted swaps,
 final clustering) is the same as scoring each candidate with assign().
 
-Each core solve makes one transposed contiguous copy of the matrix and
-keeps its rows in a list, so a candidate reads column p of d as one
-contiguous row and is scored by one bound w.dot, the BLAS routine np.dot
-itself calls; the values, and so every sum, are unchanged. Each pass's
-candidate list is shuffled with one block of splitmix64 draws
-(rng.SplitMix64.shuffle), the same permutation and stream state as one
-draw per swap.
+Candidates are scored in blocks. Each pass's candidate list is shuffled
+with one block of splitmix64 draws (rng.SplitMix64.shuffle), the same
+permutation and stream state as one draw per swap. The scan drops the
+stale candidates after the pass's start, or after the last accept, with one
+mask, and scores the live ones a block at a time: the matrix columns of
+their points and the cached rows of their medoids are gathered into
+preallocated buffers, cut by one np.minimum, and every weighted sum comes
+from one np.matmul(trial[:, None, :], w[:, None]). numpy sums each
+(1, n) @ (n, 1) product of that stack with the dot routine w.dot and
+np.dot call, so each score has the bits of its own np.dot; a (b, n) @ (n,)
+matrix-vector product sums in another order and does not. The first
+candidate of the block that passes is accepted and the scan resumes right
+after it, so the same candidates are scored and accepted as one at a time.
+A block holds BLOCK_MIN candidates after an accept and doubles up to
+BLOCK_MAX. The columns are gathered as rows of d itself when d equals its
+transpose bit for bit (a great-circle matrix does), else of one transposed
+copy.
 
 solve collapses points with identical rows and columns (the copies of
 duplication weighting) into one weighted point before the core solve. Two
@@ -58,6 +68,10 @@ from .rng import SplitMix64
 DEFAULT_MODE = "global_swap"
 DEFAULT_EPSILON = 1e-6
 BRUTE_FORCE_LIMIT = 10**6
+# rows of a candidate block: the first block after an accept, and the cap
+# that doubling stops at
+BLOCK_MIN = 16
+BLOCK_MAX = 64
 
 MatrixLike = Union[DistanceMatrix, np.ndarray, Sequence[Sequence[float]]]
 
@@ -131,8 +145,11 @@ def _check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise SolveError(f"weights length {w.shape} does not match {n} points")
-    if np.any(w <= 0):
-        raise SolveError("weights must all be positive")
+    # NaN compares False with everything, so test for the good weights
+    bad = ~((w > 0) & (w < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolveError(f"weights must all be positive and finite; weight {i} is {float(w[i])}")
     return w
 
 
@@ -190,93 +207,149 @@ def _duplicate_classes(d: np.ndarray):
     return reps, class_of
 
 
-def _nearest_without(d: np.ndarray, medoids: Sequence[int]) -> dict[int, np.ndarray]:
-    """For each medoid m, every point's distance to its nearest medoid other
-    than m: the second-nearest distance where m is the nearest, else the
-    nearest. inf when m is the only medoid."""
-    med = sorted(medoids)
+def _column_rows(d: np.ndarray) -> np.ndarray:
+    """An array whose row p is column p of d, contiguous and aligned: d
+    itself when it equals its transpose bit for bit (a great-circle matrix
+    does) and can be gathered from, else one transposed copy."""
+    if d.dtype == np.float64 and d.flags.c_contiguous and d.flags.aligned:
+        bits = d.view(np.uint64)
+        if np.array_equal(bits, bits.T):
+            return d
+    return np.ascontiguousarray(d.T, dtype=np.float64)
+
+
+def _medoid_state(rows: np.ndarray, w: np.ndarray, med: list[int]):
+    """assign()'s assignment and objective for the sorted medoids med, and
+    the k x n nearest-other rows: row j holds every point's distance to its
+    nearest medoid other than med[j] (the second-nearest distance where
+    med[j] is the nearest, else the nearest; inf when k == 1). All of it
+    comes from one gather of the medoids' columns."""
+    n = rows.shape[1]
+    sub = rows[med]  # sub[j, i] is d[i, med[j]], bit for bit
+    points = np.arange(n)
+    first = sub.argmin(axis=0)  # the first minimum: the lowest medoid index
+    nearest = sub[first, points]
+    assignment = np.asarray(med, dtype=np.int64)[first]
+    assignment[med] = med  # self-service even if another medoid is colocated
+    served = nearest.copy()
+    served[med] = rows[med, med]
+    # served is elementwise the d[i, assignment[i]] that assign() gathers,
+    # and w.dot is its np.dot, so the objective has assign()'s bits
+    obj = float(w.dot(served))
+    other = np.empty((len(med), n))
     if len(med) == 1:
-        return {med[0]: np.full(d.shape[0], np.inf)}
-    sub = d[:, med]
-    rows = np.arange(d.shape[0])
-    first = np.argmin(sub, axis=1)
-    d1 = sub[rows, first]
-    sub[rows, first] = np.inf  # sub is a copy (fancy indexing)
-    d2 = sub.min(axis=1)
-    return {m: np.where(first == j, d2, d1) for j, m in enumerate(med)}
+        other.fill(np.inf)
+    else:
+        other[:] = nearest
+        sub[first, points] = np.inf  # sub is a copy (fancy indexing)
+        other[first, points] = sub.min(axis=0)
+    return assignment, obj, other
 
 
 def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None) -> Clustering:
     n = d.shape[0]
     medoids = initialize(n, k)
-    assignment, obj = assign(d, medoids, w)
-    without = _nearest_without(d, medoids)
+    rows = _column_rows(d)
+    assignment, obj, other = _medoid_state(rows, w, medoids)
+    is_medoid = np.zeros(n, dtype=bool)
+    is_medoid[medoids] = True
+    slot = np.zeros(n, dtype=np.intp)  # slot[m]: the row of medoid m in other
+    slot[medoids] = np.arange(k)
     rng = SplitMix64(params.seed)
     screened = params.mode == "cluster_screened"
+    # a swap is kept if its score is below the bar: cluster_screened keeps
+    # one that does not raise the objective, global_swap one that lowers it
+    # by more than epsilon
+    below = np.less_equal if screened else np.less
     passes = 0
-    # columns[p] is d[:, p] as its own contiguous array: a candidate reads
-    # one row, not a strided column, and its values (hence every dot) are
-    # unchanged; list indexing and the bound w.dot skip numpy's per-call
-    # dispatch, and w.dot is np.dot's own BLAS routine, so the same bits
-    columns = list(np.ascontiguousarray(d.T))
-    weigh = w.dot
-    minimum = np.minimum
+    # a block's trial vectors and the nearest-other rows they are cut by
+    trial_buf = np.empty((BLOCK_MAX, n))
+    other_buf = np.empty((BLOCK_MAX, n))
+    w_col = w[:, None]
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
             raise ConvergenceError(
                 f"no convergence after {passes} passes",
-                best=Clustering(tuple(sorted(medoids)), tuple(int(x) for x in assignment), obj, passes),
+                best=Clustering(tuple(medoids), tuple(assignment.tolist()), obj, passes),
             )
         passes += 1
         accepted_any = False
 
-        outside = np.ones(n, dtype=bool)
-        outside[medoids] = False
+        points = np.flatnonzero(~is_medoid)
         if screened:
-            # candidates pair each medoid with the points of its own cluster
-            candidates = [
-                (m, p) for m in sorted(medoids) for p in np.flatnonzero(outside & (assignment == m)).tolist()
-            ]
+            # candidates pair each medoid with the points of its own cluster,
+            # medoids in order; the stable sort keeps points in order
+            inns = points[np.argsort(assignment[points], kind="stable")]
+            outs = assignment[inns]
         else:
-            points = np.flatnonzero(outside).tolist()
-            candidates = [(m, p) for m in sorted(medoids) for p in points]
-        rng.shuffle(candidates)
+            outs = np.repeat(np.asarray(medoids, dtype=np.intp), len(points))
+            inns = np.tile(points, k)
+        order = list(range(len(inns)))
+        rng.shuffle(order)
+        order = np.fromiter(order, dtype=np.intp, count=len(order))
+        outs, inns = outs[order], inns[order]
 
-        current = set(medoids)
-        for out, inn in candidates:
-            if out not in current or inn in current:
-                continue  # stale: the set changed since this pass was enumerated
-            if screened:
-                members = np.flatnonzero(assignment == out)
-                within_old = float(np.dot(w[members], d[members, out]))
-                within_new = float(np.dot(w[members], d[members, inn]))
-                if not within_new < within_old - params.epsilon:
-                    continue
-            # Each point's distance after the swap, elementwise equal to what
-            # assign() gathers for the trial set under the input contract.
-            # One dot per candidate keeps the sum bit-identical to assign()'s
-            # np.dot; a matrix-vector product over many candidates does not.
-            trial_obj = float(weigh(minimum(columns[inn], without[out])))
-            ok = trial_obj <= obj if screened else trial_obj < obj - params.epsilon
-            if ok:
-                medoids = sorted(current - {out} | {inn})
-                current = set(medoids)
-                assignment, obj = assign(d, medoids, w)
-                without = _nearest_without(d, medoids)
-                accepted_any = True
-                if trace is not None:
-                    trace(passes, out, inn, obj)
+        # from the pass's start, then right after each accept, score the
+        # live candidates (out a medoid, inn not; the others are stale, the
+        # set having changed since the pass was enumerated) in blocks
+        start = 0
+        while True:
+            live = start + (is_medoid[outs[start:]] > is_medoid[inns[start:]]).nonzero()[0]
+            live_inns, live_slots = inns[live], slot[outs[live]]
+            bar = obj if screened else obj - params.epsilon
+            lo, b, hit = 0, BLOCK_MIN, None
+            while hit is None and lo < live.size:
+                hi = lo + b
+                block_inns, block_slots = live_inns[lo:hi], live_slots[lo:hi]
+                if screened:
+                    picked = np.flatnonzero(
+                        [_screen(d, w, assignment, int(outs[j]), int(inns[j]), params.epsilon) for j in live[lo:hi].tolist()]
+                    )
+                    block_inns, block_slots = block_inns[picked], block_slots[picked]
+                m = len(block_inns)
+                trial, nearest = trial_buf[:m], other_buf[:m]
+                rows.take(block_inns, axis=0, out=trial, mode="clip")
+                other.take(block_slots, axis=0, out=nearest, mode="clip")
+                # each point's distance after the swap, elementwise what
+                # assign() gathers; each (1, n) @ (n, 1) product of the stack
+                # is summed by w.dot's routine, so it has np.dot's bits
+                np.minimum(trial, nearest, out=trial)
+                hits = below(np.matmul(trial[:, None, :], w_col), bar).nonzero()[0]
+                if hits.size:
+                    hit = lo + int(picked[hits[0]] if screened else hits[0])
+                lo, b = hi, min(2 * b, BLOCK_MAX)
+            if hit is None:
+                break
+            j = int(live[hit])
+            out, inn = int(outs[j]), int(inns[j])
+            medoids = sorted(set(medoids) - {out} | {inn})
+            is_medoid[out], is_medoid[inn] = False, True
+            slot[medoids] = np.arange(k)
+            assignment, obj, other = _medoid_state(rows, w, medoids)
+            accepted_any = True
+            if trace is not None:
+                trace(passes, out, inn, obj)
+            start = j + 1
 
         if not accepted_any:
             break
 
     return Clustering(
-        medoids=tuple(sorted(medoids)),
-        assignment=tuple(int(x) for x in assignment),
+        medoids=tuple(medoids),
+        assignment=tuple(assignment.tolist()),
         objective=obj,
         passes=passes,
     )
+
+
+def _screen(d: np.ndarray, w: np.ndarray, assignment: np.ndarray, out: int, inn: int, epsilon: float) -> bool:
+    """cluster_screened's test: inn serves out's cluster better than out by
+    more than epsilon."""
+    members = np.flatnonzero(assignment == out)
+    within_old = float(np.dot(w[members], d[members, out]))
+    within_new = float(np.dot(w[members], d[members, inn]))
+    return within_new < within_old - epsilon
 
 
 def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:

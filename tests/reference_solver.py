@@ -27,7 +27,14 @@ def reference_shuffle(rng: SplitMix64, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None) -> Clustering:
+def _no_scan(pass_number, position, status):
+    pass
+
+
+def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, scan=_no_scan) -> Clustering:
+    """scan is called as scan(pass_number, position, status) for every
+    candidate in scan order, status being "stale", "screened" (refused by
+    cluster_screened's within-cluster test), "rejected" or "accepted"."""
     n = d.shape[0]
     medoids = initialize(n, k)
     assignment, obj = assign(d, medoids, w)
@@ -56,18 +63,21 @@ def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolvePara
         reference_shuffle(rng, candidates)
 
         current = set(medoids)
-        for out, inn in candidates:
+        for position, (out, inn) in enumerate(candidates):
             if out not in current or inn in current:
+                scan(passes, position, "stale")
                 continue  # stale: the set changed since this pass was enumerated
             if screened:
                 members = np.flatnonzero(np.asarray(assignment) == out)
                 within_old = float(np.dot(w[members], d[members, out]))
                 within_new = float(np.dot(w[members], d[members, inn]))
                 if not within_new < within_old - params.epsilon:
+                    scan(passes, position, "screened")
                     continue
             trial = sorted(current - {out} | {inn})
             trial_assignment, trial_obj = assign(d, trial, w)
             ok = trial_obj <= obj if screened else trial_obj < obj - params.epsilon
+            scan(passes, position, "accepted" if ok else "rejected")
             if ok:
                 current = set(trial)
                 medoids = trial

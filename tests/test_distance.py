@@ -762,6 +762,28 @@ def test_load_does_not_copy_the_float_block(tmp_path):
     assert back.values.tobytes() == m.values.tobytes()
 
 
+def test_loaded_values_are_aligned(tmp_path):
+    # the header is 13 bytes, so a view of the file's bytes would not be
+    pts = [GeoPoint(0, i / 100) for i in range(5)]
+    path = tmp_path / "m.dmat"
+    m = build_matrix(GC_SPEC, pts, pts)
+    save_matrix(m, path)
+    values = load_matrix(path).values
+    assert values.flags.aligned and values.ctypes.data % 8 == 0
+    assert values.flags.c_contiguous and not values.flags.writeable
+
+
+def test_header_claiming_more_than_the_file_holds_is_truncated(tmp_path):
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
+    path = tmp_path / "m.dmat"
+    save_matrix(build_matrix(GC_SPEC, pts, pts), path)
+    whole = bytearray(path.read_bytes())
+    struct.pack_into("<II", whole, len(b"DMAT1"), 2**32 - 1, 2**32 - 1)
+    path.write_bytes(bytes(whole))
+    with pytest.raises(MatrixFormatError, match="truncated float block"):
+        load_matrix(path)
+
+
 def test_file_size_matches_format_definition(tmp_path):
     src = [GeoPoint(0, i) for i in range(3)]
     dst = [GeoPoint(1, i) for i in range(4)]

@@ -222,3 +222,10 @@ def test_plan_geojson_structure():
         assert f["geometry"]["type"] == "Point"
         if f["properties"]["role"] == "pantry":
             assert f["properties"]["bank_id"] in {hh[b].id for b in plan.banks}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_place_two_level_refuses_a_non_finite_weight(value):
+    d = line_matrix([0.0, 1.0, 5.0, 6.0])
+    with pytest.raises(SolveError, match=f"weight 2 is {value}"):
+        place_two_level(d, HierarchyParams(k_banks=1, k_pantries_total=2), [1.0, 1.0, value, 1.0])

@@ -177,6 +177,53 @@ def test_solve_rejects_bad_params():
         solve(np.zeros((2, 3)), SolveParams(k=1))
 
 
+BAD_WEIGHTS = [(float("nan"), 1), (float("inf"), 2), (float("-inf"), 0), (0.0, 3), (-1.0, 1)]
+
+
+def with_bad_weight(value, index):
+    w = [1.0, 2.0, 1.0, 3.0]
+    w[index] = value
+    return w
+
+
+@pytest.mark.parametrize("value, index", BAD_WEIGHTS)
+def test_solve_refuses_a_non_finite_or_non_positive_weight(value, index):
+    with pytest.raises(SolveError, match=f"weight {index} is {value}"):
+        solve(LINE, SolveParams(k=2, weights=with_bad_weight(value, index)))
+
+
+@pytest.mark.parametrize("value, index", BAD_WEIGHTS)
+def test_assign_refuses_a_non_finite_or_non_positive_weight(value, index):
+    with pytest.raises(SolveError, match=f"weight {index} is {value}"):
+        assign(LINE, [0, 2], with_bad_weight(value, index))
+
+
+@pytest.mark.parametrize("value, index", BAD_WEIGHTS)
+def test_brute_force_refuses_a_non_finite_or_non_positive_weight(value, index):
+    with pytest.raises(SolveError, match=f"weight {index} is {value}"):
+        brute_force_solve(LINE, 2, with_bad_weight(value, index))
+
+
+def test_bad_weight_message_names_the_first_bad_index():
+    with pytest.raises(SolveError, match="weight 1 is nan"):
+        assign(LINE, [0], [1.0, float("nan"), float("inf"), 0.0])
+
+
+def test_column_rows_are_the_matrix_itself_when_it_equals_its_transpose():
+    d = planar_matrix(np.random.default_rng(2), 12)
+    assert kmedoids._column_rows(d) is d
+    directed = d * np.random.default_rng(3).uniform(0.5, 2.0, size=d.shape)
+    rows = kmedoids._column_rows(directed)
+    assert rows.flags.c_contiguous and (rows == directed.T).all()
+    # 0.0 == -0.0, but not bit for bit
+    signed = d.copy()
+    signed[0, 1] = signed[1, 0] = 0.0
+    signed[1, 0] = -0.0
+    assert kmedoids._column_rows(signed) is not signed
+    # a transposed view equals its transpose but is not C-contiguous
+    assert kmedoids._column_rows(d.T) is not d.T
+
+
 def test_max_passes_exhaustion_reports_best_so_far():
     rng = np.random.default_rng(5)
     d = planar_matrix(rng, 30)

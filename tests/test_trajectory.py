@@ -60,11 +60,13 @@ def instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
-def test_engine_matches_reference_loop(instance):
+@given(instances(), st.integers(1, 4), st.integers(0, 3))
+def test_engine_matches_reference_loop(instance, low, doublings):
     d, w, params = instance
-    # the core, on the raw instance with its duplicates and ties
-    fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
+    # the core, on the raw instance with its duplicates and ties, with
+    # blocks small enough that a scan spans several
+    with mock.patch.multiple(kmedoids, BLOCK_MIN=low, BLOCK_MAX=low << doublings):
+        fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
     slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace))
     assert fast == slow
     # solve(), which collapses duplicate points before the core runs
@@ -86,3 +88,107 @@ def test_engine_matches_reference_on_long_trajectories(mode, k):
     slow = outcome(lambda trace: reference_solve_core(d, w, k, params, trace))
     assert len(fast[0]) > k  # many accepted swaps
     assert fast == slow
+
+
+# --- block edges ---------------------------------------------------------------
+
+def block_edges(scan_events, low: int, high: int) -> set:
+    """Where the engine's blocks fall on the reference's scan. The engine
+    cuts the live candidates after a pass's start, and after each accept,
+    into blocks of low, 2 * low, ... up to high candidates until a block
+    holds an accept. Names: an accept "first", "middle" or "last" in its
+    block; a "stale run" of at least a block's height skipped before or
+    inside a block; a block the within-cluster screen refuses outright."""
+    passes: dict = {}
+    for number, _, status in scan_events:
+        passes.setdefault(number, []).append(status)
+    edges = set()
+    for statuses in passes.values():
+        start = 0
+        while start < len(statuses):
+            live = [i for i in range(start, len(statuses)) if statuses[i] != "stale"]
+            lo, b, seen = 0, low, start
+            start = len(statuses)
+            while lo < len(live):
+                block = live[lo : lo + b]
+                marks = [statuses[i] for i in block]
+                if block[-1] + 1 - seen - len(block) >= b:
+                    edges.add("stale run")
+                if set(marks) == {"screened"}:
+                    edges.add("screened out")
+                if "accepted" in marks:
+                    at = marks.index("accepted")
+                    edges.add("first" if at == 0 else "last" if at == b - 1 else "middle")
+                    start = block[at] + 1
+                    break
+                lo, b, seen = lo + b, min(2 * b, high), block[-1] + 1
+    return edges
+
+
+def scanned(d, w, params):
+    """The reference's outcome and its scan events."""
+    events = []
+    slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace, lambda *e: events.append(e)))
+    return slow, events
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("low, high", [(1, 1), (2, 4), (3, 64), (kmedoids.BLOCK_MIN, kmedoids.BLOCK_MAX)])
+def test_engine_matches_reference_at_block_edges(monkeypatch, mode, low, high):
+    monkeypatch.setattr(kmedoids, "BLOCK_MIN", low)
+    monkeypatch.setattr(kmedoids, "BLOCK_MAX", high)
+    edges = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = 40 if high < 64 else 120
+        d = planar_matrix(rng, n)
+        if seed % 2:
+            d = np.round(d / 250.0)  # ties
+        w = rng.uniform(0.5, 3.0, size=n)
+        params = SolveParams(k=2 + seed % 5, weights=w, mode=mode, seed=seed, max_passes=100)
+        slow, events = scanned(d, w, params)
+        assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow
+        edges |= block_edges(events, low, high)
+    expected = {"first", "stale run"} | ({"middle", "last"} if high > 1 else set())
+    if mode == "cluster_screened":
+        expected.add("screened out")
+    assert edges >= expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_engine_matches_reference_when_k_is_n(mode, n):
+    # no point is left to swap in, so the only pass has no candidates
+    d = planar_matrix(np.random.default_rng(n), n)
+    params = SolveParams(k=n, mode=mode)
+    w = np.ones(n)
+    fast = outcome(lambda trace: kmedoids._solve_core(d, w, n, params, trace))
+    assert fast == scanned(d, w, params)[0]
+    assert fast[1].passes == 1 and fast[1].objective == 0.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_engine_matches_reference_with_one_medoid(mode):
+    # the nearest other medoid of the only medoid is at infinity, so each
+    # candidate's trial vector is its own column
+    rng = np.random.default_rng(5)
+    d = planar_matrix(rng, 30)
+    w = rng.uniform(0.5, 3.0, size=30)
+    params = SolveParams(k=1, weights=w, mode=mode, seed=3)
+    fast = outcome(lambda trace: kmedoids._solve_core(d, w, 1, params, trace))
+    assert fast == scanned(d, w, params)[0]
+    assert len(fast[0]) > 1
+
+
+def test_max_passes_partway_through_a_block_gives_the_reference_best():
+    # the capped pass accepts candidates that have live ones after them in
+    # their block; the engine scored those with the old medoids and must
+    # not have committed any of them
+    rng = np.random.default_rng(11)
+    d = planar_matrix(rng, 60)
+    w = rng.uniform(0.5, 3.0, size=60)
+    params = SolveParams(k=4, weights=w, seed=2, max_passes=1)
+    slow, events = scanned(d, w, params)
+    assert slow[2] is not None  # ConvergenceError.best
+    assert block_edges(events, kmedoids.BLOCK_MIN, kmedoids.BLOCK_MAX) & {"first", "middle"}
+    assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow

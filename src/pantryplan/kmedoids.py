@@ -37,8 +37,11 @@ np.dot call, so each score has the bits of its own np.dot; a (b, n) @ (n,)
 matrix-vector product sums in another order and does not. The first
 candidate of the block that passes is accepted and the scan resumes right
 after it, so the same candidates are scored and accepted as one at a time.
-A block holds BLOCK_MIN candidates after an accept and doubles up to
-BLOCK_MAX. The columns are gathered as rows of d itself when d equals its
+A block holds up to BLOCK candidates. In cluster_screened mode the
+within-cluster screen runs lazily, one candidate at a time, and the block
+is the next candidate that passes it: such a candidate is usually
+accepted, so screening a whole block ahead would mostly be wasted. The
+columns are gathered as rows of d itself when d equals its
 transpose bit for bit (a great-circle matrix does), else of one transposed
 copy.
 
@@ -68,10 +71,8 @@ from .rng import SplitMix64
 DEFAULT_MODE = "global_swap"
 DEFAULT_EPSILON = 1e-6
 BRUTE_FORCE_LIMIT = 10**6
-# rows of a candidate block: the first block after an accept, and the cap
-# that doubling stops at
-BLOCK_MIN = 16
-BLOCK_MAX = 64
+# the most candidates a block scores at once
+BLOCK = 64
 
 MatrixLike = Union[DistanceMatrix, np.ndarray, Sequence[Sequence[float]]]
 
@@ -263,8 +264,8 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     below = np.less_equal if screened else np.less
     passes = 0
     # a block's trial vectors and the nearest-other rows they are cut by
-    trial_buf = np.empty((BLOCK_MAX, n))
-    other_buf = np.empty((BLOCK_MAX, n))
+    trial_buf = np.empty((BLOCK, n))
+    other_buf = np.empty((BLOCK, n))
     w_col = w[:, None]
 
     while True:
@@ -298,15 +299,16 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             live = start + (is_medoid[outs[start:]] > is_medoid[inns[start:]]).nonzero()[0]
             live_inns, live_slots = inns[live], slot[outs[live]]
             bar = obj if screened else obj - params.epsilon
-            lo, b, hit = 0, BLOCK_MIN, None
+            lo, hit = 0, None
             while hit is None and lo < live.size:
-                hi = lo + b
-                block_inns, block_slots = live_inns[lo:hi], live_slots[lo:hi]
                 if screened:
-                    picked = np.flatnonzero(
-                        [_screen(d, w, assignment, int(outs[j]), int(inns[j]), params.epsilon) for j in live[lo:hi].tolist()]
-                    )
-                    block_inns, block_slots = block_inns[picked], block_slots[picked]
+                    # the block is the next candidate that passes the screen
+                    while lo < live.size and not _screen(d, w, assignment, int(outs[live[lo]]), int(live_inns[lo]), params.epsilon):
+                        lo += 1
+                    hi = lo + 1
+                else:
+                    hi = lo + BLOCK
+                block_inns, block_slots = live_inns[lo:hi], live_slots[lo:hi]
                 m = len(block_inns)
                 trial, nearest = trial_buf[:m], other_buf[:m]
                 rows.take(block_inns, axis=0, out=trial, mode="clip")
@@ -317,8 +319,8 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
                 np.minimum(trial, nearest, out=trial)
                 hits = below(np.matmul(trial[:, None, :], w_col), bar).nonzero()[0]
                 if hits.size:
-                    hit = lo + int(picked[hits[0]] if screened else hits[0])
-                lo, b = hi, min(2 * b, BLOCK_MAX)
+                    hit = lo + int(hits[0])
+                lo = hi
             if hit is None:
                 break
             j = int(live[hit])

@@ -13,7 +13,7 @@ from pantryplan import kmedoids
 @st.composite
 def blocks(draw):
     n = draw(st.integers(1, 1500))
-    height = draw(st.integers(1, kmedoids.BLOCK_MAX))
+    height = draw(st.integers(1, kmedoids.BLOCK))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low, high = sorted(draw(st.integers(-3, 7)) for _ in range(2))
     # magnitudes from 10**low to 10**high, with a share of exact zeros
@@ -28,7 +28,7 @@ def blocks(draw):
 def test_stacked_matmul_sums_each_row_as_w_dot_does(block):
     rows, w = block
     # a slice of a taller buffer, as the engine scores a block
-    buffer = np.empty((kmedoids.BLOCK_MAX, rows.shape[1]))
+    buffer = np.empty((kmedoids.BLOCK, rows.shape[1]))
     trial = buffer[: len(rows)]
     trial[:] = rows
     stacked = np.matmul(trial[:, None, :], w[:, None]).ravel()

@@ -60,12 +60,12 @@ def instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances(), st.integers(1, 4), st.integers(0, 3))
-def test_engine_matches_reference_loop(instance, low, doublings):
+@given(instances(), st.integers(1, 6))
+def test_engine_matches_reference_loop(instance, size):
     d, w, params = instance
     # the core, on the raw instance with its duplicates and ties, with
     # blocks small enough that a scan spans several
-    with mock.patch.multiple(kmedoids, BLOCK_MIN=low, BLOCK_MAX=low << doublings):
+    with mock.patch.object(kmedoids, "BLOCK", size):
         fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
     slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace))
     assert fast == slow
@@ -92,36 +92,37 @@ def test_engine_matches_reference_on_long_trajectories(mode, k):
 
 # --- block edges ---------------------------------------------------------------
 
-def block_edges(scan_events, low: int, high: int) -> set:
+def block_edges(scan_events, size: int) -> set:
     """Where the engine's blocks fall on the reference's scan. The engine
     cuts the live candidates after a pass's start, and after each accept,
-    into blocks of low, 2 * low, ... up to high candidates until a block
-    holds an accept. Names: an accept "first", "middle" or "last" in its
+    into blocks of size candidates until a block holds an accept. In
+    cluster_screened mode a block is the next candidate that passes the
+    within-cluster screen: pass size 1, and the screened-out candidates are
+    skipped like stale ones. Names: an accept "first", "middle" or "last" in its
     block; a "stale run" of at least a block's height skipped before or
-    inside a block; a block the within-cluster screen refuses outright."""
+    inside a block."""
     passes: dict = {}
     for number, _, status in scan_events:
         passes.setdefault(number, []).append(status)
     edges = set()
     for statuses in passes.values():
+        statuses = ["stale" if s == "screened" else s for s in statuses]
         start = 0
         while start < len(statuses):
             live = [i for i in range(start, len(statuses)) if statuses[i] != "stale"]
-            lo, b, seen = 0, low, start
+            lo, seen = 0, start
             start = len(statuses)
             while lo < len(live):
-                block = live[lo : lo + b]
+                block = live[lo : lo + size]
                 marks = [statuses[i] for i in block]
-                if block[-1] + 1 - seen - len(block) >= b:
+                if block[-1] + 1 - seen - len(block) >= size:
                     edges.add("stale run")
-                if set(marks) == {"screened"}:
-                    edges.add("screened out")
                 if "accepted" in marks:
                     at = marks.index("accepted")
-                    edges.add("first" if at == 0 else "last" if at == b - 1 else "middle")
+                    edges.add("first" if at == 0 else "last" if at == size - 1 else "middle")
                     start = block[at] + 1
                     break
-                lo, b, seen = lo + b, min(2 * b, high), block[-1] + 1
+                lo, seen = lo + size, block[-1] + 1
     return edges
 
 
@@ -133,14 +134,14 @@ def scanned(d, w, params):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("low, high", [(1, 1), (2, 4), (3, 64), (kmedoids.BLOCK_MIN, kmedoids.BLOCK_MAX)])
-def test_engine_matches_reference_at_block_edges(monkeypatch, mode, low, high):
-    monkeypatch.setattr(kmedoids, "BLOCK_MIN", low)
-    monkeypatch.setattr(kmedoids, "BLOCK_MAX", high)
+@pytest.mark.parametrize("size", [1, 2, 5, kmedoids.BLOCK])
+def test_engine_matches_reference_at_block_edges(monkeypatch, mode, size):
+    monkeypatch.setattr(kmedoids, "BLOCK", size)
+    height = 1 if mode == "cluster_screened" else size
     edges = set()
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        n = 40 if high < 64 else 120
+        n = 40 if size < 64 else 120
         d = planar_matrix(rng, n)
         if seed % 2:
             d = np.round(d / 250.0)  # ties
@@ -148,10 +149,10 @@ def test_engine_matches_reference_at_block_edges(monkeypatch, mode, low, high):
         params = SolveParams(k=2 + seed % 5, weights=w, mode=mode, seed=seed, max_passes=100)
         slow, events = scanned(d, w, params)
         assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow
-        edges |= block_edges(events, low, high)
-    expected = {"first", "stale run"} | ({"middle", "last"} if high > 1 else set())
-    if mode == "cluster_screened":
-        expected.add("screened out")
+        edges |= block_edges(events, height)
+    expected = {"first", "stale run"} | ({"middle"} if height > 2 else set())
+    if 1 < height <= 5:  # a full-height block seldom ends on its accept
+        expected.add("last")
     assert edges >= expected
 
 
@@ -190,5 +191,5 @@ def test_max_passes_partway_through_a_block_gives_the_reference_best():
     params = SolveParams(k=4, weights=w, seed=2, max_passes=1)
     slow, events = scanned(d, w, params)
     assert slow[2] is not None  # ConvergenceError.best
-    assert block_edges(events, kmedoids.BLOCK_MIN, kmedoids.BLOCK_MAX) & {"first", "middle"}
+    assert block_edges(events, kmedoids.BLOCK) & {"first", "middle"}
     assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow

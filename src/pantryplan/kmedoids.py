@@ -39,11 +39,10 @@ candidate of the block that passes is accepted and the scan resumes right
 after it, so the same candidates are scored and accepted as one at a time.
 A block holds up to BLOCK candidates. In cluster_screened mode the
 within-cluster screen runs lazily, one candidate at a time, and the block
-is the next candidate that passes it: such a candidate is usually
-accepted, so screening a whole block ahead would mostly be wasted. The
-columns are gathered as rows of d itself when d equals its
-transpose bit for bit (a great-circle matrix does), else of one transposed
-copy.
+is the next candidate that passes it; screening a whole block ahead would
+waste the screens of the candidates after an accept. The columns are
+gathered as rows of d itself when d equals its transpose bit for bit (a
+great-circle matrix does), else of one transposed copy.
 
 solve collapses points with identical rows and columns (the copies of
 duplication weighting) into one weighted point before the core solve. Two

@@ -98,9 +98,9 @@ def block_edges(scan_events, size: int) -> set:
     into blocks of size candidates until a block holds an accept. In
     cluster_screened mode a block is the next candidate that passes the
     within-cluster screen: pass size 1, and the screened-out candidates are
-    skipped like stale ones. Names: an accept "first", "middle" or "last" in its
-    block; a "stale run" of at least a block's height skipped before or
-    inside a block."""
+    skipped like stale ones. Names: an accept "first", "middle" or "last"
+    in its block; a "stale run" of at least a block's height skipped before
+    or inside a block."""
     passes: dict = {}
     for number, _, status in scan_events:
         passes.setdefault(number, []).append(status)

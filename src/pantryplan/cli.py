@@ -21,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -37,11 +38,16 @@ from .errors import (
     PantryPlanError,
     SolveError,
 )
+from .kmedoids import assign  # bound here, so bench/tracer.py counts only the solver's calls
 
 EXIT_INGEST = 2
 EXIT_DISTANCE = 3
 EXIT_SOLVE = 4
 EXIT_EVALUATE = 5
+
+# evaluate's tolerance for a plan's objectives against their recomputation:
+# another host's BLAS may sum np.dot in another order
+OBJECTIVE_REL_TOL = 1e-9
 
 PREPARED_CSV = "prepared.csv"
 MATRIX_FILE = "matrix.dmat"
@@ -228,19 +234,6 @@ def cmd_ingest(cfg: dict, args) -> None:
     print(f"ingest: {len(households)} read, {len(prepared)} prepared -> {path}")
 
 
-def _mismatch(matrix: distance.DistanceMatrix, points: tuple) -> str | None:
-    """Why matrix is not the households x households matrix over points, in
-    order, or None when it is. A matrix that load_matrix(path, points) read
-    holds points' own objects, so each comparison is an identity check."""
-    if len(matrix.sources) != len(points):
-        return f"matrix is {len(matrix.sources)} points but {len(points)} households are prepared"
-    for side, got in (("sources", matrix.sources), ("destinations", matrix.destinations)):
-        if got != points:
-            i = next((i for i, (a, b) in enumerate(zip(got, points)) if a != b), min(len(got), len(points)))
-            return f"matrix {side} differ from the prepared households at index {i}"
-    return None
-
-
 def cmd_matrix(cfg: dict, args) -> None:
     out_dir = Path(cfg["out_dir"])
     prepared = out_dir / PREPARED_CSV
@@ -253,18 +246,14 @@ def cmd_matrix(cfg: dict, args) -> None:
 
     if path.exists() and not args.force:
         try:
-            cached = distance.load_matrix(path, points)
+            distance.load_matrix(path, points, distance.provider_tag(spec))
         except distance.MatrixFormatError as exc:
-            why = f"unreadable ({exc})"
+            print(f"matrix: rebuilding {path}: unreadable ({exc})")
+        except distance.StaleMatrixError as exc:
+            print(f"matrix: rebuilding {exc}")
         else:
-            tag = distance.provider_tag(spec)
-            why = _mismatch(cached, points)
-            if why is None and cached.provider_tag != tag:
-                why = f"built by provider {cached.provider_tag}, config asks for {tag}"
-        if why is None:
             print(f"matrix: cache hit at {path}")
             return
-        print(f"matrix: rebuilding {path}: {why}")
 
     matrix = distance.build_matrix(spec, points, points, max_in_flight=cfg["threads"])
     with _replacing(path) as tmp:
@@ -272,25 +261,26 @@ def cmd_matrix(cfg: dict, args) -> None:
     print(f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}")
 
 
-def _matrix_and_households(out_dir: Path, error):
-    """The cached matrix and the prepared households it must cover, one row
-    and one column per household in order; a missing or mismatched matrix
-    raises error."""
+def _matrix_and_households(out_dir: Path, spec: distance.ProviderSpec, error):
+    """The cached matrix, which load_matrix checks was built over the
+    prepared households by spec's provider, and those households; a missing
+    or stale matrix raises error."""
     matrix_path = out_dir / MATRIX_FILE
     if not matrix_path.exists():
         raise error(f"matrix cache not found at {matrix_path}; run matrix first")
     households = ingest.load_prepared(out_dir / PREPARED_CSV)
     points = tuple(h.location for h in households)
-    matrix = distance.load_matrix(matrix_path, points)
-    why = _mismatch(matrix, points)
-    if why is not None:
-        raise error(f"{matrix_path} was not built from {out_dir / PREPARED_CSV}: {why}; run matrix again")
+    try:
+        matrix = distance.load_matrix(matrix_path, points, distance.provider_tag(spec))
+    except distance.StaleMatrixError as exc:
+        raise error(f"{exc}; run matrix again") from None
     return matrix, households
 
 
 def cmd_place(cfg: dict, args) -> None:
     out_dir = Path(cfg["out_dir"])
-    matrix, households = _matrix_and_households(out_dir, SolveError)
+    spec = distance.ProviderSpec(**cfg["provider"])
+    matrix, households = _matrix_and_households(out_dir, spec, SolveError)
 
     params = hierarchy.HierarchyParams(**cfg["hierarchy"], seed=cfg["seed"])
     weights = [hh.weight for hh in households]
@@ -323,32 +313,25 @@ def _is_row(x, n: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
-def _check_plan(data: dict, plan: hierarchy.PlacementPlan, households, plan_path) -> None:
-    """Every index in the plan names one of the n prepared households, no
-    bank or pantry is listed twice, every pantry's bank is a bank, every
-    household's pantry is a pantry, and every bank and pantry entry carries
-    the id and coordinates of the prepared household at its index, so a plan
-    placed on other households of the same count is refused."""
+def _check_plan(data: dict, plan: hierarchy.PlacementPlan, matrix, households, plan_path) -> None:
+    """Every index in the plan names one of the n prepared households, the
+    bank and pantry lists are nonempty and list no index twice, and every
+    bank and pantry entry carries the id and coordinates of the prepared
+    household at its index. Then the plan must be what place_two_level
+    writes: each pantry's bank_index and each household's pantry are what
+    assign gives over the banks and over the pantries, and the objectives
+    what those assignments cost under the prepared weights. A household
+    served at distance 0 at both levels adds to neither objective, so its
+    weight goes unchecked."""
     n = len(households)
-    for role, indices in (("bank", plan.banks), ("pantry", plan.pantries), ("bank_index", plan.pantry_to_bank.values())):
+    for role, indices in (("bank", plan.banks), ("pantry", plan.pantries), ("bank_index", plan.pantry_to_bank.values()),
+                          ("household_to_pantry entry", plan.household_to_pantry)):
         for x in indices:
             if not _is_row(x, n):
                 raise EvaluateError(f"plan {plan_path}: {role} {x!r} is not a household index in [0, {n})")
     for role, indices in (("bank", plan.banks), ("pantry", plan.pantries)):
-        if len(set(indices)) != len(indices):
-            raise EvaluateError(f"plan {plan_path}: a {role} index is listed more than once")
-    banks = set(plan.banks)
-    for p, b in plan.pantry_to_bank.items():
-        if b not in banks:
-            raise EvaluateError(f"plan {plan_path}: pantry {p} has bank_index {b}, which is not a bank")
-    if len(plan.household_to_pantry) != n:
-        raise EvaluateError(
-            f"plan {plan_path}: household_to_pantry has {len(plan.household_to_pantry)} entries for {n} households"
-        )
-    pantries = set(plan.pantries)
-    for i, p in enumerate(plan.household_to_pantry):
-        if not (_is_row(p, n) and p in pantries):
-            raise EvaluateError(f"plan {plan_path}: household {i} is assigned {p!r}, which is not a pantry")
+        if not indices or len(set(indices)) != len(indices):
+            raise EvaluateError(f"plan {plan_path}: the {role} list is empty or lists an index more than once")
     for role, key in (("bank", "banks"), ("pantry", "pantries")):
         for entry in data[key]:
             i = entry["index"]
@@ -359,6 +342,22 @@ def _check_plan(data: dict, plan: hierarchy.PlacementPlan, households, plan_path
                     f"plan {plan_path}: {role} {i} has (id, lat, lon) {got!r}, but prepared household {i} "
                     f"has {want!r}; the plan was placed on other households, run place again"
                 )
+    weights = [h.weight for h in households]
+    to_bank, level1 = assign(matrix.values, plan.banks, weights)
+    to_pantry, level2 = assign(matrix.values, plan.pantries, weights)
+    got = [plan.pantry_to_bank[p] for p in plan.pantries], list(plan.household_to_pantry)
+    if got != (to_bank[list(plan.pantries)].tolist(), to_pantry.tolist()):
+        raise EvaluateError(
+            f"plan {plan_path}: a pantry's bank_index is not its nearest bank, or a household's pantry is not "
+            "its nearest pantry; run place again"
+        )
+    for key, got, want in (("level1_objective_m", plan.level1_objective, level1),
+                           ("level2_objective_m", plan.level2_objective, level2)):
+        if type(got) not in (int, float) or not math.isclose(got, want, rel_tol=OBJECTIVE_REL_TOL):
+            raise EvaluateError(
+                f"plan {plan_path}: {key} is {got!r}, but its assignments cost {want!r} under the prepared "
+                "weights; the plan was placed on other inputs, run place again"
+            )
 
 
 def cmd_evaluate(cfg: dict, args) -> None:
@@ -375,8 +374,9 @@ def cmd_evaluate(cfg: dict, args) -> None:
         plan = hierarchy.plan_from_dict(data)
     except (KeyError, TypeError) as exc:
         raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
-    matrix, households = _matrix_and_households(out_dir, EvaluateError)
-    _check_plan(data, plan, households, plan_path)
+    spec = distance.ProviderSpec(**cfg["provider"])
+    matrix, households = _matrix_and_households(out_dir, spec, EvaluateError)
+    _check_plan(data, plan, matrix, households, plan_path)
 
     bl = cfg["baselines"]
     if not bl["pantries"]:
@@ -393,15 +393,15 @@ def cmd_evaluate(cfg: dict, args) -> None:
 
     # candidate pantries are households, so their distances are matrix
     # columns; only the baseline rectangles come from the provider
-    spec = distance.ProviderSpec(**cfg["provider"])
+    threads = cfg["threads"]
     cand_m, _, _ = evaluate.nearest_facility_stats(households, candidate, matrix.values[:, list(plan.pantries)])
-    base_m, _, _ = evaluate.nearest_facility_stats(households, baseline, spec)
+    base_m, _, _ = evaluate.nearest_facility_stats(households, baseline, spec, max_in_flight=threads)
 
     penalty = None
     if bl["banks"]:
         bank_rows = ingest.load_households(bl["banks"], bschema)
         banks = evaluate.FacilitySet(label="baseline-banks", points=tuple(r.location for r in bank_rows))
-        penalty = evaluate.penalty_report(plan, matrix, banks, baseline, spec)
+        penalty = evaluate.penalty_report(plan, matrix, banks, baseline, spec, max_in_flight=threads)
     groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 

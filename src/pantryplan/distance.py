@@ -60,7 +60,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import DistanceError, MatrixFormatError, UnreachablePairsError
+from .errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError
 
 EARTH_RADIUS_M = 6_371_000.0
 MAGIC = b"DMAT1"
@@ -615,20 +615,18 @@ def _lists_points(listed, pairs: list) -> bool:
     )
 
 
-def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMatrix:
+def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None, tag: Optional[str] = None) -> DistanceMatrix:
     """Read a DMAT1 cache file back into a DistanceMatrix, bit-exact.
 
     The values are read once, into an aligned read-only array. A file
     that is not DMAT1, is cut short, fails its checksum or has a trailer
     without the keys and points a matrix needs raises MatrixFormatError.
 
-    points, when given, are the GeoPoints the caller expects the matrix to
-    be over. When the trailer's sources and destinations both list exactly
-    those points, in order, the matrix's sources and destinations are the
-    tuple of the caller's objects, which are valid already, so the trailer
-    builds no GeoPoint of its own and a caller comparing them with its
-    points finds each the same object. Any other trailer is read as when
-    points is None, and is refused for the same faults.
+    points and tag, when given, are what the matrix must be built from: its
+    sources and destinations are points, in order, and its provider_tag is
+    tag. A readable matrix over other points or from another provider
+    raises StaleMatrixError, decided only after every check above. When the
+    trailer lists exactly points, as floats, it builds no GeoPoint.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC) + 8)
@@ -678,7 +676,7 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMa
         else:
             destinations = _trailer_points(path, trailer, "destinations")
     try:
-        return DistanceMatrix(
+        matrix = DistanceMatrix(
             sources=sources,
             destinations=destinations,
             values=values,
@@ -687,3 +685,9 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None) -> DistanceMa
         )
     except DistanceError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None
+    if points is not None and (matrix.sources, matrix.destinations) != (tuple(points),) * 2:
+        n = len(matrix.sources)
+        raise StaleMatrixError(f"{path}: matrix is {n} points, which differ from the prepared households ({len(points)})")
+    if tag is not None and matrix.provider_tag != tag:
+        raise StaleMatrixError(f"{path}: built by provider {matrix.provider_tag}, config asks for {tag}")
+    return matrix

@@ -35,6 +35,10 @@ class MatrixFormatError(DistanceError):
     """Matrix cache file is corrupt, truncated or not a DMAT1 file."""
 
 
+class StaleMatrixError(DistanceError):
+    """Matrix cache file is readable but not over the caller's points or provider."""
+
+
 class SolveError(PantryPlanError):
     """Solver or allocation failure."""
 

@@ -80,26 +80,28 @@ class EvaluationReport:
     penalty: Optional[PenaltyBlock] = None
 
 
-def _nearest(spec: ProviderSpec, sources, destinations) -> np.ndarray:
-    """Each source's provider distance to its nearest destination, meters."""
+def _nearest(spec: ProviderSpec, sources, destinations, max_in_flight: int) -> np.ndarray:
+    """Each source's provider distance to its nearest destination, meters;
+    a table provider fetches at most max_in_flight tiles at once."""
     if spec.kind == "great_circle":
         return nearest_great_circle(sources, destinations, spec.earth_radius)
-    return build_matrix(spec, sources, destinations).values.min(axis=1)
+    return build_matrix(spec, sources, destinations, max_in_flight=max_in_flight).values.min(axis=1)
 
 
-def nearest_facility_stats(households, facilities: FacilitySet, provider, weights=None):
+def nearest_facility_stats(households, facilities: FacilitySet, provider, weights=None, *, max_in_flight: int = 4):
     """Per-household distance to the closest facility, mean and total, meters.
 
     provider is a ProviderSpec, which gives each household's nearest
-    facility meters, or the households x facilities matrix itself as an
-    array. The mean is plain over the household list; weighting normally
+    facility meters (a table provider fetching at most max_in_flight tiles
+    at once), or the households x facilities matrix itself as an array.
+    The mean is plain over the household list; weighting normally
     arrives via duplication. Passing weights instead computes the direct
     weighted mean, which must agree with duplication for integer weights.
     """
     if not len(households):
         raise EvaluateError("no households to evaluate")
     if isinstance(provider, ProviderSpec):
-        nearest = _nearest(provider, [h.location for h in households], facilities.points)
+        nearest = _nearest(provider, [h.location for h in households], facilities.points, max_in_flight)
     else:
         d = np.asarray(provider, dtype=np.float64)
         if d.shape != (len(households), len(facilities.points)):
@@ -181,12 +183,15 @@ def penalty_report(
     baseline_banks: FacilitySet,
     baseline_pantries: FacilitySet,
     provider: ProviderSpec,
+    *,
+    max_in_flight: int = 4,
 ) -> PenaltyBlock:
     """Candidate pantry-to-assigned-bank distances, read from the matrix the
     plan was solved on, against baseline pantry-to-nearest-bank distances
-    from the provider."""
+    from the provider (a table provider fetching at most max_in_flight tiles
+    at once)."""
     candidate_m, _, _ = pantry_bank_distances(plan, matrix)
-    base = _nearest(provider, baseline_pantries.points, baseline_banks.points)
+    base = _nearest(provider, baseline_pantries.points, baseline_banks.points, max_in_flight)
     return penalty_from_distances(candidate_m, [float(x) for x in base])
 
 

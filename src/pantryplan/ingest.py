@@ -25,7 +25,8 @@ DEFAULT_WEIGHT_CAP = 50.0
 
 @dataclass(frozen=True)
 class Household:
-    """A geolocated demand point; weight defaults to 1 and must stay positive."""
+    """A geolocated demand point; weight defaults to 1 and must stay positive
+    and finite."""
 
     id: str
     location: GeoPoint
@@ -35,8 +36,8 @@ class Household:
     city: Optional[str] = None
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise IngestError(f"household {self.id}: weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise IngestError(f"household {self.id}: weight must be positive and finite, got {self.weight}")
         if self.income is not None and self.income < 0:
             raise IngestError(f"household {self.id}: negative income {self.income}")
         if not self.origin_id:
@@ -75,6 +76,8 @@ class IngestConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise IngestError(f"{name} must be a real number, got {value!r}")
+            if name != "income_cap" and not math.isfinite(value):
+                raise IngestError(f"{name} must be finite, got {value!r}")
         if self.weight_cap < 1.25:
             raise IngestError(f"weight_cap must be >= 1.25, got {self.weight_cap}")
 
@@ -181,12 +184,13 @@ def compute_weight(
     """Income-derived weight numerator/(income in $10k), capped above.
 
     At the $40,000 filter cap this gives exactly 1.25, and lower incomes get
-    larger weights. Nonpositive income is degenerate (the formula blows up)
-    and is rejected.
+    larger weights. An income that is not positive, or so small that income
+    in $10k rounds to 0, is degenerate (the formula blows up) and is rejected.
     """
-    if income <= 0:
-        raise IngestError(f"cannot weight nonpositive income {income}")
-    return min(numerator / (income / 10_000.0), cap)
+    scaled = income / 10_000.0
+    if not scaled > 0:
+        raise IngestError(f"cannot weight income {income}: income in $10k is {scaled}, not positive")
+    return min(numerator / scaled, cap)
 
 
 def apply_weights(households: Sequence[Household], config: IngestConfig) -> list[Household]:
@@ -214,8 +218,6 @@ def duplicate_by_weight(households: Sequence[Household]) -> list[Household]:
     """
     out = []
     for h in households:
-        if not h.weight > 0:
-            raise IngestError(f"household {h.id}: weight must be positive")
         copies = max(1, _round_half_away(h.weight))
         for j in range(copies):
             cid = h.id if j == 0 else f"{h.id}#{j}"

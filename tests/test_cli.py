@@ -1,12 +1,16 @@
+import csv
 import errno
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 import pantryplan.cli as cli
 import pantryplan.distance as distance
@@ -135,6 +139,28 @@ def test_ingest_with_mistyped_config_value_exits_2(tmp_path, capsys, overrides, 
     assert err.startswith("error: ") and f"{field} must be" in err
 
 
+def test_ingest_with_infinite_weight_settings_exits_2(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path)
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 12, "--output", tmp_path / "synth.csv"])
+    cfg_path, _ = write_config(
+        tmp_path, ingest={"weighting_mode": "duplicate", "weight_cap": 1e308, "weight_numerator": 1e308})
+    # json reads 1e999 as inf without consulting parse_constant
+    cfg_path.write_text(cfg_path.read_text().replace("1e+308", "1e999"))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "ingest"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight_cap must be finite, got inf" in err
+
+
+def test_ingest_weighting_an_income_too_small_to_scale_exits_2(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, ingest={"weighting_mode": "direct"})
+    (tmp_path / "synth.csv").write_text("id,lat,lon,income,city\na,34.0,-118.0,5e-324,x\nb,34.1,-118.1,20000,x\n")
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "ingest"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot weight income 5e-324" in err
+
+
 def test_ingest_bad_path_exits_2(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.csv"), "schema": {}})
     assert run(["--config", cfg_path, "ingest"]) == 2
@@ -244,6 +270,23 @@ def test_stage_with_matrix_of_other_households_same_count_exits(tmp_path, capsys
     assert run(["--config", cfg_path, "--seed", 2, stage]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out_dir / "matrix.dmat") in err
+
+
+@pytest.mark.parametrize("stage, code", [("matrix", 0), ("place", 4), ("evaluate", 5)])
+def test_stage_with_matrix_from_another_provider(tmp_path, capsys, stage, code):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir, provider={"kind": "great_circle", "earth_radius": 1000.0})
+    plan = (out_dir / "plan.json").read_bytes()
+    capsys.readouterr()
+    assert run(["--config", cfg_path, stage]) == code
+    out, err = capsys.readouterr()
+    why = f"{out_dir / 'matrix.dmat'}: built by provider great_circle, config asks for great_circle:1000.0"
+    if stage == "matrix":  # rebuilt by the configured provider
+        assert f"rebuilding {why}" in out
+        assert load_matrix(out_dir / "matrix.dmat").provider_tag == "great_circle:1000.0"
+    else:
+        assert err.startswith(f"error: {why}") and "run matrix again" in err
+        assert (out_dir / "plan.json").read_bytes() == plan and not (out_dir / "report.json").exists()
 
 
 def test_evaluate_plan_of_other_households_same_count_exits_5(tmp_path, capsys):
@@ -582,6 +625,32 @@ def assign_household_to_a_non_pantry(data):
     data["household_to_pantry"][0] = next(i for i in range(len(data["household_to_pantry"])) if i not in pantries)
 
 
+def assign_household_to_another_pantry(data):
+    first = data["household_to_pantry"][0]
+    data["household_to_pantry"][0] = next(p["index"] for p in data["pantries"] if p["index"] != first)
+
+
+def assign_household_to_true(data):
+    # JSON true equals 1, so it is refused as a bool even where pantry 1 is right
+    assigned = data["household_to_pantry"]
+    assigned[assigned.index(1) if 1 in assigned else 0] = True
+
+
+def move_first_pantry_to_another_bank(data):
+    first = data["pantries"][0]
+    first["bank_index"] = next(b["index"] for b in data["banks"] if b["index"] != first["bank_index"])
+
+
+def no_banks(data):
+    data["banks"] = []
+
+
+def set_objective(key, value):
+    def damage(data):
+        data[key] = value(data[key])
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -595,9 +664,19 @@ def assign_household_to_a_non_pantry(data):
         repeat_first_pantry,
         drop_last_household,
         assign_household_to_a_non_pantry,
+        assign_household_to_another_pantry,
+        assign_household_to_true,
+        move_first_pantry_to_another_bank,
+        no_banks,
+        set_objective("level1_objective_m", lambda x: x * (1 + 1e-8)),
+        set_objective("level2_objective_m", lambda x: x * (1 - 1e-8)),
+        set_objective("level1_objective_m", str),
+        set_objective("level2_objective_m", lambda x: None),
     ],
     ids=["pantry_10000", "pantry_-1", "pantry_bool", "pantry_float", "bank_index_10000", "bank_index_str",
-         "bank_index_not_a_bank", "pantry_twice", "short_assignment", "assignment_not_a_pantry"],
+         "bank_index_not_a_bank", "pantry_twice", "short_assignment", "assignment_not_a_pantry",
+         "assignment_not_nearest", "assignment_bool", "bank_index_not_nearest", "no_banks",
+         "level1_objective_high", "level2_objective_low", "level1_objective_str", "level2_objective_null"],
 )
 def test_evaluate_plan_with_bad_indices_exits_5(tmp_path, capsys, damage):
     _, out_dir = pipeline_through_place(tmp_path)
@@ -611,6 +690,33 @@ def test_evaluate_plan_with_bad_indices_exits_5(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(plan_path) in err
     assert not (out_dir / "report.json").exists()
+
+
+def edit_prepared(out_dir, row, column, value):
+    """Set one cell of prepared.csv, row counted from 0 past the header."""
+    path = out_dir / "prepared.csv"
+    comment, *lines = path.read_text().splitlines(keepends=True)
+    rows = list(csv.reader(lines))
+    rows[row + 1][rows[0].index(column)] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(comment)
+        csv.writer(fh).writerows(rows)
+
+
+def test_evaluate_after_a_weight_edit_exits_5_until_placed_again(tmp_path, capsys):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    plan = json.loads((out_dir / "plan.json").read_text())
+    facilities = {e["index"] for e in plan["banks"] + plan["pantries"]}
+    row = next(i for i in range(len(plan["household_to_pantry"])) if i not in facilities)
+    edit_prepared(out_dir, row, "weight", "120")
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plan {out_dir / 'plan.json'}: level1_objective_m is ") and "weights" in err
+    assert not (out_dir / "report.json").exists()
+    assert run(["--config", cfg_path, "place"]) == 0
+    assert run(["--config", cfg_path, "evaluate"]) == 0
 
 
 def test_place_with_unparseable_weight_exits_2(tmp_path, capsys):
@@ -681,6 +787,22 @@ def test_evaluate_with_a_table_provider_builds_the_baseline_rectangles(tmp_path,
     assert built == [(households, 4), (4, 2)] and nearest == []
 
 
+def test_evaluate_bounds_the_baseline_tiles_by_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(distance, "RequestsTransport", MockTableTransport)
+    provider = {"kind": "table_api", "base_url": "http://osrm.test", "chunk_size": 100}
+    _, out_dir = pipeline_through_place(tmp_path, provider=provider)
+    cfg_path = evaluate_config(tmp_path, out_dir, provider=provider)
+    bounds = []
+
+    def recording_build(*args, max_in_flight=4, **kwargs):
+        bounds.append(max_in_flight)
+        return build_matrix(*args, max_in_flight=max_in_flight, **kwargs)
+
+    monkeypatch.setattr(evaluate, "build_matrix", recording_build)
+    assert run(["--config", cfg_path, "--threads", 1, "evaluate"]) == 0
+    assert bounds == [1, 1]
+
+
 def test_households_geojson_averages_to_report(tmp_path):
     _, out_dir = pipeline_through_place(tmp_path)
     cfg_path = evaluate_config(tmp_path, out_dir)
@@ -691,6 +813,57 @@ def test_households_geojson_averages_to_report(tmp_path):
     for key in ("candidate", "baseline"):
         values = [f["properties"][f"nearest_{key}_mi"] for f in features]
         assert sum(values) / len(values) == pytest.approx(overall[f"{key}_avg_mi"], rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def placed(tmp_path_factory):
+    """A run through evaluate, its evaluate config and its report."""
+    tmp_path = tmp_path_factory.mktemp("placed")
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    assert main(["--config", str(cfg_path), "evaluate"]) == 0
+    return json.loads(cfg_path.read_text()), out_dir, json.loads((out_dir / "report.json").read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edit=st.one_of(
+        st.tuples(st.just("lat"), st.integers(0, 10**6), st.floats(-90, 90)),
+        st.tuples(st.just("lon"), st.integers(0, 10**6), st.floats(-180, 180)),
+        st.tuples(st.just("weight"), st.integers(0, 10**6), st.floats(1e-300, 1e300)),
+        # moves the objectives by less than their tolerance
+        st.tuples(st.just("weight"), st.integers(0, 10**6), st.floats(1 - 1e-12, 1 + 1e-12)),
+        st.tuples(st.just("earth_radius"), st.none(), st.floats(1.0, 1e12)),
+    )
+)
+def test_evaluate_refuses_inputs_the_plan_was_not_placed_on(placed, tmp_path_factory, edit):
+    # one edit of prepared.csv or the provider after place: coordinates and
+    # the provider are always refused; a run that passes reports as before
+    cfg, out_dir, report = placed
+    column, row, value = edit
+    copy = tmp_path_factory.mktemp("edited") / "out"
+    shutil.copytree(out_dir, copy)
+    (copy / "report.json").unlink()
+    cfg = {**cfg, "out_dir": str(copy)}
+    if column == "earth_radius":
+        assume(value != distance.EARTH_RADIUS_M)
+        cfg["provider"] = {"kind": "great_circle", "earth_radius": value}
+    else:
+        households = load_prepared(copy / "prepared.csv")
+        row %= len(households)
+        h = households[row]
+        assume(value != {"lat": h.location.lat, "lon": h.location.lon, "weight": h.weight}[column])
+        edit_prepared(copy, row, column, repr(value))
+    cfg_path = copy.parent / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["--config", str(cfg_path), "evaluate"])
+    event(f"{column} exits {code}")
+    assert code in (0, 2, 3, 4, 5)
+    if column != "weight":
+        assert code == 5
+    if code == 0:
+        edited = json.loads((copy / "report.json").read_text())
+        assert (edited["groups"], edited["penalty"]) == (report["groups"], report["penalty"])
 
 
 class HalfWrite:

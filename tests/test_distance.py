@@ -24,7 +24,7 @@ from pantryplan.distance import (
     table_request,
     table_url,
 )
-from pantryplan.errors import DistanceError, MatrixFormatError, UnreachablePairsError
+from pantryplan.errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError
 
 from conftest import MockTableTransport, load_table_fixtures, rewrite_trailer
 
@@ -683,22 +683,6 @@ def test_load_with_the_listed_points_keeps_the_callers_objects(tmp_path):
     assert all(a is b for a, b in zip(back.sources, points)) and back.destinations is back.sources
 
 
-@pytest.mark.parametrize(
-    "points",
-    [
-        [GeoPoint(1.0, 2.0), GeoPoint(0.0, 1.5)],  # another point
-        [GeoPoint(0.0, 1.0), GeoPoint(1.0, 2.0)],  # the same points in another order
-        FLOAT_POINTS[:1],  # too few
-        [],
-    ],
-)
-def test_load_with_other_points_reads_the_trailers_own(tmp_path, points):
-    path = saved_square(tmp_path)
-    back = load_matrix(path, points)
-    assert back == load_matrix(path)
-    assert not any(a is b for a, b in zip(back.sources, points))
-
-
 def both_sides(pair, i=0):
     def edit(trailer):
         for side in ("sources", "destinations"):
@@ -728,21 +712,57 @@ def test_load_with_points_refuses_what_load_refuses(tmp_path, damage):
         assert plain[0] == "error" and "is not a [lat, lon] pair of numbers" in plain[1]
 
 
+CALLER_POINTS = [
+    FLOAT_POINTS,
+    [GeoPoint(1.0, 2.0), GeoPoint(0.0, 1.5)],  # another point
+    [GeoPoint(0.0, 1.0), GeoPoint(1.0, 2.0)],  # the same points in another order
+    FLOAT_POINTS[:1],  # too few
+    [],
+]
+
+
 @given(
-    side=st.sampled_from(["sources", "destinations"]),
-    index=st.integers(0, 1),
-    axis=st.integers(0, 1),
-    value=st.sampled_from([True, False, 1, 0, 2, 1.0, 0.0, 2.0, -0.0, "1", None, [], 10**400, 1e300, float("nan")]),
+    points=st.sampled_from(CALLER_POINTS),
+    edit=st.none() | st.tuples(
+        st.sampled_from(["sources", "destinations"]),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.sampled_from([True, False, 1, 0, 2, 1.0, 0.0, 2.0, -0.0, "1", None, [], 10**400, 1e300, float("nan")]),
+    ),
 )
-def test_load_with_points_reads_every_edited_coordinate_as_load_does(tmp_path_factory, side, index, axis, value):
+def test_load_with_points_gives_the_matrix_over_them_or_refuses(tmp_path_factory, points, edit):
+    # a plain load's fault first, then the matrix when it is over exactly
+    # points, and otherwise a stale matrix
     path = saved_square(tmp_path_factory.mktemp("dmat"))
+    if edit is not None:
+        side, index, axis, value = edit
 
-    def edit(trailer):
-        trailer[side][index][axis] = value
-        return trailer
+        def rewrite(trailer):
+            trailer[side][index][axis] = value
+            return trailer
 
-    rewrite_trailer(path, edit)
-    assert outcome(lambda: load_matrix(path, FLOAT_POINTS)) == outcome(lambda: load_matrix(path))
+        rewrite_trailer(path, rewrite)
+    plain = outcome(lambda: load_matrix(path))
+    if plain[0] == "error":
+        assert outcome(lambda: load_matrix(path, points)) == plain
+    elif plain[1].sources == plain[1].destinations == tuple(points):
+        assert load_matrix(path, points) == plain[1]
+    else:
+        why = rf"matrix is 2 points, which differ from the prepared households \({len(points)}\)$"
+        with pytest.raises(StaleMatrixError, match=why):
+            load_matrix(path, points)
+
+
+def test_load_with_a_tag_refuses_another_providers_matrix(tmp_path):
+    path = saved_square(tmp_path)
+    assert load_matrix(path, FLOAT_POINTS, "great_circle") == load_matrix(path)
+    with pytest.raises(StaleMatrixError, match=f"^{path}: built by provider great_circle, config asks for great_circle:1.0$"):
+        load_matrix(path, FLOAT_POINTS, "great_circle:1.0")
+    with pytest.raises(StaleMatrixError, match="built by provider great_circle, config asks for table:"):
+        load_matrix(path, tag="table:http://osrm.test")
+    rewrite_trailer(path, lambda trailer: {**trailer, "created_at": None})
+    with pytest.raises(MatrixFormatError, match="'created_at' must be a str"):  # the fault, before the provider
+        load_matrix(path, FLOAT_POINTS, "great_circle:1.0")
 
 
 def test_load_does_not_copy_the_float_block(tmp_path):

@@ -157,6 +157,19 @@ def test_weight_rejects_nonpositive_income():
         compute_weight(-5)
 
 
+def test_weight_rejects_an_income_too_small_to_scale():
+    # 5e-324 / 10_000.0 underflows to 0, which the formula divides by
+    with pytest.raises(IngestError, match="cannot weight income 5e-324"):
+        compute_weight(5e-324)
+    assert compute_weight(1e-300) == 50.0
+
+
+@given(st.floats(min_value=5e-324, max_value=1e6), st.floats(min_value=0.01, max_value=1e6))
+def test_weight_keeps_the_formula_bits(income, numerator):
+    if income / 10_000.0 > 0:
+        assert compute_weight(income, numerator, 1e300) == min(numerator / (income / 10_000.0), 1e300)
+
+
 @given(st.floats(min_value=0.01, max_value=40000))
 def test_weight_bound_below_cap_income(income):
     assert compute_weight(income) >= 1.25
@@ -228,6 +241,11 @@ def test_invalid_config_rejected():
         IngestConfig(sample_size=0)
     with pytest.raises(IngestError):
         IngestConfig(weight_cap=1.0)
+    for name in ("weight_cap", "weight_numerator"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(IngestError, match=f"{name} must be finite"):
+                IngestConfig(**{name: value})
+    assert IngestConfig(income_cap=float("inf")).income_cap == float("inf")  # no income filter
 
 
 def test_household_invariants():
@@ -235,6 +253,9 @@ def test_household_invariants():
         hh(0, weight=0.0)
     with pytest.raises(IngestError):
         hh(0, income=-1.0)
+    for weight in (float("inf"), float("nan")):
+        with pytest.raises(IngestError, match="weight must be positive and finite"):
+            hh(0, weight=weight)
 
 
 def test_prepared_csv_round_trip(tmp_path, data_dir):

@@ -712,8 +712,7 @@ def test_load_with_points_refuses_what_load_refuses(tmp_path, damage):
         assert plain[0] == "error" and "is not a [lat, lon] pair of numbers" in plain[1]
 
 
-CALLER_POINTS = [
-    FLOAT_POINTS,
+OTHER_POINTS = [
     [GeoPoint(1.0, 2.0), GeoPoint(0.0, 1.5)],  # another point
     [GeoPoint(0.0, 1.0), GeoPoint(1.0, 2.0)],  # the same points in another order
     FLOAT_POINTS[:1],  # too few
@@ -721,35 +720,48 @@ CALLER_POINTS = [
 ]
 
 
+def stale(points):
+    return pytest.raises(
+        StaleMatrixError, match=rf"matrix is 2 points, which differ from the prepared households \({len(points)}\)$"
+    )
+
+
+@pytest.mark.parametrize("points", OTHER_POINTS)
+def test_load_with_other_points_reads_the_trailers_own(tmp_path, points):
+    # the trailer's own points are what is read, and they are refused as
+    # stale rather than taken for the caller's
+    path = saved_square(tmp_path)
+    own = load_matrix(path)
+    assert own.sources == own.destinations == tuple(FLOAT_POINTS)
+    assert not any(a is b for a, b in zip(own.sources, points))
+    with stale(points):
+        load_matrix(path, points)
+
+
 @given(
-    points=st.sampled_from(CALLER_POINTS),
-    edit=st.none() | st.tuples(
-        st.sampled_from(["sources", "destinations"]),
-        st.integers(0, 1),
-        st.integers(0, 1),
-        st.sampled_from([True, False, 1, 0, 2, 1.0, 0.0, 2.0, -0.0, "1", None, [], 10**400, 1e300, float("nan")]),
-    ),
+    points=st.sampled_from([FLOAT_POINTS] + OTHER_POINTS),
+    side=st.sampled_from(["sources", "destinations"]),
+    index=st.integers(0, 1),
+    axis=st.integers(0, 1),
+    value=st.sampled_from([True, False, 1, 0, 2, 1.0, 0.0, 2.0, -0.0, "1", None, [], 10**400, 1e300, float("nan")]),
 )
-def test_load_with_points_gives_the_matrix_over_them_or_refuses(tmp_path_factory, points, edit):
+def test_load_with_points_reads_every_edited_coordinate_as_load_does(tmp_path_factory, points, side, index, axis, value):
     # a plain load's fault first, then the matrix when it is over exactly
     # points, and otherwise a stale matrix
     path = saved_square(tmp_path_factory.mktemp("dmat"))
-    if edit is not None:
-        side, index, axis, value = edit
 
-        def rewrite(trailer):
-            trailer[side][index][axis] = value
-            return trailer
+    def edit(trailer):
+        trailer[side][index][axis] = value
+        return trailer
 
-        rewrite_trailer(path, rewrite)
+    rewrite_trailer(path, edit)
     plain = outcome(lambda: load_matrix(path))
     if plain[0] == "error":
         assert outcome(lambda: load_matrix(path, points)) == plain
     elif plain[1].sources == plain[1].destinations == tuple(points):
         assert load_matrix(path, points) == plain[1]
     else:
-        why = rf"matrix is 2 points, which differ from the prepared households \({len(points)}\)$"
-        with pytest.raises(StaleMatrixError, match=why):
+        with stale(points):
             load_matrix(path, points)
 
 

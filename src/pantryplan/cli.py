@@ -38,7 +38,6 @@ from .errors import (
     PantryPlanError,
     SolveError,
 )
-from .kmedoids import assign  # bound here, so bench/tracer.py counts only the solver's calls
 
 EXIT_INGEST = 2
 EXIT_DISTANCE = 3
@@ -137,11 +136,20 @@ def load_config(path, overrides: dict) -> dict:
     def refuse(constant):
         raise ConfigError(f"bad config {path}: {constant} is not a JSON number")
 
+    def parse_int(literal):
+        # math.isfinite overflows on an int past float range; a JSON int has
+        # no leading zeros, so one of over 309 digits is past it
+        if len(literal.lstrip("-")) <= 309:
+            value = int(literal)
+            if abs(value) <= sys.float_info.max:
+                return value
+        raise ConfigError(f"bad config {path}: the integer {literal[:12]}... is past the range of a float")
+
     cfg = DEFAULTS
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh, parse_constant=refuse)
+                loaded = json.load(fh, parse_constant=refuse, parse_int=parse_int)
         except FileNotFoundError:
             raise ConfigError(f"no such config file: {path}") from None
         except json.JSONDecodeError as exc:
@@ -313,16 +321,16 @@ def _is_row(x, n: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
-def _check_plan(data: dict, plan: hierarchy.PlacementPlan, matrix, households, plan_path) -> None:
+def _check_plan(data: dict, plan: hierarchy.PlacementPlan, matrix, households, plan_path) -> hierarchy.PlacementPlan:
     """Every index in the plan names one of the n prepared households, the
     bank and pantry lists are nonempty and list no index twice, and every
     bank and pantry entry carries the id and coordinates of the prepared
     household at its index. Then the plan must be what place_two_level
-    writes: each pantry's bank_index and each household's pantry are what
-    assign gives over the banks and over the pantries, and the objectives
-    what those assignments cost under the prepared weights. A household
-    served at distance 0 at both levels adds to neither objective, so its
-    weight goes unchecked."""
+    writes: its pantry_to_bank, household_to_pantry and objectives (JSON
+    floats) those of hierarchy.plan_of_sites over its sites and the
+    prepared weights, which is returned. A household served at distance 0
+    at both levels adds to neither objective, so its weight goes
+    unchecked."""
     n = len(households)
     for role, indices in (("bank", plan.banks), ("pantry", plan.pantries), ("bank_index", plan.pantry_to_bank.values()),
                           ("household_to_pantry entry", plan.household_to_pantry)):
@@ -342,22 +350,21 @@ def _check_plan(data: dict, plan: hierarchy.PlacementPlan, matrix, households, p
                     f"plan {plan_path}: {role} {i} has (id, lat, lon) {got!r}, but prepared household {i} "
                     f"has {want!r}; the plan was placed on other households, run place again"
                 )
-    weights = [h.weight for h in households]
-    to_bank, level1 = assign(matrix.values, plan.banks, weights)
-    to_pantry, level2 = assign(matrix.values, plan.pantries, weights)
-    got = [plan.pantry_to_bank[p] for p in plan.pantries], list(plan.household_to_pantry)
-    if got != (to_bank[list(plan.pantries)].tolist(), to_pantry.tolist()):
+    want = hierarchy.plan_of_sites(matrix.values, plan.banks, plan.pantries, [h.weight for h in households])
+    if (plan.pantry_to_bank, plan.household_to_pantry) != (want.pantry_to_bank, want.household_to_pantry):
         raise EvaluateError(
             f"plan {plan_path}: a pantry's bank_index is not its nearest bank, or a household's pantry is not "
             "its nearest pantry; run place again"
         )
-    for key, got, want in (("level1_objective_m", plan.level1_objective, level1),
-                           ("level2_objective_m", plan.level2_objective, level2)):
-        if type(got) not in (int, float) or not math.isclose(got, want, rel_tol=OBJECTIVE_REL_TOL):
+    for key, got, cost in (("level1_objective_m", plan.level1_objective, want.level1_objective),
+                           ("level2_objective_m", plan.level2_objective, want.level2_objective)):
+        # place writes floats; an int past float range would overflow isclose
+        if type(got) is not float or not math.isclose(got, cost, rel_tol=OBJECTIVE_REL_TOL):
             raise EvaluateError(
-                f"plan {plan_path}: {key} is {got!r}, but its assignments cost {want!r} under the prepared "
+                f"plan {plan_path}: {key} is {got!r}, but its assignments cost {cost!r} under the prepared "
                 "weights; the plan was placed on other inputs, run place again"
             )
+    return want
 
 
 def cmd_evaluate(cfg: dict, args) -> None:
@@ -368,7 +375,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     with open(plan_path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
             raise EvaluateError(f"plan {plan_path} is not valid JSON: {exc}") from None
     try:
         plan = hierarchy.plan_from_dict(data)
@@ -376,7 +383,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
         raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
     spec = distance.ProviderSpec(**cfg["provider"])
     matrix, households = _matrix_and_households(out_dir, spec, EvaluateError)
-    _check_plan(data, plan, matrix, households, plan_path)
+    plan = _check_plan(data, plan, matrix, households, plan_path)
 
     bl = cfg["baselines"]
     if not bl["pantries"]:
@@ -386,15 +393,11 @@ def cmd_evaluate(cfg: dict, args) -> None:
         label="baseline",
         points=tuple(r.location for r in ingest.load_households(bl["pantries"], bschema)),
     )
-    candidate = evaluate.FacilitySet(
-        label="candidate",
-        points=tuple(households[p].location for p in plan.pantries),
-    )
 
-    # candidate pantries are households, so their distances are matrix
-    # columns; only the baseline rectangles come from the provider
+    # candidate pantries are households, so a household's distance is the
+    # matrix cell at its pantry; only the baseline rectangles use the provider
     threads = cfg["threads"]
-    cand_m, _, _ = evaluate.nearest_facility_stats(households, candidate, matrix.values[:, list(plan.pantries)])
+    cand_m = matrix.values[range(len(households)), plan.household_to_pantry].tolist()
     base_m, _, _ = evaluate.nearest_facility_stats(households, baseline, spec, max_in_flight=threads)
 
     penalty = None

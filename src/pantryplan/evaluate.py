@@ -3,7 +3,8 @@ distance statistics, savings, and pantry-to-bank penalty.
 
 Each distance is evaluated once. Candidate pantries and banks are
 households, so their distances are cells of the households x households
-matrix that placement solved on; only the baseline rectangles (households x
+matrix that placement solved on: a household's is the cell at its pantry, a
+pantry's the cell at its bank. Only the baseline rectangles (households x
 baseline pantries, baseline pantries x baseline banks) come from the
 distance provider, and of them only each row's minimum is used. For the
 great-circle provider only those row minima are computed
@@ -29,8 +30,8 @@ import numpy as np
 
 from .distance import GeoPoint, ProviderSpec, build_matrix, nearest_great_circle
 from .errors import EvaluateError
-from .hierarchy import PlacementPlan, pantry_bank_distances
-from .kmedoids import MatrixLike
+from .hierarchy import PlacementPlan
+from .kmedoids import MatrixLike, as_square_array
 
 METERS_PER_MILE = 1609.344
 
@@ -88,29 +89,17 @@ def _nearest(spec: ProviderSpec, sources, destinations, max_in_flight: int) -> n
     return build_matrix(spec, sources, destinations, max_in_flight=max_in_flight).values.min(axis=1)
 
 
-def nearest_facility_stats(households, facilities: FacilitySet, provider, weights=None, *, max_in_flight: int = 4):
-    """Per-household distance to the closest facility, mean and total, meters.
-
-    provider is a ProviderSpec, which gives each household's nearest
-    facility meters (a table provider fetching at most max_in_flight tiles
-    at once), or the households x facilities matrix itself as an array.
-    The mean is plain over the household list; weighting normally
+def nearest_facility_stats(households, facilities: FacilitySet, provider: ProviderSpec, weights=None, *, max_in_flight=4):
+    """Per-household provider distance to the closest facility, mean and
+    total, meters; a table provider fetches at most max_in_flight tiles at
+    once. The mean is plain over the household list; weighting normally
     arrives via duplication. Passing weights instead computes the direct
     weighted mean, which must agree with duplication for integer weights.
     """
     if not len(households):
         raise EvaluateError("no households to evaluate")
-    if isinstance(provider, ProviderSpec):
-        nearest = _nearest(provider, [h.location for h in households], facilities.points, max_in_flight)
-    else:
-        d = np.asarray(provider, dtype=np.float64)
-        if d.shape != (len(households), len(facilities.points)):
-            raise EvaluateError(
-                f"distance matrix shape {d.shape} does not match "
-                f"{len(households)} households x {len(facilities.points)} facilities"
-            )
-        nearest = d.min(axis=1)
-    per_household = [float(x) for x in nearest]
+    nearest = _nearest(provider, [h.location for h in households], facilities.points, max_in_flight)
+    per_household = nearest.tolist()
     if weights is None:
         total = math.fsum(per_household)
         return per_household, total / len(per_household), total
@@ -190,7 +179,8 @@ def penalty_report(
     plan was solved on, against baseline pantry-to-nearest-bank distances
     from the provider (a table provider fetching at most max_in_flight tiles
     at once)."""
-    candidate_m, _, _ = pantry_bank_distances(plan, matrix)
+    d = as_square_array(matrix)
+    candidate_m = [float(d[p, plan.pantry_to_bank[p]]) for p in plan.pantries]
     base = _nearest(provider, baseline_pantries.points, baseline_banks.points, max_in_flight)
     return penalty_from_distances(candidate_m, [float(x) for x in base])
 

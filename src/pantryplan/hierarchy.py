@@ -4,9 +4,11 @@ bank's cluster, pantry counts apportioned by cluster size.
 Both levels run the same solver settings (mode, seed, epsilon, max_passes);
 only k differs. Pantry counts are always apportioned by largest remainder.
 
-Level-2 quality is always measured against the globally nearest pantry, so a
-household near a cluster boundary may be served by a neighboring cluster's
-pantry; that matches how household-to-pantry distance is reported.
+A plan is its sites: plan_of_sites derives its mappings and objectives from
+the banks and pantries, for place_two_level and for evaluate's check. A
+household goes to the globally nearest pantry, so one near a cluster
+boundary may be served by a neighboring cluster's pantry; that matches how
+household-to-pantry distance is reported.
 """
 
 from __future__ import annotations
@@ -107,47 +109,39 @@ def place_two_level(matrix: MatrixLike, params: HierarchyParams, weights=None) -
         max_passes=params.max_passes,
     )
     level1 = solve(d, level1_params)
-    banks = list(level1.medoids)
+    banks = level1.medoids
     assignment = np.asarray(level1.assignment)
 
     clusters = [np.flatnonzero(assignment == b) for b in banks]
     counts = allocate_pantry_counts([len(c) for c in clusters], params.k_pantries_total)
 
     pantries: list[int] = []
-    pantry_to_bank: dict[int, int] = {}
     level2_passes: list[int] = []
-    for bank, members, k_c in zip(banks, clusters, counts):
+    for members, k_c in zip(clusters, counts):
         sub = d[np.ix_(members, members)]
         local = solve(sub, replace(level1_params, k=k_c, weights=w[members]))
         level2_passes.append(local.passes)
-        for local_idx in local.medoids:
-            g = int(members[local_idx])
-            pantries.append(g)
-            pantry_to_bank[g] = bank
+        pantries.extend(int(members[i]) for i in local.medoids)
 
-    # households go to the globally nearest pantry, not cluster-restricted;
-    # assign is bound at import, so bench/tracer.py counts only the solver's
-    household_to_pantry, level2_objective = assign(d, pantries, w)
+    return replace(plan_of_sites(d, banks, pantries, w), level1_passes=level1.passes, level2_passes=tuple(level2_passes))
 
+
+def plan_of_sites(matrix: MatrixLike, banks: Sequence[int], pantries: Sequence[int], weights=None) -> PlacementPlan:
+    """The plan with these sites and passes at 0: each pantry goes to its
+    nearest bank, each household to its nearest pantry (ties to the lowest
+    index), and each objective is what its assignment costs. assign is bound
+    at import, so bench/tracer.py counts only the solver's calls."""
+    to_bank, level1_objective = assign(matrix, banks, weights)
+    to_pantry, level2_objective = assign(matrix, pantries, weights)
+    to_bank = to_bank.tolist()
     return PlacementPlan(
         banks=tuple(banks),
-        pantries=tuple(int(p) for p in pantries),
-        pantry_to_bank=pantry_to_bank,
-        household_to_pantry=tuple(int(x) for x in household_to_pantry),
-        level1_objective=level1.objective,
+        pantries=tuple(pantries),
+        pantry_to_bank={p: to_bank[p] for p in pantries},
+        household_to_pantry=tuple(to_pantry.tolist()),
+        level1_objective=level1_objective,
         level2_objective=level2_objective,
-        level1_passes=level1.passes,
-        level2_passes=tuple(level2_passes),
     )
-
-
-def pantry_bank_distances(plan: PlacementPlan, matrix: MatrixLike) -> tuple[list[float], float, float]:
-    """Distance from each pantry to its bank, with sum and mean, in meters."""
-    d = as_square_array(matrix)
-    per_pantry = [float(d[p, plan.pantry_to_bank[p]]) for p in plan.pantries]
-    total = float(sum(per_pantry))
-    mean = total / len(per_pantry) if per_pantry else 0.0
-    return per_pantry, total, mean
 
 
 def plan_to_dict(plan: PlacementPlan, households) -> dict:

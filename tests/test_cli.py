@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import pantryplan.cli as cli
 import pantryplan.distance as distance
@@ -494,7 +496,7 @@ def test_evaluate_without_plan_exits_5(tmp_path):
     assert run(["--config", cfg_path, "evaluate"]) == 5
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_key"])
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "int_of_5000_digits"])
 def test_evaluate_damaged_plan_exits_5(tmp_path, capsys, damage):
     cfg_path, out_dir = pipeline_through_place(tmp_path)
     _, pantry_csv = baseline_from_plan(out_dir, tmp_path)
@@ -506,6 +508,11 @@ def test_evaluate_damaged_plan_exits_5(tmp_path, capsys, damage):
     text = plan_path.read_text()
     if damage == "truncated":
         plan_path.write_text(text[: len(text) // 2])
+    elif damage == "int_of_5000_digits":
+        # json parses it with int(), which refuses more than 4300 digits
+        data = json.loads(text)
+        plan_path.write_text(json.dumps({**data, "level1_objective_m": 0}).replace(
+            '"level1_objective_m": 0', '"level1_objective_m": 1' + "0" * 4999))
     else:
         data = json.loads(text)
         del data["banks"]
@@ -672,11 +679,14 @@ def set_objective(key, value):
         set_objective("level2_objective_m", lambda x: x * (1 - 1e-8)),
         set_objective("level1_objective_m", str),
         set_objective("level2_objective_m", lambda x: None),
+        set_objective("level1_objective_m", lambda x: 10**400),
+        set_objective("level2_objective_m", int),
     ],
     ids=["pantry_10000", "pantry_-1", "pantry_bool", "pantry_float", "bank_index_10000", "bank_index_str",
          "bank_index_not_a_bank", "pantry_twice", "short_assignment", "assignment_not_a_pantry",
          "assignment_not_nearest", "assignment_bool", "bank_index_not_nearest", "no_banks",
-         "level1_objective_high", "level2_objective_low", "level1_objective_str", "level2_objective_null"],
+         "level1_objective_high", "level2_objective_low", "level1_objective_str", "level2_objective_null",
+         "level1_objective_huge_int", "level2_objective_int"],
 )
 def test_evaluate_plan_with_bad_indices_exits_5(tmp_path, capsys, damage):
     _, out_dir = pipeline_through_place(tmp_path)
@@ -815,6 +825,18 @@ def test_households_geojson_averages_to_report(tmp_path):
         assert sum(values) / len(values) == pytest.approx(overall[f"{key}_avg_mi"], rel=1e-12)
 
 
+def test_households_geojson_candidate_distance_is_the_row_minimum(tmp_path):
+    _, out_dir = pipeline_through_place(tmp_path)
+    cfg_path = evaluate_config(tmp_path, out_dir)
+    assert run(["--config", cfg_path, "evaluate"]) == 0
+    pantries = [p["index"] for p in json.loads((out_dir / "plan.json").read_text())["pantries"]]
+    d = load_matrix(out_dir / "matrix.dmat").values
+    features = json.loads((out_dir / "households.geojson").read_text())["features"]
+    got = [f["properties"]["nearest_candidate_mi"] for f in features]
+    want = (d[:, pantries].min(axis=1) / evaluate.METERS_PER_MILE).tolist()
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @pytest.fixture(scope="module")
 def placed(tmp_path_factory):
     """A run through evaluate, its evaluate config and its report."""
@@ -864,6 +886,58 @@ def test_evaluate_refuses_inputs_the_plan_was_not_placed_on(placed, tmp_path_fac
     if code == 0:
         edited = json.loads((copy / "report.json").read_text())
         assert (edited["groups"], edited["penalty"]) == (report["groups"], report["penalty"])
+
+
+PLAN_MUTATIONS = {
+    "null": None,
+    "string": "x",
+    "bool": True,
+    "huge int": 10**400,
+    "list": [],
+    "object": {},
+    "NaN": math.nan,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.sampled_from(["meta", "banks", "pantries", "household_to_pantry", "level1_objective_m",
+                         "level2_objective_m", "level1_passes", "level2_passes"]),
+    steps=st.lists(st.integers(0, 10**6), max_size=2),
+    mutation=st.sampled_from([*PLAN_MUTATIONS, "delete"]),
+)
+@example(key="level1_objective_m", steps=[], mutation="huge int")
+def test_evaluate_on_a_mutated_plan_exits_0_or_5(placed, tmp_path_factory, key, steps, mutation):
+    # one value of plan.json replaced, or one key or list entry deleted: the
+    # plan is refused, or reports as before
+    cfg, out_dir, report = placed
+    copy = tmp_path_factory.mktemp("mutated") / "out"
+    shutil.copytree(out_dir, copy)
+    (copy / "report.json").unlink()
+    data = json.loads((copy / "plan.json").read_text())
+    parent, at = data, key
+    for step in steps:  # walk down into lists and objects, by position
+        child = parent[at]
+        if not isinstance(child, (list, dict)) or not child:
+            break
+        parent, at = child, (step % len(child) if isinstance(child, list) else sorted(child)[step % len(child)])
+    if mutation == "delete":
+        del parent[at]
+    else:
+        parent[at] = PLAN_MUTATIONS[mutation]
+    (copy / "plan.json").write_text(json.dumps(data))
+    cfg_path = copy.parent / "config.json"
+    cfg_path.write_text(json.dumps({**cfg, "out_dir": str(copy)}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg_path), "evaluate"])
+    event(f"{key} {mutation} exits {code}")
+    assert code in (0, 5)
+    if code == 0:
+        mutated = json.loads((copy / "report.json").read_text())
+        assert (mutated["groups"], mutated["penalty"]) == (report["groups"], report["penalty"])
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 class HalfWrite:

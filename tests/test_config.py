@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -160,3 +161,32 @@ def test_non_standard_json_constant_exits_2(tmp_path, capsys, section, constant)
     text = config[:-1] + ", " + section + "}"
     for err in refused(tmp_path, capsys, text):
         assert f"{constant} is not a JSON number" in err
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        f'"ingest": {{"weight_cap": {HUGE}}}',
+        f'"ingest": {{"weight_numerator": {HUGE}}}',
+        f'"hierarchy": {{"k_banks": 1, "k_pantries_total": 1, "epsilon": {HUGE}}}',
+        f'"provider": {{"earth_radius": -{HUGE}}}',
+        f'"provider": {{"earth_radius": {HUGE * 12}}}',
+    ],
+    ids=["weight_cap", "weight_numerator", "epsilon", "earth_radius", "earth_radius_4800_digits"],
+)
+def test_integer_past_float_range_exits_2(tmp_path, capsys, section):
+    # each such key is checked as a float, which an int this large overflows
+    config = json.dumps(runnable_config(tmp_path))
+    text = config[:-1] + ", " + section + "}"
+    for err in refused(tmp_path, capsys, text):
+        assert "0000... is past the range of a float" in err
+
+
+def test_integer_at_float_range_is_a_number(tmp_path):
+    # the largest float, written as an integer, is still in range
+    path = tmp_path / "config.json"
+    path.write_text('{"hierarchy": {"epsilon": %d}}' % int(sys.float_info.max))
+    assert load_config(path, {})["hierarchy"]["epsilon"] == int(sys.float_info.max)

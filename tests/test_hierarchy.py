@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pantryplan.distance import GeoPoint
+from pantryplan.distance import GeoPoint, ProviderSpec
 from pantryplan.errors import SolveError
+from pantryplan.evaluate import METERS_PER_MILE, FacilitySet, penalty_report
 from pantryplan.hierarchy import (
     HierarchyParams,
     PlacementPlan,
     allocate_pantry_counts,
-    pantry_bank_distances,
     place_two_level,
+    plan_of_sites,
     plan_from_dict,
     plan_to_dict,
     plan_to_geojson,
@@ -153,7 +156,14 @@ def test_infeasible_allocation_propagates():
         place_two_level(d, HierarchyParams(k_banks=2, k_pantries_total=1))
 
 
-# --- pantry_bank_distances ------------------------------------------------------
+# --- pantry-to-bank legs ----------------------------------------------------------
+
+def hand_penalty(plan, d):
+    """penalty_report of plan on d against one baseline pantry at its bank,
+    so the baseline legs are 0 and the block holds the candidate's."""
+    at_origin = FacilitySet(label="at-origin", points=(GeoPoint(0.0, 0.0),))
+    return penalty_report(plan, d, at_origin, at_origin, ProviderSpec(kind="great_circle"))
+
 
 def test_colocated_pantry_bank_distance_zero():
     d = line_matrix([0.0, 1.0, 5.0, 6.0])
@@ -165,8 +175,8 @@ def test_colocated_pantry_bank_distance_zero():
         level1_objective=12.0,
         level2_objective=12.0,
     )
-    per, total, mean = pantry_bank_distances(plan, d)
-    assert per == [0.0] and total == 0.0 and mean == 0.0
+    block = hand_penalty(plan, d)
+    assert block.candidate_total == 0.0 and block.candidate_avg == 0.0 and block.pantry_count == 1
 
 
 def test_pantry_bank_distances_hand_instance():
@@ -179,17 +189,60 @@ def test_pantry_bank_distances_hand_instance():
         level1_objective=0.0,
         level2_objective=0.0,
     )
-    per, total, mean = pantry_bank_distances(plan, d)
-    assert per == [1.0, 1.0, 0.0]  # read off the matrix
-    assert total == 2.0
-    assert mean == pytest.approx(2.0 / 3.0)
+    block = hand_penalty(plan, d)
+    # legs 1, 1 and 0 read off the matrix
+    assert block.candidate_total == 2.0 / METERS_PER_MILE
+    assert block.candidate_avg == 2.0 / METERS_PER_MILE / 3
+    assert block.pantry_count == 3
 
 
-def test_mean_times_count_equals_sum():
-    d = two_blob_matrix()
-    plan = place_two_level(d, HierarchyParams(k_banks=2, k_pantries_total=4))
-    per, total, mean = pantry_bank_distances(plan, d)
-    assert mean * len(per) == pytest.approx(total, abs=1e-9)
+# --- plan_of_sites ------------------------------------------------------------------
+
+@st.composite
+def placements(draw):
+    """A matrix with duplicate points, rounded ties or directed distances,
+    its weights or None, and HierarchyParams of either mode."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = planar_matrix(rng, n)
+    if draw(st.booleans()):  # directed: d[i, j] != d[j, i]
+        d = d * rng.uniform(0.5, 2.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+    if draw(st.booleans()):  # coarse rounding makes many distances tie
+        d = np.round(d / 250.0)
+    for _ in range(draw(st.integers(0, 3))):
+        # point j becomes a copy of point i: same row, same column, 0 apart
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        d[j, :] = d[i, :]
+        d[:, j] = d[:, i]
+        d[i, j] = d[j, i] = 0.0
+    w = draw(st.sampled_from([None, "real", "integer"]))
+    if w == "real":
+        w = rng.uniform(0.1, 5.0, size=n)
+    elif w == "integer":
+        w = rng.integers(1, 6, size=n).astype(np.float64)
+    k_banks = draw(st.integers(1, n))
+    params = HierarchyParams(
+        k_banks=k_banks,
+        k_pantries_total=draw(st.integers(k_banks, n)),
+        mode=draw(st.sampled_from(["global_swap", "cluster_screened"])),
+        seed=draw(st.integers(0, 1000)),
+        max_passes=100,
+    )
+    return d, w, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(placements())
+def test_plan_of_sites_is_the_placed_plan(instance):
+    d, w, params = instance
+    plan = place_two_level(d, params, w)
+    derived = plan_of_sites(d, plan.banks, plan.pantries, w)
+    assert replace(plan, level1_passes=0, level2_passes=()) == derived
+    assert list(derived.pantry_to_bank) == list(plan.pantries)
+    for got, want in ((derived.level1_objective, plan.level1_objective),
+                      (derived.level2_objective, plan.level2_objective)):
+        assert got.hex() == want.hex()
 
 
 # --- serialization ----------------------------------------------------------------

@@ -5,6 +5,6 @@ from .distance import DistanceMatrix, GeoPoint, ProviderSpec, build_matrix, grea
 from .evaluate import EvaluationReport, FacilitySet, compare, nearest_facility_stats, penalty_report
 from .hierarchy import HierarchyParams, PlacementPlan, allocate_pantry_counts, place_two_level
 from .ingest import Household, IngestConfig, compute_weight, duplicate_by_weight, filter_by_income, load_households, sample
-from .kmedoids import Clustering, SolveParams, assign, brute_force_solve, initialize, objective, solve
+from .kmedoids import Clustering, SolveParams, assign, brute_force_solve, initialize, solve
 
 __version__ = "0.1.0"

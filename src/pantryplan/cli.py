@@ -317,54 +317,56 @@ def _city_groups(households, boxes) -> list:
     return labels
 
 
-def _is_row(x, n: int) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+def _is_count(x, stop=math.inf) -> bool:
+    """x is an int, not a bool, in [0, stop)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < stop
 
 
-def _check_plan(data: dict, plan: hierarchy.PlacementPlan, matrix, households, plan_path) -> hierarchy.PlacementPlan:
-    """Every index in the plan names one of the n prepared households, the
-    bank and pantry lists are nonempty and list no index twice, and every
-    bank and pantry entry carries the id and coordinates of the prepared
-    household at its index. Then the plan must be what place_two_level
-    writes: its pantry_to_bank, household_to_pantry and objectives (JSON
-    floats) those of hierarchy.plan_of_sites over its sites and the
-    prepared weights, which is returned. A household served at distance 0
-    at both levels adds to neither objective, so its weight goes
+def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
+    """The plan of the sites plan.json lists, checked against the rest of
+    the file. The bank and pantry indices must name prepared households,
+    and neither list may be empty or name an index twice. banks, pantries
+    and household_to_pantry must be what hierarchy.plan_to_dict writes for
+    hierarchy.plan_of_sites over those sites and the prepared weights,
+    compared as canonical JSON text (== takes true for 1 and 3.0 for 3).
+    Both objectives must be JSON floats within a relative 1e-9 of its, and
+    the passes counts, one per bank at level 2. A household served at
+    distance 0 at both levels adds to neither objective, so its weight goes
     unchecked."""
     n = len(households)
-    for role, indices in (("bank", plan.banks), ("pantry", plan.pantries), ("bank_index", plan.pantry_to_bank.values()),
-                          ("household_to_pantry entry", plan.household_to_pantry)):
+    try:
+        sites = {key: [entry["index"] for entry in data[key]] for key in ("banks", "pantries")}
+    except (KeyError, TypeError) as exc:
+        raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
+    for key, indices in sites.items():
         for x in indices:
-            if not _is_row(x, n):
-                raise EvaluateError(f"plan {plan_path}: {role} {x!r} is not a household index in [0, {n})")
-    for role, indices in (("bank", plan.banks), ("pantry", plan.pantries)):
+            if not _is_count(x, n):
+                raise EvaluateError(f"plan {plan_path}: {key} index {x!r} is not a household index in [0, {n})")
         if not indices or len(set(indices)) != len(indices):
-            raise EvaluateError(f"plan {plan_path}: the {role} list is empty or lists an index more than once")
-    for role, key in (("bank", "banks"), ("pantry", "pantries")):
-        for entry in data[key]:
-            i = entry["index"]
-            got = (entry.get("id"), entry.get("lat"), entry.get("lon"))
-            want = (households[i].id, households[i].location.lat, households[i].location.lon)
-            if got != want:
-                raise EvaluateError(
-                    f"plan {plan_path}: {role} {i} has (id, lat, lon) {got!r}, but prepared household {i} "
-                    f"has {want!r}; the plan was placed on other households, run place again"
-                )
-    want = hierarchy.plan_of_sites(matrix.values, plan.banks, plan.pantries, [h.weight for h in households])
-    if (plan.pantry_to_bank, plan.household_to_pantry) != (want.pantry_to_bank, want.household_to_pantry):
-        raise EvaluateError(
-            f"plan {plan_path}: a pantry's bank_index is not its nearest bank, or a household's pantry is not "
-            "its nearest pantry; run place again"
-        )
-    for key, got, cost in (("level1_objective_m", plan.level1_objective, want.level1_objective),
-                           ("level2_objective_m", plan.level2_objective, want.level2_objective)):
+            raise EvaluateError(f"plan {plan_path}: the {key} list is empty or lists an index more than once")
+    plan = hierarchy.plan_of_sites(matrix.values, sites["banks"], sites["pantries"], [h.weight for h in households])
+    want = hierarchy.plan_to_dict(plan, households)
+    for key in ("banks", "pantries", "household_to_pantry"):
+        if json.dumps(data.get(key), sort_keys=True) != json.dumps(want[key], sort_keys=True):
+            raise EvaluateError(
+                f"plan {plan_path}: {key} is not what place writes for these sites on the prepared households; "
+                "the plan was placed on other inputs, run place again"
+            )
+    for key, cost in (("level1_objective_m", plan.level1_objective), ("level2_objective_m", plan.level2_objective)):
+        got = data.get(key)
         # place writes floats; an int past float range would overflow isclose
         if type(got) is not float or not math.isclose(got, cost, rel_tol=OBJECTIVE_REL_TOL):
             raise EvaluateError(
                 f"plan {plan_path}: {key} is {got!r}, but its assignments cost {cost!r} under the prepared "
                 "weights; the plan was placed on other inputs, run place again"
             )
-    return want
+    level2 = data.get("level2_passes")
+    if not (_is_count(data.get("level1_passes")) and isinstance(level2, list) and len(level2) == len(plan.banks)
+            and all(map(_is_count, level2))):
+        raise EvaluateError(
+            f"plan {plan_path}: level1_passes and level2_passes are not pass counts, one per bank at level 2"
+        )
+    return plan
 
 
 def cmd_evaluate(cfg: dict, args) -> None:
@@ -377,13 +379,9 @@ def cmd_evaluate(cfg: dict, args) -> None:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
             raise EvaluateError(f"plan {plan_path} is not valid JSON: {exc}") from None
-    try:
-        plan = hierarchy.plan_from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise EvaluateError(f"plan {plan_path} lacks a field or has one of the wrong type: {exc!r}") from None
     spec = distance.ProviderSpec(**cfg["provider"])
     matrix, households = _matrix_and_households(out_dir, spec, EvaluateError)
-    plan = _check_plan(data, plan, matrix, households, plan_path)
+    plan = _check_plan(data, matrix, households, plan_path)
 
     bl = cfg["baselines"]
     if not bl["pantries"]:

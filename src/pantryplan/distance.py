@@ -652,7 +652,7 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None, tag: Optional
         raise MatrixFormatError(f"{path}: truncated trailer")
     try:
         trailer = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an int past int()'s digit limit
         raise MatrixFormatError(f"{path}: bad trailer: {exc}") from None
     if not isinstance(trailer, dict):
         raise MatrixFormatError(f"{path}: trailer is not a JSON object")

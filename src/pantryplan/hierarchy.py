@@ -169,20 +169,6 @@ def plan_to_dict(plan: PlacementPlan, households) -> dict:
     }
 
 
-def plan_from_dict(data: dict) -> PlacementPlan:
-    pantry_to_bank = {p["index"]: p["bank_index"] for p in data["pantries"]}
-    return PlacementPlan(
-        banks=tuple(b["index"] for b in data["banks"]),
-        pantries=tuple(p["index"] for p in data["pantries"]),
-        pantry_to_bank=pantry_to_bank,
-        household_to_pantry=tuple(data["household_to_pantry"]),
-        level1_objective=data["level1_objective_m"],
-        level2_objective=data["level2_objective_m"],
-        level1_passes=data.get("level1_passes", 0),
-        level2_passes=tuple(data.get("level2_passes", ())),
-    )
-
-
 def plan_to_geojson(plan: PlacementPlan, households) -> dict:
     """FeatureCollection of bank/pantry points for any standard map viewer."""
     features = []

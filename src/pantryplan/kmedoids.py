@@ -17,10 +17,11 @@ Schubert & Rousseeuw, arXiv:2008.05171). Swapping m out for p leaves each
 point at min(d[i, p], that distance), and the objective is one dot
 product of the weights with that vector. After every accepted swap the
 assignment, the objective and those caches are rebuilt from one gather of
-the medoids' columns; the objective is assign()'s own sum over the same
-values. Under the input contract (every cell finite and nonnegative, a zero
-diagonal, checked once per solve) the vector equals the one assign()
-gathers, element by element, so every objective is bit-identical to a full
+the medoids' columns by _nearest, the nearest-medoid kernel that assign()
+calls too, so the objective is assign()'s own sum. Under the input contract
+(every cell finite and nonnegative, a zero diagonal, checked once per
+solve) a candidate's vector equals the one assign() would serve after the
+swap, element by element, so every score is bit-identical to a full
 reassignment and the swap trajectory (candidate order, accepted swaps,
 final clustering) is the same as scoring each candidate with assign().
 
@@ -162,27 +163,37 @@ def initialize(n: int, k: int) -> list[int]:
 
 def assign(matrix: MatrixLike, medoids: Sequence[int], weights=None) -> tuple[np.ndarray, float]:
     """Nearest-medoid assignment (ties to the lowest medoid index) and the
-    weighted objective. Medoids always serve themselves."""
+    weighted objective. Medoids always serve themselves. No medoids, or a
+    medoid index outside [0, n), raises SolveError."""
     d = as_square_array(matrix)
     n = d.shape[0]
     w = _check_weights(weights, n)
     med = sorted(medoids)
-    sub = d[:, med]
-    # argmin takes the first minimum, which is the lowest medoid index
-    choice = np.argmin(sub, axis=1)
-    assignment = np.asarray(med, dtype=np.int64)[choice]
-    assignment[med] = med  # self-service even if another medoid is colocated
-    objective = float(np.dot(w, d[np.arange(n), assignment]))
-    return assignment, objective
+    if not med:
+        raise SolveError("assign needs at least one medoid")
+    for i in (med[0], med[-1]):
+        if not 0 <= i < n:
+            raise SolveError(f"medoid index {i} out of range for {n} points")
+    # argmin(axis=0) reads this view of d[:, med] in place; d.T[med] it would copy
+    assignment, obj, _, _ = _nearest(d[:, med].T, w, med)
+    return assignment, obj
 
 
-def objective(matrix: MatrixLike, medoids: Sequence[int], assignment: Sequence[int], weights=None) -> float:
-    """Recompute the weighted objective of a given assignment, for audits."""
-    d = as_square_array(matrix)
-    n = d.shape[0]
-    w = _check_weights(weights, n)
-    a = np.asarray(assignment, dtype=np.int64)
-    return float(np.dot(w, d[np.arange(n), a]))
+def _nearest(sub: np.ndarray, w: np.ndarray, med: list[int]):
+    """The one nearest-medoid kernel, for assign and the swap engine. Row j
+    of sub holds every point's distance to med[j], med sorted. Returns the
+    assignment (ties to the lowest medoid index; a medoid serves itself even
+    if another is colocated), the objective float(w.dot(served)) over each
+    point's d[i, assignment[i]], and each point's nearest row of sub and its
+    distance there."""
+    points = np.arange(sub.shape[1])
+    first = sub.argmin(axis=0)  # the first minimum: the lowest medoid index
+    nearest = sub[first, points]
+    assignment = np.asarray(med, dtype=np.int64)[first]
+    assignment[med] = med
+    served = nearest.copy()
+    served[med] = sub[np.arange(len(med)), med]
+    return assignment, float(w.dot(served)), first, nearest
 
 
 def _duplicate_classes(d: np.ndarray):
@@ -224,22 +235,13 @@ def _medoid_state(rows: np.ndarray, w: np.ndarray, med: list[int]):
     nearest medoid other than med[j] (the second-nearest distance where
     med[j] is the nearest, else the nearest; inf when k == 1). All of it
     comes from one gather of the medoids' columns."""
-    n = rows.shape[1]
     sub = rows[med]  # sub[j, i] is d[i, med[j]], bit for bit
-    points = np.arange(n)
-    first = sub.argmin(axis=0)  # the first minimum: the lowest medoid index
-    nearest = sub[first, points]
-    assignment = np.asarray(med, dtype=np.int64)[first]
-    assignment[med] = med  # self-service even if another medoid is colocated
-    served = nearest.copy()
-    served[med] = rows[med, med]
-    # served is elementwise the d[i, assignment[i]] that assign() gathers,
-    # and w.dot is its np.dot, so the objective has assign()'s bits
-    obj = float(w.dot(served))
-    other = np.empty((len(med), n))
+    assignment, obj, first, nearest = _nearest(sub, w, med)
+    other = np.empty(sub.shape)
     if len(med) == 1:
         other.fill(np.inf)
     else:
+        points = np.arange(sub.shape[1])
         other[:] = nearest
         sub[first, points] = np.inf  # sub is a copy (fancy indexing)
         other[first, points] = sub.min(axis=0)

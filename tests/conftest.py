@@ -83,12 +83,14 @@ class MockTableTransport:
 
 
 def rewrite_trailer(path, edit) -> None:
-    """Replace a DMAT1 file's JSON trailer by edit(trailer); the float block
-    and the trailer's CRC of it stay as they were."""
+    """Replace a DMAT1 file's JSON trailer by edit(trailer), or by its text
+    if edit returns a str; the float block and the trailer's CRC of it stay
+    as they were."""
     data = Path(path).read_bytes()
     rows, cols = struct.unpack_from("<II", data, len(distance.MAGIC))
     end = len(distance.MAGIC) + 8 + rows * cols * 8
-    text = json.dumps(edit(json.loads(data[end + 4 :]))).encode()
+    edited = edit(json.loads(data[end + 4 :]))
+    text = (edited if isinstance(edited, str) else json.dumps(edited)).encode()
     Path(path).write_bytes(data[:end] + struct.pack("<I", len(text)) + text)
 
 

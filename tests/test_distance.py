@@ -631,6 +631,10 @@ TRAILER_DAMAGE = {
     "string_coordinate": (with_source([1.0, "2"]), "sources[0] is not a [lat, lon] pair"),
     "latitude_out_of_range": (with_source([91.0, 2.0]), "sources[0]: latitude 91.0 out of [-90, 90]"),
     "integer_past_float": (with_source([10**400, 2.0]), "sources[0]: int too large"),
+    # json parses an integer literal with int(), which raises ValueError past
+    # 4300 digits: neither a JSONDecodeError nor a UnicodeDecodeError
+    "int_of_5001_digits": (lambda trailer: json.dumps(trailer)[:-1] + ', "note": 1' + "0" * 5000 + "}",
+                           "bad trailer: Exceeds the limit"),
     "bool_destination": (  # == takes [false, 0] for the sources' [0, 0]
         lambda trailer: {**trailer, "destinations": [[False, 0]] + trailer["destinations"][1:]},
         "destinations[0] is not a [lat, lon] pair",

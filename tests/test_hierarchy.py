@@ -13,8 +13,6 @@ from pantryplan.hierarchy import (
     allocate_pantry_counts,
     place_two_level,
     plan_of_sites,
-    plan_from_dict,
-    plan_to_dict,
     plan_to_geojson,
 )
 from pantryplan.ingest import Household
@@ -245,6 +243,14 @@ def test_plan_of_sites_is_the_placed_plan(instance):
         assert got.hex() == want.hex()
 
 
+@pytest.mark.parametrize("banks, pantries, index", [([-1], [-2, 0], -1), ([0], [1, 4], 4)])
+def test_plan_of_sites_refuses_a_site_out_of_range(banks, pantries, index):
+    # -1 and -2 would read as rows 3 and 2 of the line
+    d = line_matrix([0.0, 1.0, 5.0, 6.0])
+    with pytest.raises(SolveError, match=rf"^medoid index {index} out of range for 4 points$"):
+        plan_of_sites(d, banks, pantries)
+
+
 # --- serialization ----------------------------------------------------------------
 
 def households_for(d_size):
@@ -252,13 +258,6 @@ def households_for(d_size):
         Household(id=f"h{i}", location=GeoPoint(float(i % 90), float(i % 180)))
         for i in range(d_size)
     ]
-
-
-def test_plan_json_round_trip():
-    d = two_blob_matrix()
-    plan = place_two_level(d, HierarchyParams(k_banks=2, k_pantries_total=4))
-    data = plan_to_dict(plan, households_for(10))
-    assert plan_from_dict(data) == plan
 
 
 def test_plan_geojson_structure():

@@ -12,7 +12,6 @@ from pantryplan.kmedoids import (
     assign,
     brute_force_solve,
     initialize,
-    objective,
     solve,
 )
 
@@ -86,16 +85,16 @@ def test_assign_weighted_objective():
     assert obj == 3.0  # point 1 now counts twice
 
 
-# --- objective ---------------------------------------------------------------
+@pytest.mark.parametrize("medoids, index", [([-1], -1), ([4], 4), ([0, 4], 4), ([-2, 1], -2)])
+def test_assign_refuses_a_medoid_out_of_range(medoids, index):
+    # numpy would read -1 as the last row, and 4 raises a bare IndexError
+    with pytest.raises(SolveError, match=rf"^medoid index {index} out of range for 4 points$"):
+        assign(LINE, medoids)
 
-def test_objective_zero_matrix():
-    assert objective(np.zeros((3, 3)), [0], [0, 0, 0]) == 0.0
 
-
-def test_objective_hand_value_and_linearity():
-    a = [0, 0, 3, 3]
-    assert objective(LINE, [0, 3], a) == 2.0
-    assert objective(LINE, [0, 3], a, weights=[2.0] * 4) == 4.0
+def test_assign_refuses_no_medoids():
+    with pytest.raises(SolveError, match="at least one medoid"):
+        assign(LINE, [])
 
 
 # --- brute force -------------------------------------------------------------

@@ -234,6 +234,8 @@ def cmd_ingest(cfg: dict, args) -> None:
     icfg = ingest.IngestConfig(**cfg["ingest"], seed=cfg["seed"])
     households = ingest.load_households(ds["path"], ingest.ColumnSchema(**ds["schema"]))
     prepared = ingest.prepare(households, icfg)
+    # matrix builds the prepared rows' square matrix; refuse one it cannot hold
+    distance.require_fits(len(prepared), len(prepared), IngestError)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / PREPARED_CSV
@@ -322,13 +324,25 @@ def _is_count(x, stop=math.inf) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < stop
 
 
+def _same_json(a, b) -> bool:
+    """a == b with the same type at every node of the JSON values: == alone
+    takes true for 1 and 3.0 for 3."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
     """The plan of the sites plan.json lists, checked against the rest of
     the file. The bank and pantry indices must name prepared households,
     and neither list may be empty or name an index twice. banks, pantries
     and household_to_pantry must be what hierarchy.plan_to_dict writes for
     hierarchy.plan_of_sites over those sites and the prepared weights,
-    compared as canonical JSON text (== takes true for 1 and 3.0 for 3).
+    node for node and type for type (_same_json).
     Both objectives must be JSON floats within a relative 1e-9 of its, and
     the passes counts, one per bank at level 2. A household served at
     distance 0 at both levels adds to neither objective, so its weight goes
@@ -347,7 +361,7 @@ def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
     plan = hierarchy.plan_of_sites(matrix.values, sites["banks"], sites["pantries"], [h.weight for h in households])
     want = hierarchy.plan_to_dict(plan, households)
     for key in ("banks", "pantries", "household_to_pantry"):
-        if json.dumps(data.get(key), sort_keys=True) != json.dumps(want[key], sort_keys=True):
+        if not _same_json(data.get(key), want[key]):
             raise EvaluateError(
                 f"plan {plan_path}: {key} is not what place writes for these sites on the prepared households; "
                 "the plan was placed on other inputs, run place again"

@@ -12,7 +12,8 @@ other failure stops the build from sending further tiles.
 
 The great-circle provider computes one haversine per distinct pair of exact
 (lat, lon) coordinates and gathers the full matrix from that block, so the
-repeated rows of duplication weighting cost no extra trigonometry. Each cell is
+repeated rows of duplication weighting cost no extra trigonometry; when no
+point repeats, the block is the matrix and is not gathered again. Each cell is
 bit-identical to great_circle(a, b). The subtractions, halvings, products, sum,
 square root, clamp to 1 and scaling by the diameter run in numpy, in
 great_circle's order; IEEE rounds each of them correctly, so numpy and CPython
@@ -37,7 +38,13 @@ Cache format (DMAT1):
     | u32 trailer length | UTF-8 JSON trailer
 
 The trailer holds sources, destinations, provider_tag, created_at and a
-CRC32 of the float block. All integers little-endian.
+CRC32 of the float block. All integers little-endian. The float block is
+checksummed and written from the matrix's own buffer, and read back into
+one aligned array, so neither side holds a second copy of it.
+
+No stage builds a matrix of more than MAX_MATRIX_BYTES: ingest refuses a
+prepared row count whose square matrix would pass it, and build_matrix
+refuses any matrix that would, before it allocates or plans a tile.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ RETRY_ATTEMPTS = 3
 RETRY_BASE_SECONDS = 0.5
 RETRY_STATUSES = (429, 503)  # too many requests, unavailable: worth asking again
 GC_BLOCK_CELLS = 4096  # cells per pass of the great-circle kernel
+# the largest float block a matrix may take, 2 GiB: 16,384 points square
+MAX_MATRIX_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,9 @@ class DistanceMatrix:
 
     A writeable values array is copied, so the caller's array stays its own
     and the matrix cannot change under it. A read-only float64 array is kept
-    as it is: it is taken as handed over.
+    as it is: it is taken as handed over. The values are checked with min
+    and max, through which NaN propagates, so a valid matrix costs no
+    rows x cols mask; the masks are built only to name a fault.
     """
 
     def __init__(self, sources, destinations, values, provider_tag: str, created_at: Optional[str] = None):
@@ -128,9 +139,9 @@ class DistanceMatrix:
                 f"values shape {vals.shape} does not match "
                 f"{len(self.sources)}x{len(self.destinations)} points"
             )
-        if not np.all(np.isfinite(vals)):
-            raise DistanceError("matrix contains non-finite values")
-        if np.any(vals < 0):
+        if vals.size and not (vals.min() >= 0 and np.isfinite(vals.max())):
+            if not np.all(np.isfinite(vals)):
+                raise DistanceError("matrix contains non-finite values")
             raise DistanceError("matrix contains negative distances")
         if self.sources == self.destinations and len(self.sources) > 0:
             diag = np.diagonal(vals)
@@ -368,6 +379,17 @@ def provider_tag(spec: ProviderSpec) -> str:
     return f"great_circle:{spec.earth_radius!r}"
 
 
+def require_fits(rows: int, cols: int, error=DistanceError) -> None:
+    """Raise error when a rows x cols float64 matrix would take more than
+    MAX_MATRIX_BYTES, naming both."""
+    nbytes = rows * cols * 8
+    if nbytes > MAX_MATRIX_BYTES:
+        raise error(
+            f"a {rows} x {cols} distance matrix needs {nbytes:,} bytes, "
+            f"over the limit of {MAX_MATRIX_BYTES:,} bytes"
+        )
+
+
 def _distinct(points: Sequence[GeoPoint]):
     """Distinct exact (lat, lon) pairs in first-seen order, and each point's
     index among them."""
@@ -423,7 +445,9 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
     cells, which bounds the temporary lists the libm calls map over. When
     the distinct sources are the distinct destinations, strip r0:r1 covers
     only the cells (i, j) with j >= i, each written to (i, j) and (j, i), so
-    n distinct points cost n(n + 1) / 2 cells rather than n^2.
+    n distinct points cost n(n + 1) / 2 cells rather than n^2. When no
+    point repeats on either side, the distinct block is returned itself;
+    otherwise the full matrix is gathered from it.
     """
     src, si = _distinct(sources)
     dst, di = _distinct(destinations)
@@ -448,6 +472,8 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
         step = max(1, GC_BLOCK_CELLS // len(dst))
         for r0 in range(0, len(src), step):
             block[r0 : r0 + step] = _haversine(_take(a, np.s_[r0 : r0 + step, None]), b, diameter)
+    if len(src) == len(sources) and len(dst) == len(destinations):
+        return block  # nothing repeats: si and di are the identity
     return block[np.ix_(si, di)]
 
 
@@ -502,16 +528,19 @@ def build_matrix(
     """Full matrix from the provider; table requests are tiled and fetched
     concurrently, with tile placement independent of completion order.
 
-    Any unreachable pair aborts the build; the error lists every bad pair
-    across all tiles, in global (source, destination) indices. Any other
-    DistanceError stops the build from sending tiles it has not sent yet,
-    and the first such error in tile order is raised. Without a transport,
-    a RequestsTransport is made for the call and closed after it.
+    A matrix of more than MAX_MATRIX_BYTES raises DistanceError before
+    anything is allocated or requested. Any unreachable pair aborts the
+    build; the error lists every bad pair across all tiles, in global
+    (source, destination) indices. Any other DistanceError stops the build
+    from sending tiles it has not sent yet, and the first such error in
+    tile order is raised. Without a transport, a RequestsTransport is made
+    for the call and closed after it.
     """
     sources = list(sources)
     destinations = list(destinations)
     if not sources or not destinations:
         raise DistanceError("sources and destinations must be nonempty")
+    require_fits(len(sources), len(destinations))
 
     if spec.kind == "great_circle":
         values = _great_circle_values(sources, destinations, spec.earth_radius)
@@ -562,11 +591,16 @@ def build_matrix(
 def save_matrix(matrix: DistanceMatrix, path, meta: Optional[dict] = None) -> None:
     """Write the DMAT1 cache file for a matrix.
 
+    The float block is checksummed and written straight from the values'
+    own buffer (a little-endian, C-contiguous float64 array, as every
+    DistanceMatrix on a little-endian host holds), not from a bytes copy.
     meta entries (seed, config hash, ...) are merged into the JSON trailer;
     readers ignore keys they do not know.
     """
     rows, cols = matrix.shape
-    block = np.ascontiguousarray(matrix.values, dtype="<f8").tobytes()
+    # a view of the values' memory as bytes; only another byte order or
+    # layout is copied
+    block = np.ascontiguousarray(matrix.values, dtype="<f8").reshape(-1).view(np.uint8)
     trailer = json.dumps(
         {
             **(meta or {}),

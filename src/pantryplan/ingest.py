@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, Optional, Sequence, Union
 
@@ -201,7 +201,7 @@ def apply_weights(households: Sequence[Household], config: IngestConfig) -> list
             out.append(h)
         else:
             w = compute_weight(h.income, config.weight_numerator, config.weight_cap)
-            out.append(replace(h, weight=w))
+            out.append(Household(h.id, h.location, h.income, w, h.origin_id, h.city))
     return out
 
 
@@ -221,7 +221,7 @@ def duplicate_by_weight(households: Sequence[Household]) -> list[Household]:
         copies = max(1, _round_half_away(h.weight))
         for j in range(copies):
             cid = h.id if j == 0 else f"{h.id}#{j}"
-            out.append(replace(h, id=cid, weight=1.0, origin_id=h.origin_id))
+            out.append(Household(cid, h.location, h.income, 1.0, h.origin_id, h.city))
     return out
 
 

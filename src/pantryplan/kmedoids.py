@@ -48,8 +48,12 @@ great-circle matrix does), else of one transposed copy.
 solve collapses points with identical rows and columns (the copies of
 duplication weighting) into one weighted point before the core solve. Two
 such points are 0 apart both ways, so only points with an off-diagonal zero
-are hashed; on distinct points the scan is one comparison of the matrix
-with 0.
+are looked at; on distinct points the scan is one comparison of the matrix
+with 0. Each such point is keyed by the CRC32 of its row's bytes when the
+matrix equals its transpose bit for bit, and of its row's and column's
+otherwise; a key shared with an earlier representative is confirmed by
+comparing bytes, as float == would take -0.0 for 0.0. The scan keeps only
+the representatives' indices and the keys, never a copy of their rows.
 
 A brute-force enumerator doubles as the test oracle for desk-size instances.
 """
@@ -61,6 +65,7 @@ from itertools import combinations
 from math import comb, isfinite
 from numbers import Real
 from typing import Optional, Sequence, Union
+from zlib import crc32
 
 import numpy as np
 
@@ -163,12 +168,16 @@ def initialize(n: int, k: int) -> list[int]:
 
 def assign(matrix: MatrixLike, medoids: Sequence[int], weights=None) -> tuple[np.ndarray, float]:
     """Nearest-medoid assignment (ties to the lowest medoid index) and the
-    weighted objective. Medoids always serve themselves. No medoids, or a
-    medoid index outside [0, n), raises SolveError."""
+    weighted objective. Medoids always serve themselves. No medoids, a
+    medoid index that is not an integer (bool is not one; numpy integers
+    are), or one outside [0, n), raises SolveError."""
     d = as_square_array(matrix)
     n = d.shape[0]
     w = _check_weights(weights, n)
-    med = sorted(medoids)
+    med = list(medoids)
+    for i in med:
+        require_int("medoid index", i)
+    med.sort()
     if not med:
         raise SolveError("assign needs at least one medoid")
     for i in (med[0], med[-1]):
@@ -198,34 +207,53 @@ def _nearest(sub: np.ndarray, w: np.ndarray, med: list[int]):
 
 def _duplicate_classes(d: np.ndarray):
     """Group points whose whole distance profile (row and column) is
-    identical. Representatives keep first-occurrence order.
+    identical bit for bit. Representatives keep first-occurrence order.
 
     Under the input contract (zero diagonal) two points i, j of one class
     have d[i, j] == d[i, i] == 0, so only a point with an off-diagonal zero
-    in its row is hashed; every other point is its own class."""
+    in its row is looked at; every other point is its own class. See the
+    module doc for the keys."""
     n = d.shape[0]
-    suspects = (np.count_nonzero(d == 0, axis=1) > 1).tolist()
-    seen: dict[bytes, int] = {}
-    reps: list[int] = []
+    suspects = np.flatnonzero(np.count_nonzero(d == 0, axis=1) > 1).tolist()
+    # equal rows of a matrix equal to its transpose have equal columns
+    symmetric = bool(suspects) and _symmetric(d)
+
+    def profile(i: int) -> tuple:
+        """Point i's row, and unless d is symmetric its column, as bytes;
+        made for one comparison and not kept."""
+        return (d[i].tobytes(),) if symmetric else (d[i].tobytes(), d[:, i].tobytes())
+
+    rep_of = list(range(n))  # itself, until it matches an earlier point
+    seen: dict[tuple, list[int]] = {}  # a key's representatives
+    for i in suspects:
+        mine = profile(i)
+        bucket = seen.setdefault(tuple(map(crc32, mine)), [])
+        for r in bucket:
+            if profile(r) == mine:  # bytes, not floats: -0.0 == 0.0
+                rep_of[i] = r
+                break
+        else:
+            bucket.append(i)
+    reps = [i for i, r in enumerate(rep_of) if r == i]
     class_of = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        c = len(reps)
-        if suspects[i]:
-            c = seen.setdefault(d[i, :].tobytes() + d[:, i].tobytes(), c)
-        if c == len(reps):
-            reps.append(i)
-        class_of[i] = c
-    return reps, class_of
+    class_of[reps] = np.arange(len(reps))
+    return reps, class_of[rep_of]
+
+
+def _symmetric(d: np.ndarray) -> bool:
+    """Whether the float64 matrix d, of at least one row, equals its
+    transpose bit for bit. A directed matrix almost always shows it in row
+    0, which is compared first, without a points x points mask."""
+    bits = d.view(np.uint64)
+    return np.array_equal(bits[0], bits[:, 0]) and np.array_equal(bits, bits.T)
 
 
 def _column_rows(d: np.ndarray) -> np.ndarray:
     """An array whose row p is column p of d, contiguous and aligned: d
     itself when it equals its transpose bit for bit (a great-circle matrix
     does) and can be gathered from, else one transposed copy."""
-    if d.dtype == np.float64 and d.flags.c_contiguous and d.flags.aligned:
-        bits = d.view(np.uint64)
-        if np.array_equal(bits, bits.T):
-            return d
+    if d.dtype == np.float64 and d.flags.c_contiguous and d.flags.aligned and _symmetric(d):
+        return d
     return np.ascontiguousarray(d.T, dtype=np.float64)
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,16 @@ def planar_matrix(rng: np.random.Generator, n: int, scale: float = 1000.0) -> np
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def peak_bytes(call):
+    """(the peak of the memory tracemalloc traces during call(), its result)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def household_matrix(households):

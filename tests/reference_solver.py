@@ -112,3 +112,23 @@ def full_scan_duplicate_classes(d: np.ndarray):
             class_of[i] = len(reps)
             reps.append(i)
     return reps, class_of
+
+
+def bytes_key_duplicate_classes(d: np.ndarray):
+    """Duplicate classes keyed by a copy of each suspect's row bytes plus a
+    strided copy of its column's: the scan solve() ran before its keys were
+    CRC32s confirmed by comparing bytes. Only points with an off-diagonal
+    zero are keyed."""
+    n = d.shape[0]
+    suspects = (np.count_nonzero(d == 0, axis=1) > 1).tolist()
+    seen: dict[bytes, int] = {}
+    reps: list[int] = []
+    class_of = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        c = len(reps)
+        if suspects[i]:
+            c = seen.setdefault(d[i, :].tobytes() + d[:, i].tobytes(), c)
+        if c == len(reps):
+            reps.append(i)
+        class_of[i] = c
+    return reps, class_of

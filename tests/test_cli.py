@@ -163,6 +163,33 @@ def test_ingest_weighting_an_income_too_small_to_scale_exits_2(tmp_path, capsys)
     assert err.startswith("error: ") and "cannot weight income 5e-324" in err
 
 
+def test_ingest_refuses_rows_whose_matrix_is_over_the_limit(tmp_path, capsys, monkeypatch):
+    cfg_path, cfg = write_config(tmp_path, ingest={"income_cap": 1e9})
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 12, "--output", tmp_path / "synth.csv"])
+    prepared = Path(cfg["out_dir"]) / "prepared.csv"
+    monkeypatch.setattr(distance, "MAX_MATRIX_BYTES", 12 * 12 * 8)
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    assert len(load_prepared(prepared)) == 12
+    before = prepared.read_bytes()
+    monkeypatch.setattr(distance, "MAX_MATRIX_BYTES", 12 * 12 * 8 - 1)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "--force", "ingest"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a 12 x 12 distance matrix needs 1,152 bytes, over the limit of 1,151 bytes\n"
+    assert prepared.read_bytes() == before  # left as it was
+
+
+def test_matrix_over_the_limit_exits_3_before_building(tmp_path, capsys, monkeypatch):
+    cfg_path, cfg = write_config(tmp_path, ingest={"income_cap": 1e9})
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 12, "--output", tmp_path / "synth.csv"])
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    monkeypatch.setattr(distance, "MAX_MATRIX_BYTES", 100)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "matrix"]) == 3
+    assert "needs 1,152 bytes, over the limit of 100 bytes" in capsys.readouterr().err
+    assert not (Path(cfg["out_dir"]) / "matrix.dmat").exists()
+
+
 def test_ingest_bad_path_exits_2(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.csv"), "schema": {}})
     assert run(["--config", cfg_path, "ingest"]) == 2
@@ -637,6 +664,26 @@ def assign_household_to_a_non_pantry(data):
 def assign_household_to_another_pantry(data):
     first = data["household_to_pantry"][0]
     data["household_to_pantry"][0] = next(p["index"] for p in data["pantries"] if p["index"] != first)
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        ([1, 2], [1, 2], True),
+        ([1, 2], [True, 2], False),  # == takes true for 1
+        ([3], [3.0], False),  # and 3.0 for 3
+        ({"index": 3, "lat": 1.5}, {"lat": 1.5, "index": 3}, True),
+        ({"index": 3}, {"index": 3.0}, False),
+        ({"index": 3}, {"index": 3, "note": 1}, False),
+        ([{"index": [0, 1]}], [{"index": [0, False]}], False),
+        ([1, 2], [1], False),
+        (None, [], False),
+        ([], {}, False),
+    ],
+)
+def test_same_json_is_equality_with_the_same_types(a, b, same):
+    assert cli._same_json(a, b) is same
+    assert cli._same_json(b, a) is same
 
 
 def assign_household_to_true(data):

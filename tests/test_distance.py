@@ -26,7 +26,7 @@ from pantryplan.distance import (
 )
 from pantryplan.errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError
 
-from conftest import MockTableTransport, load_table_fixtures, rewrite_trailer
+from conftest import MockTableTransport, load_table_fixtures, peak_bytes, rewrite_trailer
 
 TABLE_SPEC = ProviderSpec(kind="table_api", base_url="http://osrm.test", chunk_size=100)
 GC_SPEC = ProviderSpec(kind="great_circle")
@@ -840,3 +840,85 @@ def test_file_size_matches_format_definition(tmp_path):
     ).encode()
     expected = 5 + 4 + 4 + 12 * 8 + 4 + len(trailer)
     assert path.stat().st_size == expected
+
+
+# --- one copy of the block ----------------------------------------------------
+
+def test_save_writes_from_the_values_own_buffer(tmp_path):
+    pts = [GeoPoint(0, i / 100) for i in range(400)]
+    m = build_matrix(GC_SPEC, pts, pts)
+    path = tmp_path / "m.dmat"
+    peak, _ = peak_bytes(lambda: save_matrix(m, path))
+    assert peak < m.values.nbytes / 4  # the trailer's lists, not a bytes copy of the block
+    data = path.read_bytes()
+    block = data[13 : 13 + m.values.nbytes]
+    assert block == m.values.tobytes()
+    (tlen,) = struct.unpack_from("<I", data, 13 + m.values.nbytes)
+    assert json.loads(data[-tlen:])["crc32"] == zlib.crc32(block)
+
+
+def test_save_of_a_transposed_view_writes_row_major(tmp_path):
+    values = np.arange(12, dtype=np.float64).reshape(4, 3).T  # 3 x 4, not C-contiguous
+    values.setflags(write=False)
+    src = [GeoPoint(0, i) for i in range(3)]
+    dst = [GeoPoint(1, i) for i in range(4)]
+    m = DistanceMatrix(src, dst, values, "test")
+    assert m.values is values
+    save_matrix(m, tmp_path / "m.dmat")
+    assert load_matrix(tmp_path / "m.dmat").values.tobytes() == np.ascontiguousarray(values).tobytes()
+
+
+def test_great_circle_build_over_distinct_points_holds_one_block():
+    pts = [GeoPoint(i // 20 / 100, i % 20 / 100) for i in range(400)]
+    peak, m = peak_bytes(lambda: build_matrix(GC_SPEC, pts, pts))
+    # the block, plus a strip's temporaries; gathering it again would double it
+    assert m.values.nbytes < peak < 1.5 * m.values.nbytes
+    assert m.values.tobytes() == build_matrix(GC_SPEC, pts + pts[:1], pts + pts[:1]).values[:400, :400].tobytes()
+
+
+def test_matrix_checks_a_valid_block_without_a_mask():
+    pts = [GeoPoint(0, i / 100) for i in range(400)]
+    values = build_matrix(GC_SPEC, pts, pts).values
+    peak, _ = peak_bytes(lambda: DistanceMatrix(pts, pts, values, "x"))
+    assert peak < values.size / 4  # a bool mask would be values.size bytes
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({(0, 1): math.nan}, "matrix contains non-finite values"),
+        ({(0, 1): math.inf}, "matrix contains non-finite values"),
+        ({(0, 1): -1.0}, "matrix contains negative distances"),
+        ({(0, 1): -1.0, (1, 0): math.inf}, "matrix contains non-finite values"),  # non-finite named first
+        ({(0, 1): -math.inf}, "matrix contains non-finite values"),
+        ({(0, 0): 1.0}, "nonzero diagonal at index 0"),
+    ],
+)
+def test_matrix_names_the_fault(cells, message):
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
+    values = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for cell, value in cells.items():
+        values[cell] = value
+    with pytest.raises(DistanceError, match=f"^{message}"):
+        DistanceMatrix(pts, pts, values, "x")
+
+
+# --- the size limit ---------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [GC_SPEC, TABLE_SPEC])
+def test_build_refuses_a_matrix_over_the_limit_before_any_work(monkeypatch, spec):
+    monkeypatch.setattr(distance, "MAX_MATRIX_BYTES", 3 * 4 * 8 - 1)
+    transport = MockTableTransport()
+    src = [GeoPoint(0, i) for i in range(3)]
+    dst = [GeoPoint(1, i) for i in range(4)]
+    with pytest.raises(DistanceError, match=r"^a 3 x 4 distance matrix needs 96 bytes, over the limit of 95 bytes$"):
+        build_matrix(spec, src, dst, transport=transport)
+    assert transport.requests_seen == []
+    monkeypatch.setattr(distance, "MAX_MATRIX_BYTES", 3 * 4 * 8)
+    assert build_matrix(spec, src, dst, transport=transport).shape == (3, 4)
+
+
+def test_the_limit_holds_a_paper_scale_matrix_and_refuses_a_runaway_one():
+    distance.require_fits(3_000, 3_000)
+    with pytest.raises(DistanceError, match=r"needs 3,200,960,072 bytes, over the limit of 2,147,483,648 bytes"):
+        distance.require_fits(20_003, 20_003)  # weight_cap 20000 on two rows

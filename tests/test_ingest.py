@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -212,6 +213,28 @@ def test_duplicate_length_formula(weights):
     import math
 
     assert len(out) == sum(max(1, int(math.floor(w + 0.5))) for w in weights)
+
+
+def test_weighting_keeps_every_other_field():
+    # each row is built with Household(...); dataclasses.replace is the reference
+    rows = [
+        Household("a", GeoPoint(1.0, 2.0), 12000.0, city="x"),
+        Household("b", GeoPoint(3.0, 4.0), None, origin_id="o"),
+        Household("c", GeoPoint(5.0, 6.0), 30000.0, weight=2.0, origin_id="o2"),
+    ]
+    cfg = IngestConfig(weighting_mode="direct")
+    weighted = ingest.apply_weights(rows, cfg)
+    assert weighted == [
+        replace(rows[0], weight=5 / 1.2),
+        rows[1],
+        replace(rows[2], weight=5 / 3.0),
+    ]
+    copies = duplicate_by_weight(weighted)
+    assert copies == [
+        replace(h, id=h.id if j == 0 else f"{h.id}#{j}", weight=1.0)
+        for h in weighted
+        for j in range(max(1, round(h.weight)))
+    ]
 
 
 # --- full recipe -----------------------------------------------------------

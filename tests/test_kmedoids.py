@@ -15,8 +15,8 @@ from pantryplan.kmedoids import (
     solve,
 )
 
-from conftest import line_matrix, planar_matrix
-from reference_solver import full_scan_duplicate_classes
+from conftest import line_matrix, peak_bytes, planar_matrix
+from reference_solver import bytes_key_duplicate_classes, full_scan_duplicate_classes
 
 LINE = line_matrix([0.0, 1.0, 5.0, 6.0])
 
@@ -90,6 +90,19 @@ def test_assign_refuses_a_medoid_out_of_range(medoids, index):
     # numpy would read -1 as the last row, and 4 raises a bare IndexError
     with pytest.raises(SolveError, match=rf"^medoid index {index} out of range for 4 points$"):
         assign(LINE, medoids)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "a", np.float64(1.0), np.bool_(True), None])
+def test_assign_refuses_a_medoid_index_that_is_not_an_integer(index):
+    with pytest.raises(SolveError, match=r"^medoid index must be an integer, got "):
+        assign(LINE, [0, index])
+
+
+def test_assign_accepts_numpy_integer_medoids():
+    want = assign(LINE, [0, 2])
+    for medoids in ([np.int64(0), np.int32(2)], np.array([2, 0]), (m for m in (0, 2))):
+        got = assign(LINE, medoids)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
 def test_assign_refuses_no_medoids():
@@ -423,8 +436,17 @@ def contract_matrices(draw):
         d[j, :] = d[i, :]
         d[:, j] = d[:, i]
         d[i, j] = d[j, i] = 0.0
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        # point j takes point i's row but keeps its own column: equal rows,
+        # different columns, so a directed matrix keeps them apart
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        d[j, :] = d[i, :]
+        d[i, j] = d[j, i] = d[j, j] = 0.0
     if draw(st.booleans()):  # -0.0 is a zero to the scan and other bytes to the hash
-        d[(d == 0) & (rng.uniform(size=(n, n)) < 0.5)] = -0.0
+        signed = (d == 0) & (rng.uniform(size=(n, n)) < 0.5)
+        if draw(st.booleans()):  # on both sides of the diagonal: still symmetric
+            signed |= signed.T
+        d[signed] = -0.0
     return d
 
 
@@ -435,6 +457,32 @@ def test_duplicate_classes_match_a_full_scan(d):
     want_reps, want_class_of = full_scan_duplicate_classes(d)
     assert reps == want_reps
     assert class_of.tolist() == want_class_of.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_matrices())
+def test_duplicate_classes_match_the_bytes_keyed_scan(d):
+    reps, class_of = kmedoids._duplicate_classes(d)
+    want_reps, want_class_of = bytes_key_duplicate_classes(d)
+    assert reps == want_reps
+    assert class_of.tolist() == want_class_of.tolist()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_duplicate_scan_holds_no_row_copies(directed):
+    # 200 points, each twice: a scan keeping each class's row and column
+    # bytes would hold the whole block's worth
+    rng = np.random.default_rng(5)
+    base = planar_matrix(rng, 200)
+    if directed:
+        base = base * rng.uniform(0.5, 2.0, size=base.shape)
+    origin = np.repeat(np.arange(200), 2)
+    d = base[np.ix_(origin, origin)]
+    assert kmedoids._symmetric(d) is not directed
+    assert len(kmedoids._duplicate_classes(d)[0]) == 200
+    assert peak_bytes(lambda: bytes_key_duplicate_classes(d))[0] > d.nbytes
+    # an n x n bool mask (an eighth of the block) at a time, and one column
+    assert peak_bytes(lambda: kmedoids._duplicate_classes(d))[0] < d.nbytes / 4
 
 
 

@@ -249,8 +249,7 @@ def cmd_matrix(cfg: dict, args) -> None:
     prepared = out_dir / PREPARED_CSV
     if not prepared.exists():
         raise DistanceError(f"prepared households not found at {prepared}; run ingest first")
-    households = ingest.load_prepared(prepared)
-    points = tuple(h.location for h in households)
+    points = ingest.load_prepared(prepared).points
     path = out_dir / MATRIX_FILE
     spec = distance.ProviderSpec(**cfg["provider"])
 
@@ -273,15 +272,14 @@ def cmd_matrix(cfg: dict, args) -> None:
 
 def _matrix_and_households(out_dir: Path, spec: distance.ProviderSpec, error):
     """The cached matrix, which load_matrix checks was built over the
-    prepared households by spec's provider, and those households; a missing
-    or stale matrix raises error."""
+    prepared households by spec's provider, and those households as
+    load_prepared's HouseholdTable; a missing or stale matrix raises error."""
     matrix_path = out_dir / MATRIX_FILE
     if not matrix_path.exists():
         raise error(f"matrix cache not found at {matrix_path}; run matrix first")
     households = ingest.load_prepared(out_dir / PREPARED_CSV)
-    points = tuple(h.location for h in households)
     try:
-        matrix = distance.load_matrix(matrix_path, points, distance.provider_tag(spec))
+        matrix = distance.load_matrix(matrix_path, households.points, distance.provider_tag(spec))
     except distance.StaleMatrixError as exc:
         raise error(f"{exc}; run matrix again") from None
     return matrix, households
@@ -293,8 +291,7 @@ def cmd_place(cfg: dict, args) -> None:
     matrix, households = _matrix_and_households(out_dir, spec, SolveError)
 
     params = hierarchy.HierarchyParams(**cfg["hierarchy"], seed=cfg["seed"])
-    weights = [hh.weight for hh in households]
-    plan = hierarchy.place_two_level(matrix, params, weights)
+    plan = hierarchy.place_two_level(matrix, params, households.weights)
 
     _write_json(out_dir / PLAN_JSON, hierarchy.plan_to_dict(plan, households), cfg)
     _write_geojson(out_dir / PLAN_GEOJSON, hierarchy.plan_to_geojson(plan, households), cfg)
@@ -304,15 +301,15 @@ def cmd_place(cfg: dict, args) -> None:
     )
 
 
-def _city_groups(households, boxes) -> list:
+def _city_groups(households: ingest.HouseholdTable, boxes) -> list:
     if not boxes:
-        tagged = [h.city for h in households]
+        tagged = households.cities
         return tagged if any(t is not None for t in tagged) else None
     labels = []
-    for h in households:
+    for p in households.points:
         found = None
         for label, (lat_min, lon_min, lat_max, lon_max) in boxes.items():
-            if lat_min <= h.location.lat <= lat_max and lon_min <= h.location.lon <= lon_max:
+            if lat_min <= p.lat <= lat_max and lon_min <= p.lon <= lon_max:
                 found = label
                 break
         labels.append(found)
@@ -358,7 +355,7 @@ def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
                 raise EvaluateError(f"plan {plan_path}: {key} index {x!r} is not a household index in [0, {n})")
         if not indices or len(set(indices)) != len(indices):
             raise EvaluateError(f"plan {plan_path}: the {key} list is empty or lists an index more than once")
-    plan = hierarchy.plan_of_sites(matrix.values, sites["banks"], sites["pantries"], [h.weight for h in households])
+    plan = hierarchy.plan_of_sites(matrix.values, sites["banks"], sites["pantries"], households.weights)
     want = hierarchy.plan_to_dict(plan, households)
     for key in ("banks", "pantries", "household_to_pantry"):
         if not _same_json(data.get(key), want[key]):
@@ -403,7 +400,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     bschema = ingest.ColumnSchema(**bl["schema"])
     baseline = evaluate.FacilitySet(
         label="baseline",
-        points=tuple(r.location for r in ingest.load_households(bl["pantries"], bschema)),
+        points=ingest.load_households(bl["pantries"], bschema).points,
     )
 
     # candidate pantries are households, so a household's distance is the
@@ -414,8 +411,8 @@ def cmd_evaluate(cfg: dict, args) -> None:
 
     penalty = None
     if bl["banks"]:
-        bank_rows = ingest.load_households(bl["banks"], bschema)
-        banks = evaluate.FacilitySet(label="baseline-banks", points=tuple(r.location for r in bank_rows))
+        bank_points = ingest.load_households(bl["banks"], bschema).points
+        banks = evaluate.FacilitySet(label="baseline-banks", points=bank_points)
         penalty = evaluate.penalty_report(plan, matrix, banks, baseline, spec, max_in_flight=threads)
     groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)

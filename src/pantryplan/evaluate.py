@@ -18,6 +18,10 @@ weighting is realized upstream by duplication, and a direct-weights mode
 exists only as a cross-check and must agree for integer weights. Totals use
 compensated summation in fixed index order so reports never wobble between
 runs.
+
+The household-wide functions, nearest_facility_stats and households_geojson,
+take a Sequence[Household]; given an ingest.HouseholdTable, as the loaders
+return, they read its points column and build no Household.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .distance import GeoPoint, ProviderSpec, build_matrix, nearest_great_circle
 from .errors import EvaluateError
 from .hierarchy import PlacementPlan
+from .ingest import HouseholdTable
 from .kmedoids import MatrixLike, as_square_array
 
 METERS_PER_MILE = 1609.344
@@ -81,6 +86,11 @@ class EvaluationReport:
     penalty: Optional[PenaltyBlock] = None
 
 
+def _locations(households) -> Sequence[GeoPoint]:
+    """A HouseholdTable's points column, or each household's location."""
+    return households.points if isinstance(households, HouseholdTable) else [h.location for h in households]
+
+
 def _nearest(spec: ProviderSpec, sources, destinations, max_in_flight: int) -> np.ndarray:
     """Each source's provider distance to its nearest destination, meters;
     a table provider fetches at most max_in_flight tiles at once."""
@@ -92,19 +102,24 @@ def _nearest(spec: ProviderSpec, sources, destinations, max_in_flight: int) -> n
 def nearest_facility_stats(households, facilities: FacilitySet, provider: ProviderSpec, weights=None, *, max_in_flight=4):
     """Per-household provider distance to the closest facility, mean and
     total, meters; a table provider fetches at most max_in_flight tiles at
-    once. The mean is plain over the household list; weighting normally
-    arrives via duplication. Passing weights instead computes the direct
-    weighted mean, which must agree with duplication for integer weights.
+    once. A HouseholdTable is read by its points column. The mean is plain
+    over the household list; weighting normally arrives via duplication.
+    Passing weights instead computes the direct weighted mean, which must
+    agree with duplication for integer weights; each weight must be
+    positive and finite.
     """
     if not len(households):
         raise EvaluateError("no households to evaluate")
-    nearest = _nearest(provider, [h.location for h in households], facilities.points, max_in_flight)
-    per_household = nearest.tolist()
+    if weights is not None:
+        if len(weights) != len(households):
+            raise EvaluateError("weights do not match households")
+        for i, w in enumerate(weights):
+            if not 0 < w < math.inf:
+                raise EvaluateError(f"weight {i} must be positive and finite, got {w!r}")
+    per_household = _nearest(provider, _locations(households), facilities.points, max_in_flight).tolist()
     if weights is None:
         total = math.fsum(per_household)
         return per_household, total / len(per_household), total
-    if len(weights) != len(per_household):
-        raise EvaluateError("weights do not match households")
     total = math.fsum(w * x for w, x in zip(weights, per_household))
     return per_household, total / math.fsum(weights), total
 
@@ -234,10 +249,10 @@ def report_to_csv(report: EvaluationReport) -> str:
 
 def households_geojson(households, candidate_m: Sequence[float], baseline_m: Sequence[float]) -> dict:
     """Households as points tagged with both nearest-facility distances and
-    which set serves them better, for map rendering."""
+    which set serves them better, for map rendering. A HouseholdTable is
+    read by its points column."""
     features = []
-    for h, c, b in zip(households, candidate_m, baseline_m):
-        p = h.location
+    for p, c, b in zip(_locations(households), candidate_m, baseline_m):
         better = "tie" if c == b else ("candidate" if c < b else "baseline")
         features.append(
             {

@@ -144,19 +144,26 @@ def plan_of_sites(matrix: MatrixLike, banks: Sequence[int], pantries: Sequence[i
     )
 
 
+def _sites(plan: PlacementPlan, households) -> dict:
+    """Each bank's and pantry's household by index, built once per site, so
+    a HouseholdTable builds no other Household."""
+    return {i: households[i] for i in {*plan.banks, *plan.pantries}}
+
+
 def plan_to_dict(plan: PlacementPlan, households) -> dict:
     """JSON-ready plan with ids and coordinates resolved from households."""
+    site = _sites(plan, households)
     return {
         "banks": [
-            {"index": b, "id": households[b].id, "lat": households[b].location.lat, "lon": households[b].location.lon}
+            {"index": b, "id": site[b].id, "lat": site[b].location.lat, "lon": site[b].location.lon}
             for b in plan.banks
         ],
         "pantries": [
             {
                 "index": p,
-                "id": households[p].id,
-                "lat": households[p].location.lat,
-                "lon": households[p].location.lon,
+                "id": site[p].id,
+                "lat": site[p].location.lat,
+                "lon": site[p].location.lon,
                 "bank_index": plan.pantry_to_bank[p],
             }
             for p in plan.pantries
@@ -171,9 +178,10 @@ def plan_to_dict(plan: PlacementPlan, households) -> dict:
 
 def plan_to_geojson(plan: PlacementPlan, households) -> dict:
     """FeatureCollection of bank/pantry points for any standard map viewer."""
+    site = _sites(plan, households)
     features = []
     for b in plan.banks:
-        h = households[b]
+        h = site[b]
         features.append(
             {
                 "type": "Feature",
@@ -182,8 +190,8 @@ def plan_to_geojson(plan: PlacementPlan, households) -> dict:
             }
         )
     for p in plan.pantries:
-        h = households[p]
-        bank = households[plan.pantry_to_bank[p]]
+        h = site[p]
+        bank = site[plan.pantry_to_bank[p]]
         features.append(
             {
                 "type": "Feature",

@@ -4,15 +4,28 @@ The preparation recipe is filter -> sample -> weight -> duplicate. Weighting
 can either attach a weight to each household directly or emulate it by
 repeating the household round(w) times, which makes plain unweighted averages
 downstream come out weighted.
+
+load_households and load_prepared return a HouseholdTable: the households
+column-wise, one tuple per field, and a read-only Sequence[Household] that
+builds each Household only when it is indexed or iterated. A stage that
+needs only points, weights or cities reads those columns. The file is read
+in one csv.reader pass and each float column parsed with one map(float, ...).
+The GeoPoint each row becomes checks its coordinates; the income's sign and
+the weight's range are checked a column at a time. Only when a check fails
+does the row walk (_read_households) run, to name the first fault with its
+line, so the rows, messages and line numbers are the row walk's.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .distance import GeoPoint
 from .errors import IngestError
@@ -42,6 +55,35 @@ class Household:
             raise IngestError(f"household {self.id}: negative income {self.income}")
         if not self.origin_id:
             object.__setattr__(self, "origin_id", self.id)
+
+
+@dataclass(frozen=True)
+class HouseholdTable(Sequence):
+    """Households column-wise, one tuple per Household field, as the loaders
+    return them. len, indexing and iteration build Households on demand."""
+
+    ids: tuple[str, ...]
+    points: tuple[GeoPoint, ...]
+    incomes: tuple[Optional[float], ...]
+    weights: tuple[float, ...]
+    origin_ids: tuple[str, ...]
+    cities: tuple[Optional[str], ...]
+
+    @classmethod
+    def of(cls, households: Iterable[Household]) -> "HouseholdTable":
+        rows = [(h.id, h.location, h.income, h.weight, h.origin_id, h.city) for h in households]
+        return cls(*zip(*rows)) if rows else cls((), (), (), (), (), ())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Household:
+        return Household(
+            self.ids[i], self.points[i], self.incomes[i], self.weights[i], self.origin_ids[i], self.cities[i]
+        )
+
+    def __iter__(self):
+        return map(Household, self.ids, self.points, self.incomes, self.weights, self.origin_ids, self.cities)
 
 
 @dataclass(frozen=True)
@@ -97,10 +139,38 @@ def _first_missing(header: list, cells: int) -> str:
     return next(name for name in last if last[name] >= cells)
 
 
+def _open(path):
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise IngestError(f"no such file: {path}") from None
+
+
+def _rows(fh):
+    """csv.reader over the lines of fh; lines starting with '#' never reach it."""
+    return csv.reader(line for line in fh if not line.startswith("#"))
+
+
+def _columns_at(path, header, schema: ColumnSchema, extra: tuple) -> tuple:
+    """The header's index of schema's lat, lon, income, id and city (None
+    for one the schema leaves unset), and of each extra column (None for one
+    the header lacks); a later duplicate header wins. An empty file or a
+    missing schema column is an error."""
+    if header is None:
+        raise IngestError(f"{path}: empty file, expected a CSV header")
+    where = {name: j for j, name in enumerate(header)}
+    named = (schema.lat, schema.lon, schema.income, schema.id, schema.city)
+    for col in named:
+        if col is not None and col not in where:
+            raise IngestError(f"{path}: missing column {col!r}")
+    return [where[col] if col else None for col in named], [where.get(col) for col in extra]
+
+
 def _read_households(path, schema: ColumnSchema, extra: tuple = ()):
     """Yield (line number, id, GeoPoint, income, city, extra cells) per CSV
     row, in file order; extra cells are those of the extra columns, "" for a
-    column the header lacks.
+    column the header lacks. This row walk names a fault: the loaders run it
+    only when _read_table's bulk checks fail.
 
     Lines starting with '#' never reach the CSV reader. The rows are read
     with csv.reader and each column's cell taken by its index in the header,
@@ -108,58 +178,103 @@ def _read_households(path, schema: ColumnSchema, extra: tuple = ()):
     numbers csv.DictReader gives: blank rows are skipped, a row's line number
     is that of its last physical line, a row shorter than the header is an
     error naming its first missing column, and cells past the header's
-    width are ignored.
+    width are ignored. Text that is not UTF-8, or that csv.reader refuses
+    (a cell past csv.field_size_limit()), is an error too.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise IngestError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file, expected a CSV header")
-        where = {name: j for j, name in enumerate(header)}
-        for col in (schema.lat, schema.lon, schema.income, schema.id, schema.city):
-            if col is not None and col not in where:
-                raise IngestError(f"{path}: missing column {col!r}")
-        width = len(header)
-        lat_at, lon_at = where[schema.lat], where[schema.lon]
-        income_at = where[schema.income] if schema.income else None
-        id_at = where[schema.id] if schema.id else None
-        city_at = where[schema.city] if schema.city else None
-        extra_at = [where.get(col) for col in extra]
-        for i, row in enumerate(filter(None, reader)):  # a blank line reads as [], which is skipped
-            line_no = reader.line_num
-            if len(row) < width:
-                raise IngestError(f"line {line_no}: no cell for column {_first_missing(header, len(row))!r}")
-            lat = _parse_float(row[lat_at], "latitude", line_no)
-            lon = _parse_float(row[lon_at], "longitude", line_no)
-            if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
-            income = None
-            if income_at is not None and row[income_at] != "":
-                income = _parse_float(row[income_at], "income", line_no)
-                if income < 0:
-                    raise IngestError(f"line {line_no}: negative income {income}")
-            hid = row[id_at] if id_at is not None else str(i)
-            city = (row[city_at] or None) if city_at is not None else None
-            cells = tuple([row[j] if j is not None else "" for j in extra_at])
-            yield line_no, hid, GeoPoint(lat, lon), income, city, cells
+    with _open(path) as fh:
+        reader = _rows(fh)
+        try:
+            header = next(reader, None)
+            (lat_at, lon_at, income_at, id_at, city_at), extra_at = _columns_at(path, header, schema, extra)
+            width = len(header)
+            for i, row in enumerate(filter(None, reader)):  # a blank line reads as [], which is skipped
+                line_no = reader.line_num
+                if len(row) < width:
+                    raise IngestError(f"line {line_no}: no cell for column {_first_missing(header, len(row))!r}")
+                lat = _parse_float(row[lat_at], "latitude", line_no)
+                lon = _parse_float(row[lon_at], "longitude", line_no)
+                if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
+                    raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
+                income = None
+                if income_at is not None and row[income_at] != "":
+                    income = _parse_float(row[income_at], "income", line_no)
+                    if income < 0:
+                        raise IngestError(f"line {line_no}: negative income {income}")
+                hid = row[id_at] if id_at is not None else str(i)
+                city = (row[city_at] or None) if city_at is not None else None
+                cells = tuple([row[j] if j is not None else "" for j in extra_at])
+                yield line_no, hid, GeoPoint(lat, lon), income, city, cells
+        # the file is decoded a block at a time, so a decoding fault has no line
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
+        except csv.Error as exc:
+            raise IngestError(f"line {reader.line_num}: {exc}") from None
 
 
-def load_households(path, schema: ColumnSchema) -> list[Household]:
-    """Read one Household per CSV row, in file order, all weights 1.0.
+def _floats(cells: list, empty) -> list:
+    """Each cell as a float, an empty one as empty; ValueError for a cell
+    float() refuses."""
+    if all(cells):
+        return list(map(float, cells))
+    return [float(c) if c else empty for c in cells]
+
+
+def _read_table(path, schema: ColumnSchema, extra: tuple = ()) -> tuple:
+    """(ids, points, incomes, cities, extra columns) of a household CSV, each
+    a tuple in file order, from one csv.reader pass: what _read_households
+    yields, less the line numbers, column by column.
+
+    A missing file, an empty one or a missing column raises
+    _read_households' IngestError. Any other fault (text that is not UTF-8
+    or that csv.reader refuses, a short row, a cell that does not parse, a
+    coordinate out of range, a negative income) raises a bare ValueError
+    instead; the caller runs its row walk to name it.
+    """
+    with _open(path) as fh:
+        reader = _rows(fh)
+        try:
+            header = next(reader, None)
+            (lat_at, lon_at, income_at, id_at, city_at), extra_at = _columns_at(path, header, schema, extra)
+            rows = list(filter(None, reader))
+        except csv.Error as exc:  # UnicodeDecodeError is a ValueError already
+            raise ValueError(exc) from None
+    n = len(rows)
+
+    def column(j):
+        return [row[j] for row in rows]
+
+    if rows and min(map(len, rows)) < len(header):
+        raise ValueError("a row is short")
+    # GeoPoint raises ValueError for a coordinate that is not finite or in range
+    points = tuple(map(GeoPoint, map(float, column(lat_at)), map(float, column(lon_at))))
+    incomes = _floats(column(income_at), None) if income_at is not None else [None] * n
+    # np.array turns an absent income into NaN, which is not negative
+    if (np.array(incomes, dtype=np.float64) < 0).any():
+        raise ValueError("an income is negative")
+    ids = tuple(column(id_at)) if id_at is not None else tuple(map(str, range(n)))
+    cities = tuple([c or None for c in column(city_at)]) if city_at is not None else (None,) * n
+    extras = tuple(tuple(column(j)) if j is not None else ("",) * n for j in extra_at)
+    return ids, points, tuple(incomes), cities, extras
+
+
+def load_households(path, schema: ColumnSchema) -> HouseholdTable:
+    """Read one household per CSV row, in file order, all weights 1.0, as a
+    HouseholdTable.
 
     Lines starting with '#' are provenance comments and are skipped. A row
     with fewer cells than the header, or with an unparseable or out-of-range
     coordinate, is an error naming the line; an empty income cell means
     income unknown.
     """
-    return [
-        Household(id=hid, location=location, income=income, city=city)
-        for _, hid, location, income, city, _ in _read_households(path, schema)
-    ]
+    try:
+        ids, points, incomes, cities, _ = _read_table(path, schema)
+    except ValueError:  # the row walk names the first fault
+        return HouseholdTable.of(
+            Household(hid, location, income, city=city)
+            for _, hid, location, income, city, _ in _read_households(path, schema)
+        )
+    return HouseholdTable(ids, points, incomes, (1.0,) * len(ids), ids, cities)
 
 
 def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> list[Household]:
@@ -264,17 +379,34 @@ PREPARED_SCHEMA = ColumnSchema(lat="lat", lon="lon", income="income", id="id", c
 PREPARED_EXTRA = ("weight", "origin_id")  # optional: a file without them reads weight 1.0 and origin_id = id
 
 
-def load_prepared(path) -> list[Household]:
-    """Read a prepared-households CSV written by write_households_csv.
+def _weight(raw: str, line_no: int) -> float:
+    weight = _parse_float(raw, "weight", line_no) if raw else 1.0
+    if not (math.isfinite(weight) and weight > 0):
+        raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
+    return weight
 
-    Each row becomes one Household with its weight and origin_id. An empty
+
+def load_prepared(path) -> HouseholdTable:
+    """Read a prepared-households CSV written by write_households_csv, as a
+    HouseholdTable.
+
+    Each row is one household with its weight and origin_id. An empty
     weight cell means 1.0; a weight that does not parse, or is not a
     positive finite number, is an error naming the line.
     """
-    out = []
-    for line_no, hid, location, income, city, (raw, origin) in _read_households(path, PREPARED_SCHEMA, PREPARED_EXTRA):
-        weight = _parse_float(raw, "weight", line_no) if raw else 1.0
-        if not (math.isfinite(weight) and weight > 0):
-            raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
-        out.append(Household(hid, location, income, weight, origin or hid, city))
-    return out
+    try:
+        ids, points, incomes, cities, (raw, origins) = _read_table(path, PREPARED_SCHEMA, PREPARED_EXTRA)
+        weights = _floats(raw, 1.0)
+        w = np.array(weights)
+        # numpy's min propagates a NaN, which then fails the comparison
+        if w.size and not (0 < w.min() and w.max() < math.inf):
+            raise ValueError("a weight is not positive and finite")
+    except ValueError:  # the row walk names the first fault, a weight's included
+        return HouseholdTable.of(
+            Household(hid, location, income, _weight(raw, line_no), origin or hid, city)
+            for line_no, hid, location, income, city, (raw, origin) in _read_households(
+                path, PREPARED_SCHEMA, PREPARED_EXTRA
+            )
+        )
+    origin_ids = tuple([origin or hid for origin, hid in zip(origins, ids)])
+    return HouseholdTable(ids, points, incomes, tuple(weights), origin_ids, cities)

@@ -6,6 +6,7 @@ tested offline. Deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from numbers import Integral
@@ -32,6 +33,9 @@ class SynthParams:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.clusters < 1 or self.points_per_cluster < 1:
             raise ConfigError("clusters and points_per_cluster must be positive")
+        for name in ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.spread_deg <= 0 or self.extent_deg <= 0:
             raise ConfigError("spread_deg and extent_deg must be positive")
 

@@ -6,15 +6,18 @@ fast reader must keep: which rows are read, which are skipped, every error
 message and every line number, including DictReader's own rules (with a
 duplicate header the later column wins; a short row names the first
 column, by first appearance, whose last appearance got no cell).
+load_prepared is ingest.load_prepared as it was before it read columns:
+one Household per row, each weight parsed and checked as it is read.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 from pantryplan.distance import GeoPoint
 from pantryplan.errors import IngestError
-from pantryplan.ingest import ColumnSchema, _parse_float
+from pantryplan.ingest import PREPARED_EXTRA, PREPARED_SCHEMA, ColumnSchema, Household, _parse_float
 
 
 def read_households(path, schema: ColumnSchema, extra: tuple = ()):
@@ -50,3 +53,14 @@ def read_households(path, schema: ColumnSchema, extra: tuple = ()):
             hid = row[schema.id] if schema.id else str(i)
             city = (row[schema.city] or None) if schema.city else None
             yield line_no, hid, GeoPoint(lat, lon), income, city, tuple(row.get(c) or "" for c in extra)
+
+
+def load_prepared(path) -> list:
+    """The prepared file's Households, as ingest.load_prepared reads them."""
+    out = []
+    for line_no, hid, location, income, city, (raw, origin) in read_households(path, PREPARED_SCHEMA, PREPARED_EXTRA):
+        weight = _parse_float(raw, "weight", line_no) if raw else 1.0
+        if not (math.isfinite(weight) and weight > 0):
+            raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
+        out.append(Household(hid, location, income, weight, origin or hid, city))
+    return out

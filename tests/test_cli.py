@@ -33,6 +33,7 @@ from pantryplan.ingest import ColumnSchema, Household, load_households, load_pre
 from pantryplan.kmedoids import SolveParams, solve
 
 from conftest import MockTableTransport, load_table_fixtures, rewrite_trailer
+from test_ingest import CELLS, COLUMNS
 
 
 def write_config(tmp_path, **overrides):
@@ -85,6 +86,16 @@ def test_synth_with_a_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, seed
     assert run(["--config", cfg_path, "synth", "--output", tmp_path / "x.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed must be an integer" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("spread", ["nan", "inf", "-inf"])
+def test_synth_with_a_non_finite_spread_exits_2(tmp_path, capsys, spread):
+    cfg_path, _ = write_config(tmp_path)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "synth", f"--spread={spread}", "--output", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "spread_deg must be finite" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -1001,6 +1012,101 @@ def test_evaluate_on_a_mutated_plan_exits_0_or_5(placed, tmp_path_factory, key, 
         assert (mutated["groups"], mutated["penalty"]) == (report["groups"], report["penalty"])
     else:
         assert err.getvalue().startswith("error: ")
+
+
+# past csv.field_size_limit()'s default of 131,072 characters
+LONG_CELL = "x" * 131_073
+
+PREPARED_DAMAGE = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 10**6), st.integers(0, 6), st.sampled_from([*CELLS, LONG_CELL])),
+    st.tuples(st.just("not UTF-8"), st.integers(0, 10**6)),
+    st.tuples(st.just("drop row"), st.integers(0, 10**6)),
+    st.tuples(st.just("repeat row"), st.integers(0, 10**6)),
+    st.tuples(st.just("rename column"), st.integers(0, 6), st.sampled_from(COLUMNS)),
+    st.tuples(st.just("drop column"), st.integers(0, 6)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+)
+
+
+def damage_prepared(path, damage):
+    """Apply a list of PREPARED_DAMAGE to the prepared.csv at path, edits of
+    rows and columns first and byte edits last. Rows, columns and cells
+    count from 0 past the header, and bytes from 0, modulo their number."""
+    comment, *lines = path.read_text().splitlines(keepends=True)
+    header, *rows = list(csv.reader(lines))
+    for kind, *args in damage:
+        if kind == "cell" and rows:
+            row = rows[args[0] % len(rows)]
+            row[args[1] % len(row)] = args[2]
+        elif kind == "drop row" and rows:
+            del rows[args[0] % len(rows)]
+        elif kind == "repeat row" and rows:
+            at = args[0] % len(rows)
+            rows.insert(at, rows[at])
+        elif kind == "rename column":
+            header[args[0] % len(header)] = args[1]
+        elif kind == "drop column":
+            del header[args[0] % len(header)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(comment)
+        csv.writer(fh).writerows([header, *rows])
+    for kind, offset in (d for d in damage if d[0] in ("truncate", "not UTF-8")):
+        text = path.read_bytes()
+        at = offset % len(text)
+        path.write_bytes(text[:at] if kind == "truncate" else text[:at] + b"\xe9" + text[at:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(damage=st.lists(PREPARED_DAMAGE, min_size=1, max_size=2))
+@example(damage=[("cell", 3, 4, "nan")])
+@example(damage=[("rename column", 1, "x")])
+@example(damage=[("truncate", 0)])
+@example(damage=[("not UTF-8", 400)])
+@example(damage=[("cell", 0, 6, LONG_CELL)])
+def test_stages_on_a_damaged_prepared_csv_exit_0_or_name_the_error(placed, tmp_path_factory, damage):
+    # prepared.csv damaged between ingest and the later stages: each stage
+    # ends in an exit code of the CLI's with an error line, never a traceback
+    cfg, out_dir, _ = placed
+    copy = tmp_path_factory.mktemp("damaged") / "out"
+    shutil.copytree(out_dir, copy)
+    damage_prepared(copy / "prepared.csv", damage)
+    cfg_path = copy.parent / "config.json"
+    cfg_path.write_text(json.dumps({**cfg, "out_dir": str(copy)}))
+    for stage in ("matrix", "place", "evaluate"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(cfg_path), stage])
+        event(f"{stage} exits {code}")
+        assert code in (0, 2, 3, 4, 5)
+        assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
+
+
+def test_stages_build_households_only_for_plan_sites(tmp_path, monkeypatch):
+    # matrix, place and evaluate read prepared.csv's columns: a Household is
+    # built only for a bank or pantry, however many rows the file has
+    built, rows = {}, {}
+    for points in (10, 40):
+        root = tmp_path / str(points)
+        root.mkdir()
+        cfg_path, cfg = write_config(root)
+        run(["--config", cfg_path, "synth", "--clusters", 2, "--points", points, "--output", root / "synth.csv"])
+        for stage in ("ingest", "matrix", "place"):
+            assert run(["--config", cfg_path, stage]) == 0
+        out_dir = Path(cfg["out_dir"])
+        cfg_path = evaluate_config(root, out_dir)
+        plan = json.loads((out_dir / "plan.json").read_text())
+        sites = len({e["index"] for e in plan["banks"] + plan["pantries"]})
+        counts = []
+        with monkeypatch.context() as patch:
+            check = Household.__post_init__
+            patch.setattr(Household, "__post_init__", lambda h: (counts.append(h.id), check(h))[1])
+            for stage in ("matrix", "place", "evaluate"):
+                counts.clear()
+                assert run(["--config", cfg_path, stage]) == 0
+                built[points, stage] = len(counts)
+        assert (built[points, "matrix"], built[points, "place"], built[points, "evaluate"]) == (0, 2 * sites, sites)
+        rows[points] = len(load_prepared(out_dir / "prepared.csv"))
+    assert rows[10] < rows[40]
 
 
 class HalfWrite:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from pantryplan.evaluate import (
     report_to_dict,
 )
 from pantryplan.hierarchy import PlacementPlan, plan_of_sites
-from pantryplan.ingest import Household
+from pantryplan.ingest import Household, HouseholdTable
 from pantryplan.kmedoids import brute_force_solve
 
 from conftest import household_matrix
@@ -80,6 +81,32 @@ def test_adding_a_facility_never_hurts():
     per_small, _, _ = nearest_facility_stats(households, small, GC)
     per_large, _, _ = nearest_facility_stats(households, large, GC)
     assert all(b <= a for a, b in zip(per_small, per_large))
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([-1.0, 3.0], "weight 0 must be positive and finite, got -1.0"),
+        ([math.nan, 1.0], "weight 0 must be positive and finite, got nan"),
+        ([0.0, 0.0], "weight 0 must be positive and finite, got 0.0"),
+        ([2.0, math.inf], "weight 1 must be positive and finite, got inf"),
+    ],
+)
+def test_direct_weights_must_be_positive_and_finite(weights, message):
+    # [-1, 3] gave a plausible mean, [nan, 1] a NaN one, [0, 0] a ZeroDivisionError
+    households = [hh(0, 0.0, 0), hh(0, 1.0, 1)]
+    with pytest.raises(EvaluateError, match=re.escape(message)):
+        nearest_facility_stats(households, facility_set("f", [(0, 0.4)]), GC, weights=weights)
+
+
+def test_household_wide_functions_read_a_tables_points():
+    households = [hh(0, 0.0, 0, "a"), hh(0, 1.0, 1), hh(0, 2.5, 2, "b")]
+    table = HouseholdTable.of(households)
+    fs = facility_set("f", [(0, 0.4), (0, 2.0)])
+    assert nearest_facility_stats(table, fs, GC) == nearest_facility_stats(households, fs, GC)
+    assert households_geojson(table, [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == households_geojson(
+        households, [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]
+    )
 
 
 # --- compare --------------------------------------------------------------------

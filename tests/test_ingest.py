@@ -288,7 +288,7 @@ def test_prepared_csv_round_trip(tmp_path, data_dir):
     path = tmp_path / "prepared.csv"
     write_households_csv(out, path, header_comment="test run")
     back = load_prepared(path)
-    assert back == out
+    assert list(back) == out
 
 
 def test_load_prepared_parses_the_file_once(tmp_path, data_dir, monkeypatch):
@@ -308,6 +308,39 @@ def test_load_prepared_parses_the_file_once(tmp_path, data_dir, monkeypatch):
     assert any(h.weight != 1.0 for h in back)
 
 
+def test_load_prepared_returns_a_table_of_the_households(tmp_path, data_dir):
+    rows = prepare(load_households(data_dir / "ca_blocks.csv", CA_SCHEMA), IngestConfig(weighting_mode="direct"))
+    path = tmp_path / "prepared.csv"
+    write_households_csv(rows, path)
+    table = load_prepared(path)
+    assert table == ingest.HouseholdTable.of(rows)
+    assert (table.ids, table.points, table.weights) == tuple(
+        tuple(getattr(h, f) for h in rows) for f in ("id", "location", "weight")
+    )
+    assert len(table) == len(rows)
+    assert [table[i] for i in range(len(rows))] == list(table) == rows
+    assert table[-1] == rows[-1]
+    assert table.index(rows[2]) == 2 and rows[2] in table
+    empty = tmp_path / "empty.csv"
+    write_households_csv([], empty)
+    assert load_prepared(empty) == ingest.HouseholdTable.of([])
+
+
+def test_load_prepared_reads_empty_cells_without_the_row_walk(tmp_path, monkeypatch):
+    # empty income, weight, origin_id and city cells read as None, 1.0, the
+    # id and None, a column at a time
+    path = tmp_path / "prepared.csv"
+    path.write_text("# c\nid,lat,lon,income,weight,origin_id,city\na,1,2,,,,\nb,3,4,5,2.5,o,c\n\nc,-5,6,0,1e300,,\n")
+    want = ingest.HouseholdTable.of(reference_ingest.load_prepared(path))
+    assert want.origin_ids == ("a", "o", "c") and want.incomes == (None, 5.0, 0.0)
+
+    def walk(*args):
+        raise AssertionError("the row walk ran on a file without a fault")
+
+    monkeypatch.setattr(ingest, "_read_households", walk)
+    assert load_prepared(path) == want
+
+
 def test_load_prepared_names_the_bad_line(tmp_path):
     path = tmp_path / "prepared.csv"
     write_households_csv([hh(0, lat=1.0), hh(1, lat=2.0)], path, header_comment="test run")
@@ -316,6 +349,21 @@ def test_load_prepared_names_the_bad_line(tmp_path):
     # line numbers count the header row but not provenance comments
     with pytest.raises(IngestError, match="line 3: cannot parse latitude from 'north'"):
         load_prepared(path)
+
+
+@pytest.mark.parametrize("load", [load_prepared, lambda path: load_households(path, ColumnSchema())])
+def test_text_the_csv_reader_cannot_read_is_an_ingest_error(tmp_path, load):
+    # both ended in a traceback: a UnicodeDecodeError, and csv.Error for a
+    # cell past csv.field_size_limit()
+    path = tmp_path / "prepared.csv"
+    write_households_csv([hh(0, lat=1.0), hh(1, lat=2.0)], path, header_comment="test run")
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b",2.0,", b",2.0\xe9,", 1))
+    with pytest.raises(IngestError, match=r"prepared.csv: not UTF-8 text \(invalid continuation byte: b'\\xe9'\)"):
+        load(path)
+    path.write_bytes(text + b"5.0," + b"x" * 131_073 + b"\n")
+    with pytest.raises(IngestError, match=r"^line 4: field larger than field limit \(131072\)$"):
+        load(path)
 
 
 @pytest.mark.parametrize("cell", ["heavy", "inf", "nan", "0", "-2.0"])
@@ -330,14 +378,31 @@ def test_load_prepared_rejects_a_bad_weight_naming_the_line(tmp_path, cell):
 # --- the csv.reader loader against the csv.DictReader reference -------------
 
 def _outcome(read, path, schema, extra):
+    """("rows", what read returns) or ("error", its message), as a repr:
+    repr tells -0.0 from 0.0, and takes a NaN income for itself."""
     try:
-        return "rows", list(read(path, schema, extra))
+        return repr(("rows", list(read(path, schema, extra))))
     except IngestError as exc:
-        return "error", str(exc)
+        return repr(("error", str(exc)))
+
+
+def _read_columns(path, schema, extra):
+    """ingest._read_table's columns as rows in the reference's form, with
+    None for the line numbers it does not keep. It raises a fault in a row
+    as a bare ValueError, which the row walk must then name, as the loaders
+    have it do."""
+    try:
+        ids, points, incomes, cities, extras = ingest._read_table(path, schema, extra)
+    except ValueError:
+        list(ingest._read_households(path, schema, extra))
+        raise AssertionError("_read_table refused a file the row walk reads") from None
+    cells = list(zip(*extras)) if extras else [()] * len(ids)
+    return [(None, *row) for row in zip(ids, points, incomes, cities, cells)]
 
 
 COLUMNS = ["lat", "lon", "income", "id", "city", "weight", "origin_id", "x", ""]
 CELLS = ["1.5", "-45", "12e0", "0", "", "91", "-200", "nan", "north", "30000", "-5", "2.0", "a\nb", "#c", " 7", "s,t", 'q"r']
+PREPARED_COLUMNS = ("lat", "lon", "id", "income", "city", "weight")
 SCHEMAS = [
     (ColumnSchema(), ()),
     (ColumnSchema(income="income", id="id", city="city"), ()),
@@ -346,11 +411,11 @@ SCHEMAS = [
 
 
 @st.composite
-def csv_texts(draw):
-    """CSV files around a lat/lon header: duplicate and extra columns, short
-    and long rows, empty cells, quoted cells holding newlines or a leading
-    '#', blank lines and '#' comment lines between rows."""
-    header = ["lat", "lon"] + draw(st.lists(st.sampled_from(COLUMNS), max_size=5))
+def csv_texts(draw, columns=("lat", "lon")):
+    """CSV files around a header of columns: duplicate and extra columns,
+    short and long rows, empty cells, quoted cells holding newlines or a
+    leading '#', blank lines and '#' comment lines between rows."""
+    header = list(columns) + draw(st.lists(st.sampled_from(COLUMNS), max_size=5))
     header = draw(st.permutations(header))
     if draw(st.booleans()):
         header = header[: draw(st.integers(0, len(header)))]  # a column may be missing
@@ -389,4 +454,32 @@ def test_read_households_matches_the_dictreader_reference(tmp_path_factory, text
     path.write_text(text, encoding="utf-8", newline="")
     assert _outcome(ingest._read_households, path, schema, extra) == _outcome(
         reference_ingest.read_households, path, schema, extra
+    )
+
+    def reference(*args, as_row=lambda row: (None, *row[1:])):
+        return map(as_row, reference_ingest.read_households(*args))
+
+    assert _outcome(_read_columns, path, schema, extra) == _outcome(reference, path, schema, extra)
+    if not extra:
+        assert _outcome(lambda path, schema, _: load_households(path, schema), path, schema, extra) == _outcome(
+            lambda *args: reference(*args, as_row=lambda row: Household(row[1], row[2], row[3], city=row[4])),
+            path, schema, extra,
+        )
+
+
+@settings(max_examples=400)
+@given(text=csv_texts(PREPARED_COLUMNS))
+@example(text="id,lat,lon,income,weight,origin_id,city\na,1,2,,3,,\n")
+@example(text="id,lat,lon,income,weight,origin_id,city\na,1,2,,nan,,\nb,95,2,,1,,\n")
+@example(text="id,lat,lon,income,weight,origin_id,city\na,1,2,,,,\nb,3,4,-5,0,o,c\n")
+@example(text="id,lat,lon,income,weight,origin_id,city\na,95,2,,1,,\nb,1,2,,nan,,\n")
+@example(text="id,lat,lon,income,weight,origin_id,city\na,1,2,30000,2.0,,x\nb,3,4,-5,1,,\n")
+@example(text="# c\nid,lat,lon,income,weight,origin_id,city\na,1,2,,,,\nb,3,4,5,2.5,o,c\n\nc,-5,6,nan,1e300,,\n")
+def test_load_prepared_matches_the_reference(tmp_path_factory, text):
+    # the column reader against one Household per row, each weight parsed
+    # and checked as it is read: the same Households or the same message
+    path = tmp_path_factory.mktemp("csv") / "prepared.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(lambda path, *_: load_prepared(path), path, None, None) == _outcome(
+        lambda path, *_: reference_ingest.load_prepared(path), path, None, None
     )

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pantryplan.errors import ConfigError
@@ -39,3 +41,12 @@ def test_invalid_params_rejected():
         SynthParams(points_per_cluster=0)
     with pytest.raises(ConfigError):
         SynthParams(spread_deg=0.0)
+
+
+@pytest.mark.parametrize("name", ["spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean",
+                                  "income_log_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected(name, value):
+    # a NaN spread passed the positivity test and put every household at (-90, -180)
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        SynthParams(**{name: value})

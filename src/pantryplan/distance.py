@@ -13,15 +13,18 @@ other failure stops the build from sending further tiles.
 The great-circle provider computes one haversine per distinct pair of exact
 (lat, lon) coordinates and gathers the full matrix from that block, so the
 repeated rows of duplication weighting cost no extra trigonometry; when no
-point repeats, the block is the matrix and is not gathered again. Each cell is
-bit-identical to great_circle(a, b). The subtractions, halvings, products, sum,
-square root, clamp to 1 and scaling by the diameter run in numpy, in
-great_circle's order; IEEE rounds each of them correctly, so numpy and CPython
-agree. The three calls whose result depends on libm stay libm calls, mapped
-over each cell: math.sin, x ** 2 (libm pow) and math.asin. numpy's own
-versions are not the same function: np.arcsin differs from math.asin in about
-8% of arguments, and x * x (np.square) from pow(x, 2) in about 0.09%; that
-np.sin matches math.sin on one host is no guarantee for another.
+point repeats, the block is the matrix; otherwise two takes per strip of
+rows gather it into the one output array. Each cell is bit-identical to
+great_circle(a, b). The subtractions, halvings, products, sum, square root,
+clamp to 1 and scaling by the diameter run in numpy, in great_circle's
+order; IEEE rounds each of them correctly, so numpy and CPython agree. The
+three calls whose result depends on libm stay libm calls, mapped over each
+cell: math.sin, math.pow(x, 2.0) and math.asin. math.pow hands libm x where
+great_circle's x ** 2 hands it |x|, so this rests on libm's pow being even
+(tests check it on each libm CI runs). numpy's own versions are not the same
+function: np.arcsin differs from math.asin in about 8% of arguments, and
+x * x (np.square) from pow(x, 2) in about 0.09%; that np.sin matches
+math.sin on one host is no guarantee for another.
 
 Only the cells an output needs are computed. A square matrix (distinct
 sources equal to distinct destinations) is computed one triangle at a time
@@ -407,9 +410,10 @@ def _radians_and_cos(points):
 
 
 def _sin_squared(half: np.ndarray) -> np.ndarray:
-    """math.sin(x) ** 2 for every cell, each a libm call as in great_circle."""
+    """math.sin(x) ** 2 for every cell, each a libm call as in great_circle
+    (math.pow skips the builtin pow's dispatch)."""
     flat = half.ravel().tolist()
-    return np.fromiter(map(pow, map(math.sin, flat), repeat(2)), np.float64, len(flat)).reshape(half.shape)
+    return np.fromiter(map(math.pow, map(math.sin, flat), repeat(2.0)), np.float64, len(flat)).reshape(half.shape)
 
 
 def _asin(x: np.ndarray) -> np.ndarray:
@@ -447,7 +451,7 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
     only the cells (i, j) with j >= i, each written to (i, j) and (j, i), so
     n distinct points cost n(n + 1) / 2 cells rather than n^2. When no
     point repeats on either side, the distinct block is returned itself;
-    otherwise the full matrix is gathered from it.
+    otherwise the full matrix is gathered from it, a strip of rows at a time.
     """
     src, si = _distinct(sources)
     dst, di = _distinct(destinations)
@@ -474,7 +478,12 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
             block[r0 : r0 + step] = _haversine(_take(a, np.s_[r0 : r0 + step, None]), b, diameter)
     if len(src) == len(sources) and len(dst) == len(destinations):
         return block  # nothing repeats: si and di are the identity
-    return block[np.ix_(si, di)]
+    out = np.empty((len(si), len(di)), dtype=np.float64)
+    step = max(1, GC_BLOCK_CELLS // len(dst))
+    for r0 in range(0, len(si), step):
+        # every index is valid; mode="clip" lets take write to out unbuffered
+        block.take(si[r0 : r0 + step], axis=0).take(di, axis=1, out=out[r0 : r0 + step], mode="clip")
+    return out
 
 
 def nearest_great_circle(

@@ -14,6 +14,12 @@ The GeoPoint each row becomes checks its coordinates; the income's sign and
 the weight's range are checked a column at a time. Only when a check fails
 does the row walk (_read_households) run, to name the first fault with its
 line, so the rows, messages and line numbers are the row walk's.
+
+The preparation steps work on a HouseholdTable's columns (a list of
+Households is read into one) and return a table, building no Household:
+filter and sample pick row indices, weighting makes a weights column and
+duplication repeats each column's cells. write_households_csv hands the
+columns to csv.writer.writerows.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from numbers import Integral, Real
 from typing import Iterable, Optional, Union
 
@@ -34,6 +41,11 @@ from .rng import sample_indices
 DEFAULT_INCOME_CAP = 40_000.0
 DEFAULT_WEIGHT_NUMERATOR = 5.0
 DEFAULT_WEIGHT_CAP = 50.0
+
+
+def _require_weight(hid: str, weight: float) -> None:
+    if not 0 < weight < math.inf:
+        raise IngestError(f"household {hid}: weight must be positive and finite, got {weight}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +61,7 @@ class Household:
     city: Optional[str] = None
 
     def __post_init__(self):
-        if not 0 < self.weight < math.inf:
-            raise IngestError(f"household {self.id}: weight must be positive and finite, got {self.weight}")
+        _require_weight(self.id, self.weight)
         if self.income is not None and self.income < 0:
             raise IngestError(f"household {self.id}: negative income {self.income}")
         if not self.origin_id:
@@ -71,6 +82,9 @@ class HouseholdTable(Sequence):
 
     @classmethod
     def of(cls, households: Iterable[Household]) -> "HouseholdTable":
+        """households as a table: a table itself, any other iterable read row by row."""
+        if isinstance(households, HouseholdTable):
+            return households
         rows = [(h.id, h.location, h.income, h.weight, h.origin_id, h.city) for h in households]
         return cls(*zip(*rows)) if rows else cls((), (), (), (), (), ())
 
@@ -84,6 +98,11 @@ class HouseholdTable(Sequence):
 
     def __iter__(self):
         return map(Household, self.ids, self.points, self.incomes, self.weights, self.origin_ids, self.cities)
+
+    def take(self, index: list[int]) -> "HouseholdTable":
+        """The rows at index, in index's order."""
+        columns = (self.ids, self.points, self.incomes, self.weights, self.origin_ids, self.cities)
+        return HouseholdTable(*(tuple(map(column.__getitem__, index)) for column in columns))
 
 
 @dataclass(frozen=True)
@@ -277,18 +296,21 @@ def load_households(path, schema: ColumnSchema) -> HouseholdTable:
     return HouseholdTable(ids, points, incomes, (1.0,) * len(ids), ids, cities)
 
 
-def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> list[Household]:
+def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> HouseholdTable:
     """Keep households with income <= cap or with no income, order preserved."""
-    return [h for h in households if h.income is None or h.income <= cap]
+    table = HouseholdTable.of(households)
+    keep = [i for i, income in enumerate(table.incomes) if income is None or income <= cap]
+    return table if len(keep) == len(table) else table.take(keep)
 
 
-def sample(households: Sequence[Household], n: int, seed: int) -> list[Household]:
+def sample(households: Sequence[Household], n: int, seed: int) -> HouseholdTable:
     """Uniform seeded n-subset in selection order; identity when n >= len."""
     if n < 1:
         raise IngestError(f"sample size must be >= 1, got {n}")
-    if n >= len(households):
-        return list(households)
-    return [households[i] for i in sample_indices(len(households), n, seed)]
+    table = HouseholdTable.of(households)
+    if n >= len(table):
+        return table
+    return table.take(sample_indices(len(table), n, seed))
 
 
 def compute_weight(
@@ -308,71 +330,98 @@ def compute_weight(
     return min(numerator / scaled, cap)
 
 
-def apply_weights(households: Sequence[Household], config: IngestConfig) -> list[Household]:
-    """Attach income-derived weights; absent income keeps weight 1.0."""
-    out = []
-    for h in households:
-        if h.income is None:
-            out.append(h)
-        else:
-            w = compute_weight(h.income, config.weight_numerator, config.weight_cap)
-            out.append(Household(h.id, h.location, h.income, w, h.origin_id, h.city))
-    return out
+def apply_weights(households: Sequence[Household], config: IngestConfig) -> HouseholdTable:
+    """Attach income-derived weights; absent income keeps its weight. The
+    first row whose income cannot be weighted, or whose weight is not
+    positive and finite, raises IngestError."""
+    table = HouseholdTable.of(households)
+    weights = []
+    for hid, income, weight in zip(table.ids, table.incomes, table.weights):
+        if income is not None:
+            weight = compute_weight(income, config.weight_numerator, config.weight_cap)
+            _require_weight(hid, weight)
+        weights.append(weight)
+    return replace(table, weights=tuple(weights))
 
 
-def _round_half_away(x: float) -> int:
-    # round() would go to even; the duplication rule is half away from zero
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
-def duplicate_by_weight(households: Sequence[Household]) -> list[Household]:
-    """Repeat each household max(1, round(weight)) times, copies adjacent.
+def duplicate_by_weight(households: Sequence[Household]) -> HouseholdTable:
+    """Repeat each household max(1, round(weight)) times, copies adjacent,
+    rounding half away from zero.
 
     Copies get weight 1.0 and keep the source's origin_id; the first copy
     keeps the source id so single-copy households pass through unchanged.
     """
-    out = []
-    for h in households:
-        copies = max(1, _round_half_away(h.weight))
-        for j in range(copies):
-            cid = h.id if j == 0 else f"{h.id}#{j}"
-            out.append(Household(cid, h.location, h.income, 1.0, h.origin_id, h.city))
-    return out
+    table = HouseholdTable.of(households)
+    # weights are positive, where floor(w + 0.5) rounds half away from zero
+    copies = [max(1, math.floor(w + 0.5)) for w in table.weights]
+    ids = tuple([hid if j == 0 else f"{hid}#{j}" for hid, c in zip(table.ids, copies) for j in range(c)])
+
+    def repeated(column):
+        return tuple(chain.from_iterable(map(repeat, column, copies)))
+
+    points, incomes, origin_ids, cities = map(repeated, (table.points, table.incomes, table.origin_ids, table.cities))
+    return HouseholdTable(ids, points, incomes, (1.0,) * len(ids), origin_ids, cities)
 
 
-def prepare(households: Sequence[Household], config: IngestConfig) -> list[Household]:
+def prepare(households: Sequence[Household], config: IngestConfig) -> HouseholdTable:
     """Full preparation pipeline: filter -> sample -> weight -> duplicate."""
-    hh = filter_by_income(households, config.income_cap)
+    table = filter_by_income(households, config.income_cap)
     if config.sample_size != "all":
-        hh = sample(hh, config.sample_size, config.seed)
+        table = sample(table, config.sample_size, config.seed)
     if config.weighting_mode == "none":
-        return list(hh)
-    hh = apply_weights(hh, config)
+        return table
+    table = apply_weights(table, config)
     if config.weighting_mode == "duplicate":
-        hh = duplicate_by_weight(hh)
-    return hh
+        table = duplicate_by_weight(table)
+    return table
 
 
 PREPARED_FIELDS = ("id", "lat", "lon", "income", "weight", "origin_id", "city")
 
 
+def _refuse_line_break_before_hash(table: HouseholdTable) -> None:
+    """IngestError naming the first household whose id, origin_id or city
+    holds a line break followed by '#': that cell would start a line which
+    every loader skips as a comment."""
+    text = "\0".join(chain(table.ids, table.origin_ids, filter(None, table.cities)))
+    if "\n#" in text or "\r#" in text:
+        h = next(h for h in table if any("\n#" in c or "\r#" in c for c in (h.id, h.origin_id, h.city or "")))
+        raise IngestError(
+            f"household {h.id!r}: a line break followed by '#' in its id, origin_id or city "
+            "would read back as a comment line"
+        )
+
+
 def write_households_csv(households: Iterable[Household], path, header_comment: Optional[str] = None) -> None:
-    """Write households in the prepared-CSV layout understood by load_prepared."""
+    """Write households in the prepared-CSV layout understood by load_prepared.
+
+    The rows go to csv.writer.writerows from the table's columns. A run of
+    rows sharing one location and one income (a household's copies from
+    duplicate_by_weight) formats them once. If an id starts with '#', every
+    cell of the file is quoted, so that row cannot read back as a comment
+    line; a line break followed by '#' in an id, origin_id or city is an
+    IngestError naming the household, raised before the file is opened.
+    """
+    table = HouseholdTable.of(households)
+    _refuse_line_break_before_hash(table)
+    lats, lons, incomes = [], [], []
+    last = last_income = None
+    for point, income in zip(table.points, table.incomes):
+        if point is not last or income is not last_income:
+            last, last_income = point, income
+            cells = repr(point.lat), repr(point.lon), "" if income is None else repr(income)
+        lats.append(cells[0])
+        lons.append(cells[1])
+        incomes.append(cells[2])
+    cities = [city or "" for city in table.cities]
+    rows = zip(table.ids, lats, lons, incomes, map(repr, table.weights), table.origin_ids, cities)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
+        hashed = any(map(str.startswith, table.ids, repeat("#")))
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL if hashed else csv.QUOTE_MINIMAL)
         writer.writerow(PREPARED_FIELDS)
-        for h in households:
-            writer.writerow([
-                h.id,
-                repr(h.location.lat),
-                repr(h.location.lon),
-                "" if h.income is None else repr(h.income),
-                repr(h.weight),
-                h.origin_id,
-                h.city or "",
-            ])
+        writer.writerows(rows)
 
 
 PREPARED_SCHEMA = ColumnSchema(lat="lat", lon="lon", income="income", id="id", city="city")

@@ -8,6 +8,13 @@ duplicate header the later column wins; a short row names the first
 column, by first appearance, whose last appearance got no cell).
 load_prepared is ingest.load_prepared as it was before it read columns:
 one Household per row, each weight parsed and checked as it is read.
+
+filter_by_income, sample, apply_weights, duplicate_by_weight, prepare and
+write_households_csv are ingest's preparation steps and writer as they were
+before they worked on columns: one Household built per row and step, and
+four float reprs formatted per written row. The column-wise steps must give
+the same households, the same first IngestError and, for any table with no
+id starting with '#', the same prepared.csv bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +24,17 @@ import math
 
 from pantryplan.distance import GeoPoint
 from pantryplan.errors import IngestError
-from pantryplan.ingest import PREPARED_EXTRA, PREPARED_SCHEMA, ColumnSchema, Household, _parse_float
+from pantryplan.ingest import (
+    PREPARED_EXTRA,
+    PREPARED_FIELDS,
+    PREPARED_SCHEMA,
+    ColumnSchema,
+    Household,
+    IngestConfig,
+    _parse_float,
+    compute_weight,
+)
+from pantryplan.rng import sample_indices
 
 
 def read_households(path, schema: ColumnSchema, extra: tuple = ()):
@@ -64,3 +81,70 @@ def load_prepared(path) -> list:
             raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
         out.append(Household(hid, location, income, weight, origin or hid, city))
     return out
+
+
+def filter_by_income(households, cap: float) -> list:
+    return [h for h in households if h.income is None or h.income <= cap]
+
+
+def sample(households, n: int, seed: int) -> list:
+    if n < 1:
+        raise IngestError(f"sample size must be >= 1, got {n}")
+    if n >= len(households):
+        return list(households)
+    return [households[i] for i in sample_indices(len(households), n, seed)]
+
+
+def apply_weights(households, config: IngestConfig) -> list:
+    out = []
+    for h in households:
+        if h.income is None:
+            out.append(h)
+        else:
+            w = compute_weight(h.income, config.weight_numerator, config.weight_cap)
+            out.append(Household(h.id, h.location, h.income, w, h.origin_id, h.city))
+    return out
+
+
+def _round_half_away(x: float) -> int:
+    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+
+
+def duplicate_by_weight(households) -> list:
+    out = []
+    for h in households:
+        copies = max(1, _round_half_away(h.weight))
+        for j in range(copies):
+            cid = h.id if j == 0 else f"{h.id}#{j}"
+            out.append(Household(cid, h.location, h.income, 1.0, h.origin_id, h.city))
+    return out
+
+
+def prepare(households, config: IngestConfig) -> list:
+    hh = filter_by_income(households, config.income_cap)
+    if config.sample_size != "all":
+        hh = sample(hh, config.sample_size, config.seed)
+    if config.weighting_mode == "none":
+        return list(hh)
+    hh = apply_weights(hh, config)
+    if config.weighting_mode == "duplicate":
+        hh = duplicate_by_weight(hh)
+    return hh
+
+
+def write_households_csv(households, path, header_comment=None) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(PREPARED_FIELDS)
+        for h in households:
+            writer.writerow([
+                h.id,
+                repr(h.location.lat),
+                repr(h.location.lon),
+                "" if h.income is None else repr(h.income),
+                repr(h.weight),
+                h.origin_id,
+                h.city or "",
+            ])

@@ -207,6 +207,27 @@ def test_ingest_bad_path_exits_2(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+def test_a_household_whose_id_starts_with_a_hash_reaches_the_report(tmp_path, capsys):
+    # prepared.csv once wrote its row unquoted, and every later stage read
+    # it as a comment line: 3 prepared, 2 in the report
+    (tmp_path / "synth.csv").write_text(
+        'id,lat,lon,income,city\n"#A1",39.0,-86.5,20000,x\nb,39.1,-86.4,30000,x\nc,39.2,-86.3,,x\n'
+    )
+    (tmp_path / "pantries.csv").write_text("lat,lon\n39.05,-86.45\n")
+    cfg_path, cfg = write_config(
+        tmp_path,
+        hierarchy={"k_banks": 1, "k_pantries_total": 2},
+        baselines={"banks": None, "pantries": str(tmp_path / "pantries.csv"), "schema": {"lat": "lat", "lon": "lon"}},
+    )
+    for stage in ("ingest", "matrix", "place", "evaluate"):
+        assert run(["--config", cfg_path, stage]) == 0
+    assert "3 read, 3 prepared" in capsys.readouterr().out
+    out_dir = Path(cfg["out_dir"])
+    assert [h.id for h in load_prepared(out_dir / "prepared.csv")] == ["#A1", "b", "c"]
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["groups"]["overall"]["household_count"] == 3
+
+
 # --- matrix ---------------------------------------------------------------------
 
 def test_matrix_equals_library_great_circle(tmp_path):
@@ -1052,7 +1073,7 @@ def damage_prepared(path, damage):
         csv.writer(fh).writerows([header, *rows])
     for kind, offset in (d for d in damage if d[0] in ("truncate", "not UTF-8")):
         text = path.read_bytes()
-        at = offset % len(text)
+        at = offset % len(text) if text else 0  # a truncation may have left no byte
         path.write_bytes(text[:at] if kind == "truncate" else text[:at] + b"\xe9" + text[at:])
 
 
@@ -1061,6 +1082,7 @@ def damage_prepared(path, damage):
 @example(damage=[("cell", 3, 4, "nan")])
 @example(damage=[("rename column", 1, "x")])
 @example(damage=[("truncate", 0)])
+@example(damage=[("truncate", 0), ("not UTF-8", 0)])
 @example(damage=[("not UTF-8", 400)])
 @example(damage=[("cell", 0, 6, LONG_CELL)])
 def test_stages_on_a_damaged_prepared_csv_exit_0_or_name_the_error(placed, tmp_path_factory, damage):

@@ -401,6 +401,63 @@ def test_great_circle_squares_the_sine_with_libm_pow():
     assert m.values[0, 0] == m.values[1, 1] == great_circle(a, b)
 
 
+# the kernel squares each sine with math.pow(s, 2.0); great_circle's s ** 2
+# hands libm |s| instead of s, so the two agree only if libm's pow is even
+SMALLEST_NORMAL = np.finfo(np.float64).tiny
+SINES = [0.0, 5e-324, 1e-160, 1.5e-154, math.nextafter(SMALLEST_NORMAL, 0.0), SMALLEST_NORMAL, 1e-8, 0.5, 1.0]
+SINES += np.sin(np.random.default_rng(19).uniform(-math.pi, math.pi, 2000)).tolist()
+
+
+def test_math_pow_squares_each_sine_as_the_builtin_pow_does():
+    for s in SINES + [-s for s in SINES]:
+        assert bits(math.pow(s, 2.0)) == bits(s ** 2), s
+
+
+@given(st.floats(-1.0, 1.0))
+def test_math_pow_squares_any_sine_as_the_builtin_pow_does(s):
+    assert bits(math.pow(s, 2.0)) == bits(s ** 2)
+    assert bits(math.pow(-s, 2.0)) == bits(s ** 2)
+
+
+def _antipode(p: GeoPoint, dlat: float, dlon: float) -> GeoPoint:
+    """p's antipode moved by (dlat, dlon) degrees, kept in range."""
+    lon = p.lon - 180.0 if p.lon > 0 else p.lon + 180.0
+    return GeoPoint(min(90.0, max(-90.0, -p.lat + dlat)), min(180.0, max(-180.0, lon + dlon)))
+
+
+poles = st.builds(GeoPoint, st.sampled_from([90.0, -90.0]), st.floats(-180, 180))
+antimeridian = st.builds(GeoPoint, st.floats(-90, 90), st.sampled_from([180.0, -180.0]))
+nudges = st.sampled_from([0.0, 1e-12]) | st.floats(-1e-6, 1e-6)
+
+
+@st.composite
+def kernel_lists(draw):
+    """(sources, destinations) over a few distinct points, poles, points on
+    the antimeridian and points within a micro-degree of another's antipode;
+    both lists repeat points, and destinations are the sources or another
+    list."""
+    base = draw(st.lists(edge_or_any | poles | antimeridian, min_size=1, max_size=5))
+    far = [_antipode(p, draw(nudges), draw(nudges)) for p in draw(st.lists(st.sampled_from(base), max_size=3))]
+    points = st.lists(st.sampled_from(base + far), min_size=1, max_size=14)
+    sources = draw(points)
+    return sources, sources if draw(st.booleans()) else draw(points)
+
+
+@given(kernel_lists())
+def test_kernel_cells_are_great_circle_bit_for_bit(lists):
+    sources, destinations = lists
+    want = scalar_loop(sources, destinations, EARTH_RADIUS_M)
+    assert build_matrix(GC_SPEC, sources, destinations).values.tobytes() == want.tobytes()
+    assert nearest_great_circle(sources, destinations).tobytes() == want.min(axis=1).tobytes()
+
+
+def test_kernel_lists_reach_the_antipode():
+    # the strategy's near-antipodes lie within a meter of half the circumference
+    p = GeoPoint(10.0, 20.0)
+    d = great_circle(p, _antipode(p, 1e-12, 0.0))
+    assert abs(d - math.pi * EARTH_RADIUS_M) < 1.0
+
+
 # --- nearest_great_circle ---------------------------------------------------
 
 def row_minima(sources, destinations, radius=EARTH_RADIUS_M):

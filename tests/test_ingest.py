@@ -1,9 +1,11 @@
 import csv
 import io
+import math
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import reference_ingest
 from pantryplan import ingest
@@ -87,7 +89,7 @@ def test_filter_keeps_boundary_drops_above():
 
 def test_filter_without_incomes_is_identity():
     rows = [hh(0), hh(1), hh(2)]
-    assert filter_by_income(rows, 40000) == rows
+    assert list(filter_by_income(rows, 40000)) == rows
 
 
 def test_filter_fixture_removes_four_of_ten(data_dir):
@@ -106,8 +108,8 @@ def test_filter_is_idempotent(data_dir):
 
 def test_sample_full_size_is_identity():
     rows = [hh(i) for i in range(5)]
-    assert sample(rows, 5, seed=1) == rows
-    assert sample(rows, 9, seed=1) == rows
+    assert list(sample(rows, 5, seed=1)) == rows
+    assert list(sample(rows, 9, seed=1)) == rows
 
 
 def test_sample_deterministic_across_runs():
@@ -196,7 +198,7 @@ def test_duplicate_total_count():
 
 def test_duplicate_identity_for_unit_weights():
     rows = [hh(0), hh(1)]
-    assert duplicate_by_weight(rows) == rows
+    assert list(duplicate_by_weight(rows)) == rows
 
 
 def test_duplicate_copies_share_location_and_income():
@@ -224,13 +226,13 @@ def test_weighting_keeps_every_other_field():
     ]
     cfg = IngestConfig(weighting_mode="direct")
     weighted = ingest.apply_weights(rows, cfg)
-    assert weighted == [
+    assert list(weighted) == [
         replace(rows[0], weight=5 / 1.2),
         rows[1],
         replace(rows[2], weight=5 / 3.0),
     ]
     copies = duplicate_by_weight(weighted)
-    assert copies == [
+    assert list(copies) == [
         replace(h, id=h.id if j == 0 else f"{h.id}#{j}", weight=1.0)
         for h in weighted
         for j in range(max(1, round(h.weight)))
@@ -288,7 +290,7 @@ def test_prepared_csv_round_trip(tmp_path, data_dir):
     path = tmp_path / "prepared.csv"
     write_households_csv(out, path, header_comment="test run")
     back = load_prepared(path)
-    assert list(back) == out
+    assert list(back) == list(out)
 
 
 def test_load_prepared_parses_the_file_once(tmp_path, data_dir, monkeypatch):
@@ -318,7 +320,7 @@ def test_load_prepared_returns_a_table_of_the_households(tmp_path, data_dir):
         tuple(getattr(h, f) for h in rows) for f in ("id", "location", "weight")
     )
     assert len(table) == len(rows)
-    assert [table[i] for i in range(len(rows))] == list(table) == rows
+    assert [table[i] for i in range(len(rows))] == list(table) == list(rows)
     assert table[-1] == rows[-1]
     assert table.index(rows[2]) == 2 and rows[2] in table
     empty = tmp_path / "empty.csv"
@@ -483,3 +485,165 @@ def test_load_prepared_matches_the_reference(tmp_path_factory, text):
     assert _outcome(lambda path, *_: load_prepared(path), path, None, None) == _outcome(
         lambda path, *_: reference_ingest.load_prepared(path), path, None, None
     )
+
+
+# --- the column-wise steps and writer against the row-wise reference --------
+
+TEXT = st.text(alphabet='ab#,"\n\r ', max_size=4)
+INCOMES = st.none() | st.sampled_from([0.0, 5e-324, 1e-300, 40000.0, math.inf, math.nan]) | st.floats(0, 1e6)
+
+
+@st.composite
+def household_lists(draw, ids=st.text(alphabet="ab1#", max_size=3)):
+    """Households with repeated ids, absent, zero, tiny, infinite and NaN
+    incomes, weights of 1 or drawn, given or absent origin ids and cities."""
+    return [
+        Household(
+            draw(ids),
+            GeoPoint(draw(st.floats(-90, 90)), draw(st.floats(-180, 180))),
+            draw(INCOMES),
+            draw(st.sampled_from([1.0, 0.5, 2.5]) | st.floats(0.1, 12)),  # x.5 rounds half away from zero
+            draw(st.just("") | ids),
+            draw(st.none() | ids),
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+
+
+ingest_configs = st.builds(
+    IngestConfig,
+    income_cap=st.sampled_from([40000.0, math.inf, 0.0]) | st.floats(0, 1e6),
+    sample_size=st.just("all") | st.integers(1, 14),
+    seed=st.integers(0, 2**64 - 1),
+    weighting_mode=st.sampled_from(["none", "duplicate", "direct"]),
+    weight_cap=st.floats(1.25, 100),
+    # 0, a negative and an underflowing numerator give weights Household refuses
+    weight_numerator=st.sampled_from([5.0, 0.0, -1.0, 1e-300]) | st.floats(0.01, 100),
+)
+
+
+def _prepared(prep, households, config):
+    """("rows", the repr of prep's households) or ("error", its message)."""
+    try:
+        return "rows", repr(list(prep(households, config)))
+    except IngestError as exc:
+        return "error", str(exc)
+
+
+def _written(write, households, path) -> bytes:
+    write(households, path, header_comment="test run")
+    return path.read_bytes()
+
+
+@settings(max_examples=300)
+@given(households=household_lists(), config=ingest_configs)
+def test_prepare_and_write_match_the_row_wise_reference(tmp_path_factory, households, config):
+    got = _prepared(prepare, households, config)
+    assert got == _prepared(reference_ingest.prepare, households, config)
+    if got[0] == "rows":
+        path = tmp_path_factory.mktemp("csv") / "prepared.csv"
+        table = prepare(households, config)
+        want = reference_ingest.prepare(households, config)
+        assume(not any(h.id.startswith("#") for h in want))  # the reference lets these read back as comments
+        assert _written(write_households_csv, table, path) == _written(reference_ingest.write_households_csv, want, path)
+
+
+@pytest.mark.parametrize("mode", ["none", "duplicate", "direct"])
+@pytest.mark.parametrize("sample_size", ["all", 1, 4])
+@pytest.mark.parametrize("schema", [CA_SCHEMA, replace(CA_SCHEMA, income=None)], ids=["incomes", "no_incomes"])
+def test_prepared_csv_of_the_fixture_is_the_row_wise_writers(tmp_path, data_dir, mode, sample_size, schema):
+    table = load_households(data_dir / "ca_blocks.csv", schema)
+    config = IngestConfig(sample_size=sample_size, seed=3, weighting_mode=mode)
+    got = _written(write_households_csv, prepare(table, config), tmp_path / "prepared.csv")
+    want = reference_ingest.prepare(list(table), config)
+    assert got == _written(reference_ingest.write_households_csv, want, tmp_path / "reference.csv")
+
+
+def test_a_degenerate_income_raises_the_row_wise_first_error():
+    # the first fault in row order, whether compute_weight refuses the income
+    # or Household the weight it gives
+    base = [hh(0, income=20000.0), hh(1, income=0.0), hh(2, income=5e-324)]
+    for rows, config, message in [
+        (base, IngestConfig(weighting_mode="direct"), "cannot weight income 0.0"),
+        (base[::-1], IngestConfig(weighting_mode="direct"), "cannot weight income 5e-324"),
+        (base, IngestConfig(weighting_mode="duplicate", weight_numerator=0.0), "household 0: weight must be positive"),
+        # 1e-300 / (1e306 / 1e4) underflows to a weight of 0
+        ([hh(0, income=1e306), *base[1:]], IngestConfig(income_cap=math.inf, weight_numerator=1e-300,
+                                                        weighting_mode="direct"),
+         "household 0: weight must be positive and finite, got 0.0"),
+    ]:
+        got = _prepared(prepare, rows, config)
+        assert got == _prepared(reference_ingest.prepare, rows, config)
+        assert got[0] == "error" and got[1].startswith(message)
+
+
+def test_a_run_of_shared_objects_is_formatted_as_each_row(tmp_path):
+    # copies share one location and one income; rows that share only one of
+    # them are not copies
+    p, q, income = GeoPoint(1.5, -0.0), GeoPoint(2.5, 3.25), 12345.6
+    rows = [
+        Household("a", p, income), Household("a#1", p, income), Household("b", p, 1e-7),
+        Household("c", q, 1e-7), Household("d", q, None), Household("e", p, None, 2.5),
+    ]
+    got = _written(write_households_csv, rows, tmp_path / "prepared.csv")
+    assert got == _written(reference_ingest.write_households_csv, rows, tmp_path / "reference.csv")
+
+
+def test_the_steps_take_a_list_and_return_a_table():
+    rows = [hh(0, income=30000.0, weight=2.0), hh(1, income=50000.0)]
+    for step in (
+        lambda r: filter_by_income(r, 40000),
+        lambda r: sample(r, 1, seed=4),
+        lambda r: ingest.apply_weights(r, IngestConfig(weighting_mode="direct")),
+        duplicate_by_weight,
+        lambda r: prepare(r, IngestConfig(weighting_mode="duplicate")),
+    ):
+        table = step(rows)
+        assert isinstance(table, ingest.HouseholdTable)
+        assert step(ingest.HouseholdTable.of(rows)) == table
+
+
+# --- prepared.csv round trip -------------------------------------------------
+
+@settings(max_examples=300)
+@given(households=household_lists(ids=TEXT.filter(bool)))
+def test_prepared_csv_round_trips_hashes_quotes_commas_and_line_breaks(tmp_path_factory, households):
+    # a cell with a line break followed by '#' is refused; anything else,
+    # ids starting with '#' included, reads back as it was written
+    table = ingest.HouseholdTable.of(households)
+    path = tmp_path_factory.mktemp("csv") / "prepared.csv"
+    cells = [cell for h in households for cell in (h.id, h.origin_id, h.city or "")]
+    bad = next((h for h in households if any(
+        "\n#" in cell or "\r#" in cell for cell in (h.id, h.origin_id, h.city or ""))), None)
+    if bad is not None:
+        with pytest.raises(IngestError, match=f"^household {re.escape(repr(bad.id))}: a line break followed by '#'"):
+            write_households_csv(table, path, header_comment="test run")
+        assert not path.exists()
+        return
+    write_households_csv(table, path, header_comment="test run")
+    # repr tells -0.0 from 0.0 and takes a NaN income for itself
+    assert repr(load_prepared(path)) == repr(table)
+    breaks = any("\n" in c or "\r" in c for c in cells)
+    event(f"a '#' cell: {any('#' in c for c in cells)}, a line break: {breaks}")
+
+
+def test_an_id_starting_with_a_hash_is_quoted_and_read_back(tmp_path):
+    rows = [hh("#A1", income=12000.0), hh("b"), hh("#")]
+    path = tmp_path / "prepared.csv"
+    write_households_csv(rows, path, header_comment="test run")
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [
+        '"id","lat","lon","income","weight","origin_id","city"',
+        '"#A1","0.0","0.0","12000.0","1.0","#A1",""',
+        '"b","0.0","0.0","","1.0","b",""',
+        '"#","0.0","0.0","","1.0","#",""',
+    ]
+    assert list(load_prepared(path)) == rows
+
+
+def test_a_line_break_before_a_hash_is_refused_naming_the_household(tmp_path):
+    path = tmp_path / "prepared.csv"
+    for row in (hh("a\n#b"), Household("c", GeoPoint(0, 0), city="x\r#y"), Household("d", GeoPoint(0, 0), origin_id="\n#")):
+        with pytest.raises(IngestError, match=f"^household {re.escape(repr(row.id))}: "):
+            write_households_csv([hh("ok"), row], path)
+        assert not path.exists()

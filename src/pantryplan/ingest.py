@@ -8,12 +8,13 @@ downstream come out weighted.
 load_households and load_prepared return a HouseholdTable: the households
 column-wise, one tuple per field, and a read-only Sequence[Household] that
 builds each Household only when it is indexed or iterated. A stage that
-needs only points, weights or cities reads those columns. The file is read
-in one csv.reader pass and each float column parsed with one map(float, ...).
-The GeoPoint each row becomes checks its coordinates; the income's sign and
-the weight's range are checked a column at a time. Only when a check fails
-does the row walk (_read_households) run, to name the first fault with its
-line, so the rows, messages and line numbers are the row walk's.
+needs only points, weights or cities reads those columns. Every household
+CSV, faulty or not, is read by _read_table: one open and one csv.reader
+pass, with '#' a comment only where a row starts, so every cell
+write_households_csv writes reads back. It converts each column whole
+(one map(float, ...) per float column; the GeoPoint each row becomes checks
+its coordinates), and checks the rows it holds one at a time only to name
+a fault and its line.
 
 The preparation steps work on a HouseholdTable's columns (a list of
 Households is read into one) and return a table, building no Household:
@@ -139,6 +140,7 @@ class IngestConfig:
                 raise IngestError(f"{name} must be a real number, got {value!r}")
             if name != "income_cap" and not math.isfinite(value):
                 raise IngestError(f"{name} must be finite, got {value!r}")
+        _require_cap(self.income_cap)
         if self.weight_cap < 1.25:
             raise IngestError(f"weight_cap must be >= 1.25, got {self.weight_cap}")
 
@@ -165,11 +167,6 @@ def _open(path):
         raise IngestError(f"no such file: {path}") from None
 
 
-def _rows(fh):
-    """csv.reader over the lines of fh; lines starting with '#' never reach it."""
-    return csv.reader(line for line in fh if not line.startswith("#"))
-
-
 def _columns_at(path, header, schema: ColumnSchema, extra: tuple) -> tuple:
     """The header's index of schema's lat, lon, income, id and city (None
     for one the schema leaves unset), and of each extra column (None for one
@@ -185,52 +182,6 @@ def _columns_at(path, header, schema: ColumnSchema, extra: tuple) -> tuple:
     return [where[col] if col else None for col in named], [where.get(col) for col in extra]
 
 
-def _read_households(path, schema: ColumnSchema, extra: tuple = ()):
-    """Yield (line number, id, GeoPoint, income, city, extra cells) per CSV
-    row, in file order; extra cells are those of the extra columns, "" for a
-    column the header lacks. This row walk names a fault: the loaders run it
-    only when _read_table's bulk checks fail.
-
-    Lines starting with '#' never reach the CSV reader. The rows are read
-    with csv.reader and each column's cell taken by its index in the header,
-    where a later duplicate header wins, with the checks, messages and line
-    numbers csv.DictReader gives: blank rows are skipped, a row's line number
-    is that of its last physical line, a row shorter than the header is an
-    error naming its first missing column, and cells past the header's
-    width are ignored. Text that is not UTF-8, or that csv.reader refuses
-    (a cell past csv.field_size_limit()), is an error too.
-    """
-    with _open(path) as fh:
-        reader = _rows(fh)
-        try:
-            header = next(reader, None)
-            (lat_at, lon_at, income_at, id_at, city_at), extra_at = _columns_at(path, header, schema, extra)
-            width = len(header)
-            for i, row in enumerate(filter(None, reader)):  # a blank line reads as [], which is skipped
-                line_no = reader.line_num
-                if len(row) < width:
-                    raise IngestError(f"line {line_no}: no cell for column {_first_missing(header, len(row))!r}")
-                lat = _parse_float(row[lat_at], "latitude", line_no)
-                lon = _parse_float(row[lon_at], "longitude", line_no)
-                if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                    raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
-                income = None
-                if income_at is not None and row[income_at] != "":
-                    income = _parse_float(row[income_at], "income", line_no)
-                    if income < 0:
-                        raise IngestError(f"line {line_no}: negative income {income}")
-                hid = row[id_at] if id_at is not None else str(i)
-                city = (row[city_at] or None) if city_at is not None else None
-                cells = tuple([row[j] if j is not None else "" for j in extra_at])
-                yield line_no, hid, GeoPoint(lat, lon), income, city, cells
-        # the file is decoded a block at a time, so a decoding fault has no line
-        except UnicodeDecodeError as exc:
-            bad = exc.object[exc.start : exc.end]
-            raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
-        except csv.Error as exc:
-            raise IngestError(f"line {reader.line_num}: {exc}") from None
-
-
 def _floats(cells: list, empty) -> list:
     """Each cell as a float, an empty one as empty; ValueError for a cell
     float() refuses."""
@@ -239,65 +190,139 @@ def _floats(cells: list, empty) -> list:
     return [float(c) if c else empty for c in cells]
 
 
-def _read_table(path, schema: ColumnSchema, extra: tuple = ()) -> tuple:
-    """(ids, points, incomes, cities, extra columns) of a household CSV, each
-    a tuple in file order, from one csv.reader pass: what _read_households
-    yields, less the line numbers, column by column.
+def _read_table(
+    path, schema: ColumnSchema, weight: Optional[str] = None, origin_id: Optional[str] = None
+) -> HouseholdTable:
+    """The households of a CSV file as a HouseholdTable, in file order, from
+    one open and one csv.reader pass.
 
-    A missing file, an empty one or a missing column raises
-    _read_households' IngestError. Any other fault (text that is not UTF-8
-    or that csv.reader refuses, a short row, a cell that does not parse, a
-    coordinate out of range, a negative income) raises a bare ValueError
-    instead; the caller runs its row walk to name it.
+    A line that starts with '#' where csv.reader would start a row is a
+    comment: it is skipped and not counted as a line. Inside a quoted cell
+    such a line is part of the cell. Rows are read as csv.DictReader reads
+    them: blank rows are skipped, a row's line number is that of its last
+    physical line, each column's cell is taken by its index in the header,
+    where a later duplicate header wins, and cells past the header's width
+    are ignored.
+
+    An empty income cell means income unknown. weight and origin_id name
+    optional columns: an empty or absent weight is 1.0 and an empty or
+    absent origin_id the row's id. Each column is converted whole. Only when
+    that fails, or the text is not UTF-8 or holds a cell past
+    csv.field_size_limit(), does _first_fault check the rows read, one at a
+    time, and raise an IngestError naming the first fault in file order.
+    A missing file, an empty one or a missing column is an IngestError too.
     """
     with _open(path) as fh:
-        reader = _rows(fh)
+        start = True  # csv.reader pulls a line only when it needs one, so this is exact
+
+        def lines():
+            nonlocal start
+            for line in fh:
+                if not (start and line.startswith("#")):
+                    start = False
+                    yield line
+
+        reader = csv.reader(lines())
+        header, rows, line_nos, fault = None, [], [], None
         try:
             header = next(reader, None)
-            (lat_at, lon_at, income_at, id_at, city_at), extra_at = _columns_at(path, header, schema, extra)
-            rows = list(filter(None, reader))
-        except csv.Error as exc:  # UnicodeDecodeError is a ValueError already
-            raise ValueError(exc) from None
+            start = True
+            for row in reader:
+                start = True
+                if row:  # a blank line reads as [], which is skipped
+                    rows.append(row)
+                    line_nos.append(reader.line_num)
+        # the file is decoded a block at a time, so a decoding fault has no line
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            fault = IngestError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})")
+        except csv.Error as exc:
+            fault = IngestError(f"line {reader.line_num}: {exc}")
+    if header is None and fault is not None:
+        raise fault
+    (lat_at, lon_at, income_at, id_at, city_at), (weight_at, origin_at) = _columns_at(
+        path, header, schema, (weight, origin_id)
+    )
     n = len(rows)
 
     def column(j):
         return [row[j] for row in rows]
 
-    if rows and min(map(len, rows)) < len(header):
-        raise ValueError("a row is short")
-    # GeoPoint raises ValueError for a coordinate that is not finite or in range
-    points = tuple(map(GeoPoint, map(float, column(lat_at)), map(float, column(lon_at))))
-    incomes = _floats(column(income_at), None) if income_at is not None else [None] * n
-    # np.array turns an absent income into NaN, which is not negative
-    if (np.array(incomes, dtype=np.float64) < 0).any():
-        raise ValueError("an income is negative")
-    ids = tuple(column(id_at)) if id_at is not None else tuple(map(str, range(n)))
-    cities = tuple([c or None for c in column(city_at)]) if city_at is not None else (None,) * n
-    extras = tuple(tuple(column(j)) if j is not None else ("",) * n for j in extra_at)
-    return ids, points, tuple(incomes), cities, extras
+    if fault is None:
+        try:
+            if rows and min(map(len, rows)) < len(header):
+                raise ValueError("a row is short")
+            # GeoPoint raises ValueError for a coordinate that is not finite or in range
+            points = tuple(map(GeoPoint, map(float, column(lat_at)), map(float, column(lon_at))))
+            incomes = _floats(column(income_at), None) if income_at is not None else [None] * n
+            # np.array turns an absent income into NaN, which is not negative
+            if (np.array(incomes, dtype=np.float64) < 0).any():
+                raise ValueError("an income is negative")
+            weights = (1.0,) * n
+            if weight_at is not None:
+                weights = tuple(_floats(column(weight_at), 1.0))
+                w = np.array(weights)
+                # numpy's min propagates a NaN, which then fails the comparison
+                if w.size and not (0 < w.min() and w.max() < math.inf):
+                    raise ValueError("a weight is not positive and finite")
+        except ValueError as exc:
+            fault = exc  # _first_fault raises it only if no row is at fault, which would be a bug
+        else:
+            ids = tuple(column(id_at)) if id_at is not None else tuple(map(str, range(n)))
+            origin_ids = ids
+            if origin_at is not None:
+                origin_ids = tuple([origin or hid for origin, hid in zip(column(origin_at), ids)])
+            cities = tuple([c or None for c in column(city_at)]) if city_at is not None else (None,) * n
+            return HouseholdTable(ids, points, tuple(incomes), weights, origin_ids, cities)
+    _first_fault(header, rows, line_nos, (lat_at, lon_at, income_at, weight_at), fault)
+
+
+def _first_fault(header: list, rows: list, line_nos: list, at: tuple, fault: Exception):
+    """Raise an IngestError naming the first faulty row of rows, each read
+    from the line of line_nos beside it, else fault. A row is checked in
+    the order: its width, latitude, longitude, their range, income, weight;
+    at holds the header's index of those last four (None for an unread
+    column)."""
+    lat_at, lon_at, income_at, weight_at = at
+    for row, line_no in zip(rows, line_nos):
+        if len(row) < len(header):
+            raise IngestError(f"line {line_no}: no cell for column {_first_missing(header, len(row))!r}")
+        lat = _parse_float(row[lat_at], "latitude", line_no)
+        lon = _parse_float(row[lon_at], "longitude", line_no)
+        if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
+            raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
+        if income_at is not None and row[income_at] != "":
+            income = _parse_float(row[income_at], "income", line_no)
+            if income < 0:
+                raise IngestError(f"line {line_no}: negative income {income}")
+        if weight_at is not None and row[weight_at] != "":
+            raw = row[weight_at]
+            if not 0 < _parse_float(raw, "weight", line_no) < math.inf:
+                raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
+    raise fault
 
 
 def load_households(path, schema: ColumnSchema) -> HouseholdTable:
     """Read one household per CSV row, in file order, all weights 1.0, as a
-    HouseholdTable.
+    HouseholdTable (see _read_table).
 
-    Lines starting with '#' are provenance comments and are skipped. A row
-    with fewer cells than the header, or with an unparseable or out-of-range
-    coordinate, is an error naming the line; an empty income cell means
-    income unknown.
+    A row with fewer cells than the header, or with an unparseable or
+    out-of-range coordinate, is an error naming the line; an empty income
+    cell means income unknown.
     """
-    try:
-        ids, points, incomes, cities, _ = _read_table(path, schema)
-    except ValueError:  # the row walk names the first fault
-        return HouseholdTable.of(
-            Household(hid, location, income, city=city)
-            for _, hid, location, income, city, _ in _read_households(path, schema)
-        )
-    return HouseholdTable(ids, points, incomes, (1.0,) * len(ids), ids, cities)
+    return _read_table(path, schema)
+
+
+def _require_cap(cap: float) -> None:
+    # every comparison with NaN is false, so a NaN cap would drop every income
+    if math.isnan(cap):
+        raise IngestError(f"income_cap must not be NaN (inf means no cap), got {cap!r}")
 
 
 def filter_by_income(households: Sequence[Household], cap: float = DEFAULT_INCOME_CAP) -> HouseholdTable:
-    """Keep households with income <= cap or with no income, order preserved."""
+    """Keep households with income <= cap or with no income, order preserved;
+    a cap of inf keeps all, a NaN cap is an IngestError."""
+    _require_cap(cap)
     table = HouseholdTable.of(households)
     keep = [i for i, income in enumerate(table.incomes) if income is None or income <= cap]
     return table if len(keep) == len(table) else table.take(keep)
@@ -379,19 +404,6 @@ def prepare(households: Sequence[Household], config: IngestConfig) -> HouseholdT
 PREPARED_FIELDS = ("id", "lat", "lon", "income", "weight", "origin_id", "city")
 
 
-def _refuse_line_break_before_hash(table: HouseholdTable) -> None:
-    """IngestError naming the first household whose id, origin_id or city
-    holds a line break followed by '#': that cell would start a line which
-    every loader skips as a comment."""
-    text = "\0".join(chain(table.ids, table.origin_ids, filter(None, table.cities)))
-    if "\n#" in text or "\r#" in text:
-        h = next(h for h in table if any("\n#" in c or "\r#" in c for c in (h.id, h.origin_id, h.city or "")))
-        raise IngestError(
-            f"household {h.id!r}: a line break followed by '#' in its id, origin_id or city "
-            "would read back as a comment line"
-        )
-
-
 def write_households_csv(households: Iterable[Household], path, header_comment: Optional[str] = None) -> None:
     """Write households in the prepared-CSV layout understood by load_prepared.
 
@@ -399,11 +411,9 @@ def write_households_csv(households: Iterable[Household], path, header_comment: 
     rows sharing one location and one income (a household's copies from
     duplicate_by_weight) formats them once. If an id starts with '#', every
     cell of the file is quoted, so that row cannot read back as a comment
-    line; a line break followed by '#' in an id, origin_id or city is an
-    IngestError naming the household, raised before the file is opened.
+    line. Each line of header_comment is written as its own '# ' line.
     """
     table = HouseholdTable.of(households)
-    _refuse_line_break_before_hash(table)
     lats, lons, incomes = [], [], []
     last = last_income = None
     for point, income in zip(table.points, table.incomes):
@@ -417,7 +427,7 @@ def write_households_csv(households: Iterable[Household], path, header_comment: 
     rows = zip(table.ids, lats, lons, incomes, map(repr, table.weights), table.origin_ids, cities)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
-            fh.write(f"# {header_comment}\n")
+            fh.write("".join(f"# {line}\n" for line in header_comment.splitlines()))
         hashed = any(map(str.startswith, table.ids, repeat("#")))
         writer = csv.writer(fh, quoting=csv.QUOTE_ALL if hashed else csv.QUOTE_MINIMAL)
         writer.writerow(PREPARED_FIELDS)
@@ -428,34 +438,12 @@ PREPARED_SCHEMA = ColumnSchema(lat="lat", lon="lon", income="income", id="id", c
 PREPARED_EXTRA = ("weight", "origin_id")  # optional: a file without them reads weight 1.0 and origin_id = id
 
 
-def _weight(raw: str, line_no: int) -> float:
-    weight = _parse_float(raw, "weight", line_no) if raw else 1.0
-    if not (math.isfinite(weight) and weight > 0):
-        raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
-    return weight
-
-
 def load_prepared(path) -> HouseholdTable:
     """Read a prepared-households CSV written by write_households_csv, as a
-    HouseholdTable.
+    HouseholdTable (see _read_table).
 
     Each row is one household with its weight and origin_id. An empty
     weight cell means 1.0; a weight that does not parse, or is not a
     positive finite number, is an error naming the line.
     """
-    try:
-        ids, points, incomes, cities, (raw, origins) = _read_table(path, PREPARED_SCHEMA, PREPARED_EXTRA)
-        weights = _floats(raw, 1.0)
-        w = np.array(weights)
-        # numpy's min propagates a NaN, which then fails the comparison
-        if w.size and not (0 < w.min() and w.max() < math.inf):
-            raise ValueError("a weight is not positive and finite")
-    except ValueError:  # the row walk names the first fault, a weight's included
-        return HouseholdTable.of(
-            Household(hid, location, income, _weight(raw, line_no), origin or hid, city)
-            for line_no, hid, location, income, city, (raw, origin) in _read_households(
-                path, PREPARED_SCHEMA, PREPARED_EXTRA
-            )
-        )
-    origin_ids = tuple([origin or hid for origin, hid in zip(origins, ids)])
-    return HouseholdTable(ids, points, incomes, tuple(weights), origin_ids, cities)
+    return _read_table(path, PREPARED_SCHEMA, *PREPARED_EXTRA)

@@ -1,11 +1,13 @@
 """Reference household reader on csv.DictReader.
 
-This is ingest._read_households as it was before it read rows with
-csv.reader and a header-to-index map. DictReader defines the behaviour the
-fast reader must keep: which rows are read, which are skipped, every error
-message and every line number, including DictReader's own rules (with a
-duplicate header the later column wins; a short row names the first
-column, by first appearance, whose last appearance got no cell).
+This is ingest's row walk as it was before it read rows with csv.reader
+and a header-to-index map, with one later change: a line starting with '#'
+is a comment only where the csv reader starts a row, not inside a quoted
+cell. DictReader defines the behaviour the fast reader must keep: which
+rows are read, which are skipped, every error message and every line
+number, including DictReader's own rules (with a duplicate header the later
+column wins; a short row names the first column, by first appearance, whose
+last appearance got no cell).
 load_prepared is ingest.load_prepared as it was before it read columns:
 one Household per row, each weight parsed and checked as it is read.
 
@@ -37,16 +39,45 @@ from pantryplan.ingest import (
 from pantryplan.rng import sample_indices
 
 
+class _RowEnds:
+    """A csv.reader's rows, setting start[0] after each: the line the reader
+    pulls next starts a row."""
+
+    def __init__(self, rows, start):
+        self.rows, self.start = rows, start
+
+    @property
+    def line_num(self):
+        return self.rows.line_num
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.start[0] = True
+        return row
+
+
 def read_households(path, schema: ColumnSchema, extra: tuple = ()):
     """Yield (line number, id, GeoPoint, income, city, extra cells) per CSV
-    row, as ingest._read_households does."""
+    row. A line starting with '#' is a comment where a row starts, and part
+    of the cell inside a quoted cell."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise IngestError(f"no such file: {path}") from None
     with fh:
-        plain = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(plain)
+        start = [True]  # the next line the csv reader pulls starts a row
+
+        def plain():
+            for line in fh:
+                if not (start[0] and line.startswith("#")):
+                    start[0] = False
+                    yield line
+
+        reader = csv.DictReader(plain())
+        reader.reader = _RowEnds(reader.reader, start)
         if reader.fieldnames is None:
             raise IngestError(f"{path}: empty file, expected a CSV header")
         for col in (schema.lat, schema.lon, schema.income, schema.id, schema.city):

@@ -1050,10 +1050,12 @@ PREPARED_DAMAGE = st.one_of(
 
 
 def damage_prepared(path, damage):
-    """Apply a list of PREPARED_DAMAGE to the prepared.csv at path, edits of
+    """Apply a list of PREPARED_DAMAGE to the CSV file at path, edits of
     rows and columns first and byte edits last. Rows, columns and cells
-    count from 0 past the header, and bytes from 0, modulo their number."""
-    comment, *lines = path.read_text().splitlines(keepends=True)
+    count from 0 past the header and a first comment line, if the file has
+    one, and bytes from 0, modulo their number."""
+    lines = path.read_text().splitlines(keepends=True)
+    comment = lines.pop(0) if lines[0].startswith("#") else ""
     header, *rows = list(csv.reader(lines))
     for kind, *args in damage:
         if kind == "cell" and rows:
@@ -1101,6 +1103,32 @@ def test_stages_on_a_damaged_prepared_csv_exit_0_or_name_the_error(placed, tmp_p
         event(f"{stage} exits {code}")
         assert code in (0, 2, 3, 4, 5)
         assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(baseline=st.sampled_from(["pantries", "banks"]), damage=st.lists(PREPARED_DAMAGE, min_size=1, max_size=2))
+@example(baseline="pantries", damage=[("cell", 0, 0, "#c")])
+@example(baseline="banks", damage=[("cell", 0, 1, "a\n#b")])
+@example(baseline="pantries", damage=[("drop column", 0)])
+@example(baseline="banks", damage=[("not UTF-8", 3)])
+@example(baseline="pantries", damage=[("cell", 0, 1, LONG_CELL)])
+def test_evaluate_on_a_damaged_baseline_csv_exits_0_or_names_the_error(placed, tmp_path_factory, baseline, damage):
+    # a baseline pantries or banks file damaged as prepared.csv is above:
+    # evaluate ends in an exit code of the CLI's with an error line
+    cfg, out_dir, _ = placed
+    root = tmp_path_factory.mktemp("baseline")
+    copy = root / "out"
+    shutil.copytree(out_dir, copy)
+    paths = {key: shutil.copy(cfg["baselines"][key], root) for key in ("pantries", "banks")}
+    damage_prepared(Path(paths[baseline]), damage)
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps({**cfg, "out_dir": str(copy), "baselines": {**cfg["baselines"], **paths}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg_path), "evaluate"])
+    event(f"{baseline} exits {code}")
+    assert code in (0, 2, 5)
+    assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
 
 
 def test_stages_build_households_only_for_plan_sites(tmp_path, monkeypatch):

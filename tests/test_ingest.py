@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import re
 from dataclasses import replace
 
 import pytest
@@ -273,6 +272,16 @@ def test_invalid_config_rejected():
     assert IngestConfig(income_cap=float("inf")).income_cap == float("inf")  # no income filter
 
 
+def test_a_nan_income_cap_is_refused_naming_it():
+    # every comparison with NaN is false, so a NaN cap kept no household
+    rows = [hh(0, income=30000.0), hh(1)]
+    with pytest.raises(IngestError, match="^income_cap must not be NaN"):
+        IngestConfig(income_cap=math.nan)
+    with pytest.raises(IngestError, match="^income_cap must not be NaN"):
+        filter_by_income(rows, math.nan)
+    assert list(filter_by_income(rows, math.inf)) == rows
+
+
 def test_household_invariants():
     with pytest.raises(IngestError):
         hh(0, weight=0.0)
@@ -304,10 +313,24 @@ def test_load_prepared_parses_the_file_once(tmp_path, data_dir, monkeypatch):
         readers.append(1)
         return real(*args, **kwargs)
 
+    opens = []
+
+    def counting_open(*args, **kwargs):
+        opens.append(1)
+        return open(*args, **kwargs)
+
     monkeypatch.setattr(csv, "reader", counting)
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
     back = load_prepared(path)
-    assert len(readers) == 1
+    assert (len(readers), len(opens)) == (1, 1)
     assert any(h.weight != 1.0 for h in back)
+    # a faulty file is read once too: the fault is named from the rows held
+    path.write_text(path.read_text().replace("\r\n", "\r\n#c\r\n", 1) + "z,1,2,,0,,\r\n")
+    readers.clear()
+    opens.clear()
+    with pytest.raises(IngestError, match="^line 8: weight must be positive and finite, got '0'$"):
+        load_prepared(path)
+    assert (len(readers), len(opens)) == (1, 1)
 
 
 def test_load_prepared_returns_a_table_of_the_households(tmp_path, data_dir):
@@ -339,7 +362,7 @@ def test_load_prepared_reads_empty_cells_without_the_row_walk(tmp_path, monkeypa
     def walk(*args):
         raise AssertionError("the row walk ran on a file without a fault")
 
-    monkeypatch.setattr(ingest, "_read_households", walk)
+    monkeypatch.setattr(ingest, "_first_fault", walk)
     assert load_prepared(path) == want
 
 
@@ -368,6 +391,23 @@ def test_text_the_csv_reader_cannot_read_is_an_ingest_error(tmp_path, load):
         load(path)
 
 
+@pytest.mark.parametrize("later", [b"e,5,6\xe9,,1,,\n", b"e,5," + b"x" * 131_073 + b",,1,,\n"], ids=["not UTF-8", "long cell"])
+@pytest.mark.parametrize("bad", [b"b,north,2,,1,,", b"b,1,2,,nan,,"], ids=["latitude", "weight"])
+def test_a_row_fault_before_unreadable_text_is_named_first(tmp_path, later, bad):
+    # the rows read before csv.reader's fault are checked first, so the
+    # first fault in file order is named; 3,000 rows put the later fault
+    # past the first block the file is decoded in
+    path = tmp_path / "prepared.csv"
+    head = b"# c\nid,lat,lon,income,weight,origin_id,city\na,1,2,,1,,\n"
+    rest = b"c,3,4,,1,,\n" * 3000 + later
+    path.write_bytes(head + bad + b"\n" + rest)
+    with pytest.raises(IngestError, match="^line 3: (cannot parse latitude from 'north'|weight .* got 'nan')$"):
+        load_prepared(path)
+    path.write_bytes(head + b"b,1,2,,1,,\n" + rest)
+    with pytest.raises(IngestError, match=r"(not UTF-8 text|^line 3004: field larger than field limit)"):
+        load_prepared(path)
+
+
 @pytest.mark.parametrize("cell", ["heavy", "inf", "nan", "0", "-2.0"])
 def test_load_prepared_rejects_a_bad_weight_naming_the_line(tmp_path, cell):
     path = tmp_path / "prepared.csv"
@@ -388,22 +428,21 @@ def _outcome(read, path, schema, extra):
         return repr(("error", str(exc)))
 
 
-def _read_columns(path, schema, extra):
-    """ingest._read_table's columns as rows in the reference's form, with
-    None for the line numbers it does not keep. It raises a fault in a row
-    as a bare ValueError, which the row walk must then name, as the loaders
-    have it do."""
-    try:
-        ids, points, incomes, cities, extras = ingest._read_table(path, schema, extra)
-    except ValueError:
-        list(ingest._read_households(path, schema, extra))
-        raise AssertionError("_read_table refused a file the row walk reads") from None
-    cells = list(zip(*extras)) if extras else [()] * len(ids)
-    return [(None, *row) for row in zip(ids, points, incomes, cities, cells)]
+def _reference_households(path, schema, extra):
+    """The reference's households of a file: for the prepared schema, the
+    reference load_prepared's; else one Household per row the reference
+    reads, as load_households builds them."""
+    if extra:
+        return reference_ingest.load_prepared(path)
+    return [
+        Household(hid, location, income, city=city)
+        for _, hid, location, income, city, _ in reference_ingest.read_households(path, schema)
+    ]
 
 
 COLUMNS = ["lat", "lon", "income", "id", "city", "weight", "origin_id", "x", ""]
-CELLS = ["1.5", "-45", "12e0", "0", "", "91", "-200", "nan", "north", "30000", "-5", "2.0", "a\nb", "#c", " 7", "s,t", 'q"r']
+CELLS = ["1.5", "-45", "12e0", "0", "", "91", "-200", "nan", "north", "30000", "-5", "2.0", "a\nb", "#c", " 7", "s,t", 'q"r',
+         "a\n#b", "c\r#d"]
 PREPARED_COLUMNS = ("lat", "lon", "id", "income", "city", "weight")
 SCHEMAS = [
     (ColumnSchema(), ()),
@@ -415,8 +454,9 @@ SCHEMAS = [
 @st.composite
 def csv_texts(draw, columns=("lat", "lon")):
     """CSV files around a header of columns: duplicate and extra columns,
-    short and long rows, empty cells, quoted cells holding newlines or a
-    leading '#', blank lines and '#' comment lines between rows."""
+    short and long rows, empty cells, quoted cells holding line breaks, a
+    line break followed by '#', or a leading '#', blank lines and '#'
+    comment lines between rows."""
     header = list(columns) + draw(st.lists(st.sampled_from(COLUMNS), max_size=5))
     header = draw(st.permutations(header))
     if draw(st.booleans()):
@@ -450,23 +490,22 @@ def csv_texts(draw, columns=("lat", "lon")):
 @example(text="lat,lon\n\n\n1,2\n\n3,4,5,6\n\n", schema=SCHEMAS[0])
 @example(text='lat,lon\n"1\n#2",3\n', schema=SCHEMAS[0])
 @example(text="id,lat,lon,income,weight,origin_id,city\na,1,2,,3,,\n", schema=SCHEMAS[2])
+# a quoted cell whose second line starts with '#' is one cell, not a comment
+@example(text='id,lat,lon,income,city\na,1.0,2.0,100,"x\n#y"\nb,3.0,4.0,200,z\nc,5.0,6.0,300,w\n', schema=SCHEMAS[1])
+@example(text='"id","lat","lon","income","weight","origin_id","city"\n"#A1","0.0","0.0","12000.0","1.0","#A1",""\n',
+         schema=SCHEMAS[2])
 def test_read_households_matches_the_dictreader_reference(tmp_path_factory, text, schema):
+    # the one reader and both loaders: the same households, or the same
+    # first fault with the same line
     schema, extra = schema
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _outcome(ingest._read_households, path, schema, extra) == _outcome(
-        reference_ingest.read_households, path, schema, extra
-    )
-
-    def reference(*args, as_row=lambda row: (None, *row[1:])):
-        return map(as_row, reference_ingest.read_households(*args))
-
-    assert _outcome(_read_columns, path, schema, extra) == _outcome(reference, path, schema, extra)
-    if not extra:
-        assert _outcome(lambda path, schema, _: load_households(path, schema), path, schema, extra) == _outcome(
-            lambda *args: reference(*args, as_row=lambda row: Household(row[1], row[2], row[3], city=row[4])),
-            path, schema, extra,
-        )
+    want = _outcome(_reference_households, path, schema, extra)
+    assert _outcome(lambda *args: ingest._read_table(path, schema, *extra), path, schema, extra) == want
+    if extra:
+        assert _outcome(lambda path, *_: load_prepared(path), path, schema, extra) == want
+    else:
+        assert _outcome(lambda path, schema, _: load_households(path, schema), path, schema, extra) == want
 
 
 @settings(max_examples=400)
@@ -608,23 +647,17 @@ def test_the_steps_take_a_list_and_return_a_table():
 @settings(max_examples=300)
 @given(households=household_lists(ids=TEXT.filter(bool)))
 def test_prepared_csv_round_trips_hashes_quotes_commas_and_line_breaks(tmp_path_factory, households):
-    # a cell with a line break followed by '#' is refused; anything else,
-    # ids starting with '#' included, reads back as it was written
+    # every cell reads back as it was written: ids starting with '#', and
+    # line breaks followed by '#' inside a cell, included
     table = ingest.HouseholdTable.of(households)
     path = tmp_path_factory.mktemp("csv") / "prepared.csv"
     cells = [cell for h in households for cell in (h.id, h.origin_id, h.city or "")]
-    bad = next((h for h in households if any(
-        "\n#" in cell or "\r#" in cell for cell in (h.id, h.origin_id, h.city or ""))), None)
-    if bad is not None:
-        with pytest.raises(IngestError, match=f"^household {re.escape(repr(bad.id))}: a line break followed by '#'"):
-            write_households_csv(table, path, header_comment="test run")
-        assert not path.exists()
-        return
     write_households_csv(table, path, header_comment="test run")
     # repr tells -0.0 from 0.0 and takes a NaN income for itself
     assert repr(load_prepared(path)) == repr(table)
     breaks = any("\n" in c or "\r" in c for c in cells)
-    event(f"a '#' cell: {any('#' in c for c in cells)}, a line break: {breaks}")
+    hashed = any("\n#" in c or "\r#" in c for c in cells)
+    event(f"a '#' cell: {any('#' in c for c in cells)}, a line break: {breaks}, one before a '#': {hashed}")
 
 
 def test_an_id_starting_with_a_hash_is_quoted_and_read_back(tmp_path):
@@ -641,9 +674,19 @@ def test_an_id_starting_with_a_hash_is_quoted_and_read_back(tmp_path):
     assert list(load_prepared(path)) == rows
 
 
-def test_a_line_break_before_a_hash_is_refused_naming_the_household(tmp_path):
+def test_a_line_break_before_a_hash_reads_back(tmp_path):
+    # a '#' line inside a quoted cell is part of the cell, not a comment
     path = tmp_path / "prepared.csv"
-    for row in (hh("a\n#b"), Household("c", GeoPoint(0, 0), city="x\r#y"), Household("d", GeoPoint(0, 0), origin_id="\n#")):
-        with pytest.raises(IngestError, match=f"^household {re.escape(repr(row.id))}: "):
-            write_households_csv([hh("ok"), row], path)
-        assert not path.exists()
+    rows = [hh("ok"), hh("a\n#b"), Household("c", GeoPoint(0, 0), city="x\r#y"),
+            Household("d", GeoPoint(0, 0), origin_id="\n#"), hh("#e\r\n#f")]
+    write_households_csv(rows, path, header_comment="test run")
+    assert list(load_prepared(path)) == rows
+
+
+def test_a_header_comment_of_several_lines_reads_back(tmp_path):
+    # each line of the comment is its own '# ' line
+    path = tmp_path / "prepared.csv"
+    rows = [hh(0, lat=1.0), hh(1, lat=2.0)]
+    write_households_csv(rows, path, header_comment="run\nnotes\r\nmore\rend")
+    assert path.read_bytes().startswith(b"# run\n# notes\n# more\n# end\nid,")
+    assert list(load_prepared(path)) == rows

@@ -40,10 +40,11 @@ Cache format (DMAT1):
     magic b"DMAT1" | u32 rows | u32 cols | rows*cols float64 (LE, row-major)
     | u32 trailer length | UTF-8 JSON trailer
 
-The trailer holds sources, destinations, provider_tag, created_at and a
-CRC32 of the float block. All integers little-endian. The float block is
-checksummed and written from the matrix's own buffer, and read back into
-one aligned array, so neither side holds a second copy of it.
+The trailer holds sources, destinations, provider_tag, a CRC32 of the
+float block and any meta the writer adds; readers ignore keys they do not
+know. Nothing depends on the time of writing. All integers little-endian.
+The float block is checksummed and written from the matrix's own buffer, and
+read back into one aligned array, so neither side holds a second copy of it.
 
 No stage builds a matrix of more than MAX_MATRIX_BYTES: ingest refuses a
 prepared row count whose square matrix would pass it, and build_matrix
@@ -62,7 +63,6 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import repeat
 from numbers import Integral, Real
 from typing import Optional, Sequence
@@ -121,17 +121,34 @@ class ProviderSpec:
             raise DistanceError(f"earth_radius must be a positive finite number, got {r!r}")
 
 
+def matrix_fault(values: np.ndarray, diagonal: bool) -> Optional[str]:
+    """The first fault of a float64 matrix against the matrix contract, as a
+    message naming its cell and value, or None. The contract, checked in this
+    order: every cell finite, every cell nonnegative and, when diagonal is
+    true (a square matrix over one point list), a zero diagonal. NaN
+    propagates through min and max, so a valid matrix costs no rows x cols
+    mask; the masks are built only to locate a fault."""
+    if not values.size or values.min() >= 0 and np.isfinite(values.max()) and not (diagonal and np.diagonal(values).any()):
+        return None
+    bad, headline, what = ~np.isfinite(values), "matrix contains non-finite values", "non-finite"
+    if not bad.any():
+        bad, headline, what = values < 0, "matrix contains negative distances", "negative"
+    if not bad.any():
+        bad, headline, what = np.diag(np.diagonal(values) != 0), "nonzero diagonal at index {r}", "nonzero diagonal"
+    r, c = (int(x) for x in np.argwhere(bad)[0])
+    return f"{headline.format(r=r)}: {what} cell at ({r}, {c}) is {float(values[r, c])!r}"
+
+
 class DistanceMatrix:
-    """Immutable dense matrix of nonnegative finite distances in meters.
+    """Immutable dense matrix of nonnegative finite distances in meters, with
+    a zero diagonal when its sources are its destinations (matrix_fault).
 
     A writeable values array is copied, so the caller's array stays its own
     and the matrix cannot change under it. A read-only float64 array is kept
-    as it is: it is taken as handed over. The values are checked with min
-    and max, through which NaN propagates, so a valid matrix costs no
-    rows x cols mask; the masks are built only to name a fault.
+    as it is: it is taken as handed over.
     """
 
-    def __init__(self, sources, destinations, values, provider_tag: str, created_at: Optional[str] = None):
+    def __init__(self, sources, destinations, values, provider_tag: str):
         self.sources = tuple(sources)
         self.destinations = tuple(destinations)
         vals = np.asarray(values, dtype=np.float64)
@@ -142,19 +159,11 @@ class DistanceMatrix:
                 f"values shape {vals.shape} does not match "
                 f"{len(self.sources)}x{len(self.destinations)} points"
             )
-        if vals.size and not (vals.min() >= 0 and np.isfinite(vals.max())):
-            if not np.all(np.isfinite(vals)):
-                raise DistanceError("matrix contains non-finite values")
-            raise DistanceError("matrix contains negative distances")
-        if self.sources == self.destinations and len(self.sources) > 0:
-            diag = np.diagonal(vals)
-            if np.any(diag != 0.0):
-                bad = int(np.argmax(diag != 0.0))
-                raise DistanceError(f"nonzero diagonal at index {bad} for identical source/destination lists")
+        if fault := matrix_fault(vals, self.sources == self.destinations):
+            raise DistanceError(fault)
         vals.setflags(write=False)
         self.values = vals
         self.provider_tag = provider_tag
-        self.created_at = created_at or _now_iso()
 
     @property
     def shape(self):
@@ -168,15 +177,7 @@ class DistanceMatrix:
             and self.destinations == other.destinations
             and np.array_equal(self.values, other.values)
             and self.provider_tag == other.provider_tag
-            and self.created_at == other.created_at
         )
-
-
-def _now_iso() -> str:
-    """Current UTC time; SOURCE_DATE_EPOCH pins it for reproducible runs."""
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def great_circle(a: GeoPoint, b: GeoPoint, earth_radius: float = EARTH_RADIUS_M) -> float:
@@ -616,7 +617,6 @@ def save_matrix(matrix: DistanceMatrix, path, meta: Optional[dict] = None) -> No
             "sources": [[p.lat, p.lon] for p in matrix.sources],
             "destinations": [[p.lat, p.lon] for p in matrix.destinations],
             "provider_tag": matrix.provider_tag,
-            "created_at": matrix.created_at,
             "crc32": zlib.crc32(block) & 0xFFFFFFFF,
         },
         sort_keys=True,
@@ -630,7 +630,7 @@ def save_matrix(matrix: DistanceMatrix, path, meta: Optional[dict] = None) -> No
         fh.write(trailer)
 
 
-TRAILER_KEYS = (("sources", list), ("destinations", list), ("provider_tag", str), ("created_at", str))
+TRAILER_KEYS = (("sources", list), ("destinations", list), ("provider_tag", str))
 
 
 def _trailer_points(path, trailer: dict, key: str) -> list:
@@ -724,7 +724,6 @@ def load_matrix(path, points: Optional[Sequence[GeoPoint]] = None, tag: Optional
             destinations=destinations,
             values=values,
             provider_tag=trailer["provider_tag"],
-            created_at=trailer["created_at"],
         )
     except DistanceError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None

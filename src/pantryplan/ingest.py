@@ -108,13 +108,22 @@ class HouseholdTable(Sequence):
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Maps CSV column names onto household fields; income/id/city optional."""
+    """Maps CSV column names onto household fields: lat and lon each name a
+    column, and income, id and city each name one or are None."""
 
     lat: str = "lat"
     lon: str = "lon"
     income: Optional[str] = None
     id: Optional[str] = None
     city: Optional[str] = None
+
+    def __post_init__(self):
+        for name in ("lat", "lon", "income", "id", "city"):
+            value = getattr(self, name)
+            optional = name not in ("lat", "lon")
+            if not (isinstance(value, str) and value or optional and value is None):
+                want = "a non-empty string or null" if optional else "a non-empty string"
+                raise IngestError(f"schema.{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +170,9 @@ def _first_missing(header: list, cells: int) -> str:
 
 
 def _open(path):
+    # utf-8-sig drops the byte-order mark spreadsheet programs start a file with
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise IngestError(f"no such file: {path}") from None
 
@@ -194,7 +204,8 @@ def _read_table(
     path, schema: ColumnSchema, weight: Optional[str] = None, origin_id: Optional[str] = None
 ) -> HouseholdTable:
     """The households of a CSV file as a HouseholdTable, in file order, from
-    one open and one csv.reader pass.
+    one open and one csv.reader pass. A UTF-8 byte-order mark that starts
+    the file is dropped.
 
     A line that starts with '#' where csv.reader would start a row is a
     comment: it is skipped and not counted as a line. Inside a quoted cell

@@ -19,11 +19,12 @@ product of the weights with that vector. After every accepted swap the
 assignment, the objective and those caches are rebuilt from one gather of
 the medoids' columns by _nearest, the nearest-medoid kernel that assign()
 calls too, so the objective is assign()'s own sum. Under the input contract
-(every cell finite and nonnegative, a zero diagonal, checked once per
-solve) a candidate's vector equals the one assign() would serve after the
-swap, element by element, so every score is bit-identical to a full
-reassignment and the swap trajectory (candidate order, accepted swaps,
-final clustering) is the same as scoring each candidate with assign().
+(distance.matrix_fault's: every cell finite and nonnegative, a zero
+diagonal; checked once per solve) a candidate's vector equals the one
+assign() would serve after the swap, element by element, so every score is
+bit-identical to a full reassignment and the swap trajectory (candidate
+order, accepted swaps, final clustering) is the same as scoring each
+candidate with assign().
 
 Candidates are scored in blocks. Each pass's candidate list is shuffled
 with one block of splitmix64 draws (rng.SplitMix64.shuffle), the same
@@ -69,7 +70,7 @@ from zlib import crc32
 
 import numpy as np
 
-from .distance import DistanceMatrix
+from .distance import DistanceMatrix, matrix_fault
 from .errors import ConvergenceError, SolveError
 from .rng import SplitMix64
 
@@ -104,6 +105,8 @@ class SolveParams:
         require_int("seed", self.seed)
         if self.max_passes is not None:
             require_int("max_passes", self.max_passes)
+            if self.max_passes < 1:
+                raise SolveError(f"max_passes must be >= 1, got {self.max_passes}")
         if self.mode not in ("global_swap", "cluster_screened"):
             raise SolveError(f"unknown mode {self.mode!r}")
         if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, Real):
@@ -124,25 +127,6 @@ def as_square_array(matrix: MatrixLike) -> np.ndarray:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise SolveError(f"need a square points x points matrix, got shape {d.shape}")
     return d
-
-
-def _check_distances(d: np.ndarray) -> None:
-    """The input contract of solve and brute_force_solve: every cell finite
-    and nonnegative, and a zero diagonal. DistanceMatrix guarantees this for
-    a matrix over one point list; raw arrays are checked here, once per
-    solve, not in assign(), which runs on every accepted swap."""
-    # NaN propagates through min and max, so a valid matrix passes here
-    # without building a points x points mask; the masks only locate a fault
-    if d.size and d.min() >= 0 and np.isfinite(d.max()) and not np.diagonal(d).any():
-        return
-    bad, what = ~np.isfinite(d), "non-finite"
-    if not bad.any():
-        bad, what = d < 0, "negative"
-    if not bad.any():
-        bad, what = np.diag(np.diagonal(d) != 0), "nonzero diagonal"
-    if bad.any():
-        r, c = (int(x) for x in np.argwhere(bad)[0])
-        raise SolveError(f"distance matrix has a {what} cell at ({r}, {c}): {d[r, c]!r}")
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -396,7 +380,8 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     new_objective) after every accepted swap.
     """
     d = as_square_array(matrix)
-    _check_distances(d)
+    if fault := matrix_fault(d, diagonal=True):  # once per solve, not per assign
+        raise SolveError(fault)
     n = d.shape[0]
     w = _check_weights(params.weights, n)
     if not 1 <= params.k <= n:
@@ -442,7 +427,8 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
 def brute_force_solve(matrix: MatrixLike, k: int, weights=None) -> Clustering:
     """Exact optimum by enumerating all k-subsets, lexicographic tie-break."""
     d = as_square_array(matrix)
-    _check_distances(d)
+    if fault := matrix_fault(d, diagonal=True):
+        raise SolveError(fault)
     n = d.shape[0]
     if not 1 <= k <= n:
         raise SolveError(f"k={k} out of range for {n} points")

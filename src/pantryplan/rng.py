@@ -49,23 +49,12 @@ class SplitMix64:
         z = (z ^ (z >> _U27)) * _U_MIX2
         return z ^ (z >> _U31)
 
-    def below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound) by modulo reduction.
-
-        Modulo bias is negligible for bounds far below 2**64 and keeps the
-        reduction trivially portable, which matters more here than the last
-        ~1e-15 of uniformity.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream.
 
         Equal, permutation and stream state alike, to swapping items[i] with
-        items[below(i + 1)] for i from len - 1 down to 1; the swap targets
-        are taken in one block of draws.
+        items[next_u64() % (i + 1)] for i from len - 1 down to 1; the swap
+        targets are taken in one block of draws.
         """
         m = len(items) - 1
         if m < 1:
@@ -80,12 +69,14 @@ def sample_indices(n: int, k: int, seed: int) -> list[int]:
     """First k slots of a seeded partial Fisher-Yates over range(n).
 
     Returns indices in selection order. k may equal n (full shuffle order).
+    Slot i swaps with slot i + draw % (n - i), the k targets taken in one
+    block of draws, as shuffle takes its own.
     """
     if not 0 <= k <= n:
         raise ValueError(f"cannot take {k} of {n}")
-    rng = SplitMix64(seed)
     idx = list(range(n))
-    for i in range(k):
-        j = i + rng.below(n - i)
+    bounds = np.arange(n - k + 1, n + 1, dtype=np.uint64)[::-1]  # n - i for i = 0 .. k - 1
+    targets = (SplitMix64(seed).draws(k) % bounds + np.arange(k, dtype=np.uint64)).tolist()
+    for i, j in enumerate(targets):
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:k]

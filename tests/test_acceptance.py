@@ -190,7 +190,7 @@ def test_criterion_5_distance_layer(tmp_path):
     rng = np.random.default_rng(55)
     src = [GeoPoint(float(a), float(b)) for a, b in rng.uniform(-60, 60, (4, 2))]
     dst = [GeoPoint(float(a), float(b)) for a, b in rng.uniform(-60, 60, (3, 2))]
-    m = DistanceMatrix(src, dst, rng.uniform(0, 1e6, (4, 3)), "table:mock", created_at="2024-01-01T00:00:00Z")
+    m = DistanceMatrix(src, dst, rng.uniform(0, 1e6, (4, 3)), "table:mock")
     path = tmp_path / "cache.dmat"
     save_matrix(m, path)
     back = load_matrix(path)
@@ -228,9 +228,7 @@ def _run_pipeline(tmp_path: Path, tag: str) -> Path:
 
 
 @criterion(6, "two-level pipeline sanity (500 households, 3 blobs)")
-def test_criterion_6_pipeline(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-
+def test_criterion_6_pipeline(tmp_path):
     # random 12-facility baseline written before the first run
     from pantryplan.synth import SynthParams, generate
 

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -1046,6 +1048,7 @@ PREPARED_DAMAGE = st.one_of(
     st.tuples(st.just("rename column"), st.integers(0, 6), st.sampled_from(COLUMNS)),
     st.tuples(st.just("drop column"), st.integers(0, 6)),
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.just(("BOM prepended",)),
 )
 
 
@@ -1053,7 +1056,8 @@ def damage_prepared(path, damage):
     """Apply a list of PREPARED_DAMAGE to the CSV file at path, edits of
     rows and columns first and byte edits last. Rows, columns and cells
     count from 0 past the header and a first comment line, if the file has
-    one, and bytes from 0, modulo their number."""
+    one, and bytes from 0, modulo their number. A UTF-8 byte-order mark is
+    prepended after every other edit."""
     lines = path.read_text().splitlines(keepends=True)
     comment = lines.pop(0) if lines[0].startswith("#") else ""
     header, *rows = list(csv.reader(lines))
@@ -1077,6 +1081,8 @@ def damage_prepared(path, damage):
         text = path.read_bytes()
         at = offset % len(text) if text else 0  # a truncation may have left no byte
         path.write_bytes(text[:at] if kind == "truncate" else text[:at] + b"\xe9" + text[at:])
+    if ("BOM prepended",) in damage:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 
 
 @settings(max_examples=100, deadline=None)
@@ -1087,12 +1093,15 @@ def damage_prepared(path, damage):
 @example(damage=[("truncate", 0), ("not UTF-8", 0)])
 @example(damage=[("not UTF-8", 400)])
 @example(damage=[("cell", 0, 6, LONG_CELL)])
+@example(damage=[("BOM prepended",)])
 def test_stages_on_a_damaged_prepared_csv_exit_0_or_name_the_error(placed, tmp_path_factory, damage):
     # prepared.csv damaged between ingest and the later stages: each stage
-    # ends in an exit code of the CLI's with an error line, never a traceback
-    cfg, out_dir, _ = placed
+    # ends in an exit code of the CLI's with an error line, never a traceback;
+    # a byte-order mark alone changes nothing
+    cfg, out_dir, report = placed
     copy = tmp_path_factory.mktemp("damaged") / "out"
     shutil.copytree(out_dir, copy)
+    (copy / "report.json").unlink()
     damage_prepared(copy / "prepared.csv", damage)
     cfg_path = copy.parent / "config.json"
     cfg_path.write_text(json.dumps({**cfg, "out_dir": str(copy)}))
@@ -1103,6 +1112,11 @@ def test_stages_on_a_damaged_prepared_csv_exit_0_or_name_the_error(placed, tmp_p
         event(f"{stage} exits {code}")
         assert code in (0, 2, 3, 4, 5)
         assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
+        if set(damage) == {("BOM prepended",)}:
+            assert code == 0
+    if set(damage) == {("BOM prepended",)}:
+        damaged = json.loads((copy / "report.json").read_text())
+        assert (damaged["groups"], damaged["penalty"]) == (report["groups"], report["penalty"])
 
 
 @settings(max_examples=100, deadline=None)
@@ -1112,13 +1126,17 @@ def test_stages_on_a_damaged_prepared_csv_exit_0_or_name_the_error(placed, tmp_p
 @example(baseline="pantries", damage=[("drop column", 0)])
 @example(baseline="banks", damage=[("not UTF-8", 3)])
 @example(baseline="pantries", damage=[("cell", 0, 1, LONG_CELL)])
+@example(baseline="pantries", damage=[("BOM prepended",)])
+@example(baseline="banks", damage=[("BOM prepended",)])
 def test_evaluate_on_a_damaged_baseline_csv_exits_0_or_names_the_error(placed, tmp_path_factory, baseline, damage):
     # a baseline pantries or banks file damaged as prepared.csv is above:
-    # evaluate ends in an exit code of the CLI's with an error line
-    cfg, out_dir, _ = placed
+    # evaluate ends in an exit code of the CLI's with an error line; a
+    # byte-order mark alone changes nothing
+    cfg, out_dir, report = placed
     root = tmp_path_factory.mktemp("baseline")
     copy = root / "out"
     shutil.copytree(out_dir, copy)
+    (copy / "report.json").unlink()
     paths = {key: shutil.copy(cfg["baselines"][key], root) for key in ("pantries", "banks")}
     damage_prepared(Path(paths[baseline]), damage)
     cfg_path = root / "config.json"
@@ -1129,6 +1147,193 @@ def test_evaluate_on_a_damaged_baseline_csv_exits_0_or_names_the_error(placed, t
     event(f"{baseline} exits {code}")
     assert code in (0, 2, 5)
     assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
+    if set(damage) == {("BOM prepended",)}:
+        assert code == 0
+        damaged = json.loads((copy / "report.json").read_text())
+        assert (damaged["groups"], damaged["penalty"]) == (report["groups"], report["penalty"])
+
+
+def run_stages(cfg_path, stages, out_dir, report):
+    """Run stages in order until one exits nonzero: each exit is one of the
+    CLI's, a nonzero one with an error line. When every stage exits 0 and
+    the last is evaluate, the groups and penalty of the report in out_dir
+    are report's. Returns the exit codes."""
+    codes = []
+    for stage in stages:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(cfg_path), stage])
+        event(f"{stage} exits {code}")
+        assert code in (0, 2, 3, 4, 5)
+        assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
+        codes.append(code)
+        if code:
+            return codes
+    if stages[-1] == "evaluate":
+        out = json.loads((out_dir / "report.json").read_text())
+        assert (out["groups"], out["penalty"]) == (report["groups"], report["penalty"])
+    return codes
+
+
+def config_keys(tree, prefix=()):
+    """The key path of every value and section of a config tree shaped as
+    cli.DEFAULTS, with the fields a section holds only when they are set."""
+    unset = [f for f in cli.UNHASHED.get(prefix[-1], ()) if f not in tree] if prefix else []
+    for key in [*tree, *unset]:
+        yield prefix + (key,)
+        if isinstance(tree.get(key), dict):
+            yield from config_keys(tree[key], prefix + (key,))
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    return {bool: "bool", int: "number", float: "number", str: "string", list: "list", dict: "object"}[type(value)]
+
+
+# a value replaced by one of another JSON type; list and object wrap it
+RETYPES = {
+    "null": lambda v: None,
+    "bool": lambda v: True,
+    "string": lambda v: "x",
+    "number": lambda v: 1.5,
+    "list": lambda v: [v],
+    "object": lambda v: {"v": v},
+}
+# keys where null is a setting of its own (no such column, no bank
+# baseline, no pass cap, no city boxes, no table URL), not a retype
+NULL_IS_A_SETTING = {
+    ("baselines", "banks"), ("hierarchy", "max_passes"), ("cities",), ("provider", "base_url"),
+    *((section, "schema", f) for section in ("dataset", "baselines") for f in ("income", "id", "city")),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(sorted(config_keys(cli.DEFAULTS))), retype=st.sampled_from(sorted(RETYPES)))
+@example(key=("dataset", "schema", "lat"), retype="null")
+@example(key=("dataset", "schema", "id"), retype="list")
+@example(key=("baselines", "schema", "lon"), retype="null")
+@example(key=("hierarchy", "max_passes"), retype="string")
+def test_stages_on_a_retyped_config_value_exit_0_or_name_the_error(placed, tmp_path_factory, key, retype):
+    # one value or section of the config replaced by another JSON type:
+    # every stage from ingest on ends in an exit code of the CLI's with an
+    # error line, never a traceback, or the run reports as before
+    cfg, _, report = placed
+    root = tmp_path_factory.mktemp("retyped")
+    # a copy: the resolved config shares its unset sections with cli.DEFAULTS
+    resolved = deepcopy(cli.load_config(None, {**cfg, "out_dir": str(root / "out")}))
+    *sections, name = key
+    parent = resolved
+    for section in sections:
+        parent = parent[section]
+    original = parent.get(name, distance.EARTH_RADIUS_M if key == ("provider", "earth_radius") else None)
+    assume(json_type(original) != retype and not (retype == "null" and key in NULL_IS_A_SETTING))
+    parent[name] = RETYPES[retype](original)
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(resolved))
+    codes = run_stages(cfg_path, ["ingest", "matrix", "place", "evaluate"], root / "out", report)
+    if key in (("dataset", "schema", "lat"), ("dataset", "schema", "id"), ("baselines", "schema", "lon")):
+        assert codes[-1] == 2  # ColumnSchema refuses it when the stage builds one
+
+
+def test_max_passes_below_1_exits_4_naming_it(tmp_path, capsys):
+    cfg_path, _ = pipeline_through_place(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["hierarchy"]["max_passes"] = -3
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    assert capsys.readouterr().err == "error: max_passes must be >= 1, got -3\n"
+
+
+def dmat_trailer_end(data: bytes) -> int:
+    """The offset of a DMAT1 file's trailer length, from its header."""
+    rows, cols = struct.unpack_from("<II", data, len(distance.MAGIC))
+    return len(distance.MAGIC) + 8 + rows * cols * 8
+
+
+DMAT_VALUES = [None, True, "1", [], {}, 0, 1.5, -1.0, 91.0, -181.0, 1e300, 10**400, math.nan, math.inf]
+DMAT_DAMAGE = st.one_of(
+    st.tuples(st.just("trailer key"), st.sampled_from(["sources", "destinations", "provider_tag", "crc32", "seed",
+                                                      "config_hash", "created_at"]),
+              st.sampled_from(["delete", *range(len(DMAT_VALUES))])),
+    st.tuples(st.just("point"), st.sampled_from(["sources", "destinations"]), st.integers(0, 10**6),
+              st.integers(0, 1), st.integers(0, len(DMAT_VALUES) - 1)),
+    st.tuples(st.just("crc"), st.integers(1, 2**32 - 1)),
+    st.tuples(st.just("magic"), st.integers(0, 4), st.integers(1, 255)),
+    st.tuples(st.just("shape"), st.integers(0, 1), st.sampled_from(["zero", "one", "less", "more", "max"])),
+    st.tuples(st.just("trailer length"), st.sampled_from(["zero", "less", "more", "max"])),
+    st.tuples(st.just("flip"), st.integers(0, 10**9), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**9)),
+)
+
+
+def damage_dmat(path, damage):
+    """Apply a list of DMAT_DAMAGE to the DMAT1 file at path: edits of the
+    trailer's JSON first (the CRC kept, unless the edit is of it), a key's
+    after a point's or the CRC's, then edits of the bytes, truncations last.
+    Points count from 0 modulo their number, and bytes modulo the file's
+    length."""
+    def sized(kind, n):
+        return {"zero": 0, "one": 1, "less": n - 1, "more": n + 1, "max": 2**32 - 1}[kind] % 2**32
+
+    for kind, *args in sorted(damage, key=lambda d: d[0] == "trailer key"):
+        if kind == "trailer key":
+            name, how = args
+            rewrite_trailer(path, lambda t: {k: v for k, v in t.items() if k != name} if how == "delete"
+                            else {**t, name: DMAT_VALUES[how]})
+        elif kind == "point":
+            side, i, axis, value = args
+
+            def edit(t):
+                t[side][i % len(t[side])][axis] = DMAT_VALUES[value]
+                return t
+
+            rewrite_trailer(path, edit)
+        elif kind == "crc":
+            rewrite_trailer(path, lambda t: {**t, "crc32": t["crc32"] ^ args[0]})
+    data = bytearray(path.read_bytes())
+    end = dmat_trailer_end(data)  # before the header is edited
+    for kind, *args in damage:
+        if kind == "magic":
+            data[args[0]] ^= args[1]
+        elif kind == "shape":
+            at = len(distance.MAGIC) + 4 * args[0]
+            struct.pack_into("<I", data, at, sized(args[1], struct.unpack_from("<I", data, at)[0]))
+        elif kind == "trailer length":
+            struct.pack_into("<I", data, end, sized(args[0], struct.unpack_from("<I", data, end)[0]))
+        elif kind == "flip":
+            data[args[0] % len(data)] ^= args[1]
+    for kind, *args in damage:
+        if kind == "truncate":
+            del data[args[0] % len(data):]
+    path.write_bytes(bytes(data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(damage=st.lists(DMAT_DAMAGE, min_size=1, max_size=2))
+@example(damage=[("trailer key", "created_at", "delete")])
+@example(damage=[("trailer key", "created_at", 0)])
+@example(damage=[("trailer key", "seed", "delete")])
+@example(damage=[("shape", 0, "max")])
+@example(damage=[("shape", 1, "less")])
+@example(damage=[("trailer length", "max")])
+@example(damage=[("crc", 1)])
+@example(damage=[("point", "destinations", 3, 0, 11)])
+def test_stages_on_a_damaged_matrix_exit_0_or_name_the_error(placed, tmp_path_factory, damage):
+    # matrix.dmat damaged after place: place and evaluate end in an exit
+    # code of the CLI's with an error line, or run as before; matrix then
+    # rebuilds it or finds it whole, and the run reports as before
+    cfg, out_dir, report = placed
+    copy = tmp_path_factory.mktemp("dmat") / "out"
+    shutil.copytree(out_dir, copy)
+    (copy / "report.json").unlink()
+    damage_dmat(copy / "matrix.dmat", damage)
+    cfg_path = copy.parent / "config.json"
+    cfg_path.write_text(json.dumps({**cfg, "out_dir": str(copy)}))
+    for stage in ("place", "evaluate"):
+        run_stages(cfg_path, [stage], copy, report)
+    assert run_stages(cfg_path, ["matrix", "place", "evaluate"], copy, report) == [0, 0, 0]
 
 
 def test_stages_build_households_only_for_plan_sites(tmp_path, monkeypatch):

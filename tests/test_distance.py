@@ -18,13 +18,15 @@ from pantryplan.distance import (
     build_matrix,
     great_circle,
     load_matrix,
+    matrix_fault,
     nearest_great_circle,
     provider_tag,
     save_matrix,
     table_request,
     table_url,
 )
-from pantryplan.errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError
+from pantryplan.errors import DistanceError, MatrixFormatError, SolveError, StaleMatrixError, UnreachablePairsError
+from pantryplan.kmedoids import SolveParams, brute_force_solve, solve
 
 from conftest import MockTableTransport, load_table_fixtures, peak_bytes, rewrite_trailer
 
@@ -146,6 +148,14 @@ def test_matrix_rejects_nonzero_diagonal_for_identical_lists():
     pts = [GeoPoint(0, 0), GeoPoint(0, 1)]
     with pytest.raises(DistanceError, match="diagonal"):
         DistanceMatrix(pts, pts, [[0.5, 1], [1, 0]], "t")
+
+
+def test_matrix_over_other_destinations_may_have_a_nonzero_diagonal():
+    # a square shape over two point lists is a rectangle that happens to be
+    # square: only a matrix over one list has a diagonal of self-distances
+    src = [GeoPoint(0, 0), GeoPoint(0, 1)]
+    dst = [GeoPoint(1, 0), GeoPoint(1, 1)]
+    assert DistanceMatrix(src, dst, [[5.0, 6.0], [7.0, 8.0]], "t").values[0, 0] == 5.0
 
 
 def test_matrix_allows_asymmetry():
@@ -625,7 +635,7 @@ def test_round_trip_bit_exact(tmp_path):
     src = [GeoPoint(float(a), float(b)) for a, b in rng.uniform(-50, 50, (3, 2))]
     dst = [GeoPoint(float(a), float(b)) for a, b in rng.uniform(-50, 50, (4, 2))]
     values = rng.uniform(0, 5e5, (3, 4))
-    m = DistanceMatrix(src, dst, values, "table:http://osrm.test", created_at="2024-05-01T00:00:00Z")
+    m = DistanceMatrix(src, dst, values, "table:http://osrm.test")
     path = tmp_path / "m.dmat"
     save_matrix(m, path)
     back = load_matrix(path)
@@ -677,10 +687,8 @@ TRAILER_DAMAGE = {
     "no_sources": (without("sources"), "trailer has no 'sources'"),
     "no_destinations": (without("destinations"), "trailer has no 'destinations'"),
     "no_provider_tag": (without("provider_tag"), "trailer has no 'provider_tag'"),
-    "no_created_at": (without("created_at"), "trailer has no 'created_at'"),
     "sources_object": (lambda trailer: {**trailer, "sources": {}}, "trailer 'sources' must be a list, got dict"),
     "provider_tag_number": (lambda trailer: {**trailer, "provider_tag": 5}, "trailer 'provider_tag' must be a str, got int"),
-    "created_at_null": (lambda trailer: {**trailer, "created_at": None}, "trailer 'created_at' must be a str, got NoneType"),
     "short_point": (with_source([1.0]), "sources[0] is not a [lat, lon] pair"),
     "long_point": (with_source([1.0, 2.0, 3.0]), "sources[0] is not a [lat, lon] pair"),
     "string_point": (with_source("ab"), "sources[0] is not a [lat, lon] pair"),
@@ -833,8 +841,8 @@ def test_load_with_a_tag_refuses_another_providers_matrix(tmp_path):
         load_matrix(path, FLOAT_POINTS, "great_circle:1.0")
     with pytest.raises(StaleMatrixError, match="built by provider great_circle, config asks for table:"):
         load_matrix(path, tag="table:http://osrm.test")
-    rewrite_trailer(path, lambda trailer: {**trailer, "created_at": None})
-    with pytest.raises(MatrixFormatError, match="'created_at' must be a str"):  # the fault, before the provider
+    rewrite_trailer(path, with_source([True, 2.0]))
+    with pytest.raises(MatrixFormatError, match=r"sources\[0\] is not a \[lat, lon\] pair"):  # the fault, before the provider
         load_matrix(path, FLOAT_POINTS, "great_circle:1.0")
 
 
@@ -881,7 +889,7 @@ def test_file_size_matches_format_definition(tmp_path):
     src = [GeoPoint(0, i) for i in range(3)]
     dst = [GeoPoint(1, i) for i in range(4)]
     values = np.arange(12, dtype=np.float64).reshape(3, 4)
-    m = DistanceMatrix(src, dst, values, "test", created_at="2024-05-01T00:00:00Z")
+    m = DistanceMatrix(src, dst, values, "test")
     path = tmp_path / "m.dmat"
     save_matrix(m, path)
     trailer = json.dumps(
@@ -889,7 +897,6 @@ def test_file_size_matches_format_definition(tmp_path):
             "sources": [[p.lat, p.lon] for p in src],
             "destinations": [[p.lat, p.lon] for p in dst],
             "provider_tag": "test",
-            "created_at": "2024-05-01T00:00:00Z",
             "crc32": zlib.crc32(values.tobytes()) & 0xFFFFFFFF,
         },
         sort_keys=True,
@@ -938,6 +945,8 @@ def test_matrix_checks_a_valid_block_without_a_mask():
     values = build_matrix(GC_SPEC, pts, pts).values
     peak, _ = peak_bytes(lambda: DistanceMatrix(pts, pts, values, "x"))
     assert peak < values.size / 4  # a bool mask would be values.size bytes
+    peak, fault = peak_bytes(lambda: matrix_fault(values, diagonal=True))
+    assert fault is None and peak < values.size / 4
 
 
 @pytest.mark.parametrize(
@@ -979,3 +988,87 @@ def test_the_limit_holds_a_paper_scale_matrix_and_refuses_a_runaway_one():
     distance.require_fits(3_000, 3_000)
     with pytest.raises(DistanceError, match=r"needs 3,200,960,072 bytes, over the limit of 2,147,483,648 bytes"):
         distance.require_fits(20_003, 20_003)  # weight_cap 20000 on two rows
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({(1, 2): math.nan}, "matrix contains non-finite values: non-finite cell at (1, 2) is nan"),
+        ({(2, 0): -math.inf}, "matrix contains non-finite values: non-finite cell at (2, 0) is -inf"),
+        ({(0, 1): -1.0, (2, 2): math.inf}, "matrix contains non-finite values: non-finite cell at (2, 2) is inf"),
+        ({(2, 1): -0.5, (1, 0): -2.0}, "matrix contains negative distances: negative cell at (1, 0) is -2.0"),
+        ({(2, 2): 3.0, (1, 1): 4.0}, "nonzero diagonal at index 1: nonzero diagonal cell at (1, 1) is 4.0"),
+    ],
+)
+def test_matrix_and_solvers_raise_one_contract_fault(cells, message):
+    # the first fault in row-major order, non-finite before negative before
+    # the diagonal, worded alike by every layer that checks the contract
+    pts = [GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(0, 2)]
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for cell, value in cells.items():
+        values[cell] = value
+    assert matrix_fault(values, diagonal=True) == message
+    with pytest.raises(DistanceError) as matrix_error:
+        DistanceMatrix(pts, pts, values, "x")
+    with pytest.raises(SolveError) as solve_error:
+        solve(values, SolveParams(k=1))
+    with pytest.raises(SolveError) as oracle_error:
+        brute_force_solve(values, 1)
+    assert str(matrix_error.value) == str(solve_error.value) == str(oracle_error.value) == message
+
+
+def test_matrix_fault_passes_a_valid_or_empty_matrix():
+    assert matrix_fault(np.array([[0.0, 2.0], [3.0, 0.0]]), diagonal=True) is None
+    assert matrix_fault(np.array([[5.0, 2.0], [3.0, 5.0]]), diagonal=False) is None
+    assert matrix_fault(np.empty((0, 0)), diagonal=True) is None
+
+
+# --- a file written before the trailer lost created_at ------------------------
+
+def write_dmat_with_created_at(matrix, path) -> None:
+    """Write matrix in the DMAT1 layout of the release that still wrote a
+    created_at key into the trailer, byte for byte as it wrote it."""
+    block = np.ascontiguousarray(matrix.values, dtype="<f8").tobytes()
+    trailer = json.dumps(
+        {
+            "seed": 606,
+            "config_hash": "da16d5554b952777",
+            "sources": [[p.lat, p.lon] for p in matrix.sources],
+            "destinations": [[p.lat, p.lon] for p in matrix.destinations],
+            "provider_tag": matrix.provider_tag,
+            "created_at": "2023-11-14T22:13:20Z",
+            "crc32": zlib.crc32(block) & 0xFFFFFFFF,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    path.write_bytes(b"DMAT1" + struct.pack("<II", *matrix.shape) + block + struct.pack("<I", len(trailer)) + trailer)
+
+
+def test_a_file_with_created_at_loads_as_the_same_matrix(tmp_path):
+    pts = [GeoPoint(39.0 + i / 50, -86.0 - i / 70) for i in range(12)] * 2
+    fresh = build_matrix(GC_SPEC, pts, pts)
+    old = tmp_path / "old.dmat"
+    write_dmat_with_created_at(fresh, old)
+    for back in (load_matrix(old), load_matrix(old, pts, "great_circle")):
+        assert back == fresh and back.values.tobytes() == fresh.values.tobytes()
+    # written again, it loses only the created_at key, and rewrites byte-stably
+    meta = {"seed": 606, "config_hash": "da16d5554b952777"}
+    once, twice = tmp_path / "once.dmat", tmp_path / "twice.dmat"
+    save_matrix(load_matrix(old), once, meta=meta)
+    save_matrix(load_matrix(once), twice, meta=meta)
+    assert once.read_bytes() == twice.read_bytes()
+    end = 13 + fresh.values.nbytes
+    assert once.read_bytes()[:end] == old.read_bytes()[:end]  # header and float block
+    trailer = json.loads(old.read_bytes()[end + 4 :])
+    del trailer["created_at"]
+    assert json.loads(once.read_bytes()[end + 4 :]) == trailer
+
+
+def test_saved_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    # SOURCE_DATE_EPOCH once pinned a written time; nothing reads it now
+    pts = [GeoPoint(0, i / 10) for i in range(5)]
+    save_matrix(build_matrix(GC_SPEC, pts, pts), tmp_path / "a.dmat")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
+    save_matrix(build_matrix(GC_SPEC, pts, pts), tmp_path / "b.dmat")
+    assert (tmp_path / "a.dmat").read_bytes() == (tmp_path / "b.dmat").read_bytes()

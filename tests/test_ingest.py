@@ -391,6 +391,45 @@ def test_text_the_csv_reader_cannot_read_is_an_ingest_error(tmp_path, load):
         load(path)
 
 
+@pytest.mark.parametrize("comment", [None, "test run"], ids=["header first", "comment first"])
+@pytest.mark.parametrize(
+    "load", [load_prepared, lambda path: load_households(path, ingest.PREPARED_SCHEMA)], ids=["prepared", "households"]
+)
+def test_a_byte_order_mark_is_dropped_by_both_loaders(tmp_path, load, comment):
+    # spreadsheet programs start a UTF-8 CSV with one; it was read as part
+    # of the first column's name
+    path = tmp_path / "prepared.csv"
+    write_households_csv([hh(0, lat=1.0, income=5.0), hh(1, lat=2.0)], path, header_comment=comment)
+    want = load(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load(path) == want
+
+
+def test_a_byte_order_mark_before_a_plain_header_is_dropped(tmp_path):
+    path = tmp_path / "hh.csv"
+    path.write_bytes(b"\xef\xbb\xbflat,lon\n1,2\n")
+    assert load_households(path, ColumnSchema()).points == (GeoPoint(1.0, 2.0),)
+    # only a mark that starts the file: one inside a cell is the cell's
+    path.write_bytes(b"lat,lon,city\n1,2,\xef\xbb\xbfx\n")
+    assert load_households(path, ColumnSchema(city="city")).cities == ("\ufeffx",)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lat", None), ("lon", ""), ("lat", 5), ("lon", ["lon"]), ("id", ["id"]), ("income", ""), ("city", True),
+     ("id", {"name": "id"}), ("income", 1.5)],
+)
+def test_column_schema_refuses_a_value_that_is_not_a_column_name(field, value):
+    want = "a non-empty string" if field in ("lat", "lon") else "a non-empty string or null"
+    with pytest.raises(IngestError) as err:
+        ColumnSchema(**{field: value})
+    assert str(err.value) == f"schema.{field} must be {want}, got {value!r}"
+
+
+def test_column_schema_takes_null_for_an_optional_column():
+    assert ColumnSchema(income=None, id=None, city=None) == ColumnSchema()
+
+
 @pytest.mark.parametrize("later", [b"e,5,6\xe9,,1,,\n", b"e,5," + b"x" * 131_073 + b",,1,,\n"], ids=["not UTF-8", "long cell"])
 @pytest.mark.parametrize("bad", [b"b,north,2,,1,,", b"b,1,2,,nan,,"], ids=["latitude", "weight"])
 def test_a_row_fault_before_unreadable_text_is_named_first(tmp_path, later, bad):

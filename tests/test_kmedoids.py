@@ -393,6 +393,18 @@ def test_solve_params_reject_non_integer_max_passes(max_passes):
         SolveParams(k=2, max_passes=max_passes)
 
 
+@pytest.mark.parametrize("max_passes", [0, -3, np.int64(0)])
+def test_solve_params_reject_max_passes_below_1(max_passes):
+    with pytest.raises(SolveError, match=f"^max_passes must be >= 1, got {max_passes}$"):
+        SolveParams(k=2, max_passes=max_passes)
+
+
+def test_one_pass_is_a_valid_max_passes():
+    # LINE converges after one improving pass and a pass that finds nothing
+    with pytest.raises(ConvergenceError, match="^no convergence after 1 passes$"):
+        solve(LINE, SolveParams(k=2, max_passes=1))
+
+
 @pytest.mark.parametrize("epsilon", ["x", True, None, [1e-6]])
 def test_solve_params_reject_non_real_epsilon(epsilon):
     with pytest.raises(SolveError, match="epsilon must be a real number"):

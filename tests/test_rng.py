@@ -41,6 +41,27 @@ def test_sample_is_subset_without_repeats(seed, n, k):
     assert all(0 <= i < n for i in picked)
 
 
+def partial_fisher_yates_reference(seed, n, k):
+    """Swap slot i with slot i + draw % (n - i) for i from 0, one reference
+    draw per swap; the first k slots."""
+    idx = list(range(n))
+    for i, draw in enumerate(splitmix64_reference(seed, k)):
+        j = i + draw % (n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, MASK) | st.sampled_from([0, 1, MASK, MASK - 0x9E3779B97F4A7C15]),
+    st.sampled_from([0, 1, 2, 5, 40]) | st.integers(0, 400),
+    st.integers(0, 400),
+)
+def test_sample_matches_scalar_partial_fisher_yates(seed, n, k):
+    k = min(k, n)
+    assert sample_indices(n, k, seed) == partial_fisher_yates_reference(seed, n, k)
+
+
 @given(st.integers(0, MASK))
 def test_sample_deterministic(seed):
     assert sample_indices(25, 10, seed) == sample_indices(25, 10, seed)

@@ -18,6 +18,7 @@ Exit codes: 2 ingest/config, 3 distance, 4 solver, 5 evaluation.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import hashlib
 import json
@@ -25,7 +26,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from numbers import Real
 from pathlib import Path
 
@@ -145,7 +146,8 @@ def load_config(path, overrides: dict) -> dict:
                 return value
         raise ConfigError(f"bad config {path}: the integer {literal[:12]}... is past the range of a float")
 
-    cfg = DEFAULTS
+    # a copy, so that editing the config a caller gets edits no later one
+    cfg = copy.deepcopy(DEFAULTS)
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -234,8 +236,6 @@ def cmd_ingest(cfg: dict, args) -> None:
     icfg = ingest.IngestConfig(**cfg["ingest"], seed=cfg["seed"])
     households = ingest.load_households(ds["path"], ingest.ColumnSchema(**ds["schema"]))
     prepared = ingest.prepare(households, icfg)
-    # matrix builds the prepared rows' square matrix; refuse one it cannot hold
-    distance.require_fits(len(prepared), len(prepared), IngestError)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / PREPARED_CSV
@@ -293,8 +293,9 @@ def cmd_place(cfg: dict, args) -> None:
     params = hierarchy.HierarchyParams(**cfg["hierarchy"], seed=cfg["seed"])
     plan = hierarchy.place_two_level(matrix, params, households.weights)
 
-    _write_json(out_dir / PLAN_JSON, hierarchy.plan_to_dict(plan, households), cfg)
-    _write_geojson(out_dir / PLAN_GEOJSON, hierarchy.plan_to_geojson(plan, households), cfg)
+    record = hierarchy.plan_to_dict(plan, households)
+    _write_json(out_dir / PLAN_JSON, record, cfg)
+    _write_geojson(out_dir / PLAN_GEOJSON, hierarchy.plan_to_geojson(record), cfg)
     print(
         f"place: {len(plan.banks)} banks, {len(plan.pantries)} pantries, "
         f"objectives {plan.level1_objective:.1f}/{plan.level2_objective:.1f} m -> {out_dir / PLAN_JSON}"
@@ -417,16 +418,16 @@ def cmd_evaluate(cfg: dict, args) -> None:
     groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
-    _write_json(out_dir / REPORT_JSON, evaluate.report_to_dict(report), cfg)
+    _write_json(out_dir / REPORT_JSON, asdict(report), cfg)
     with _replacing(out_dir / REPORT_CSV) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"# pantryplan evaluate {_provenance(cfg)}\n")
         fh.write(evaluate.report_to_csv(report))
     _write_geojson(out_dir / HOUSEHOLDS_GEOJSON, evaluate.households_geojson(households, cand_m, base_m), cfg)
 
-    overall = groups["overall"]
+    overall = groups[evaluate.OVERALL]
     print(
-        f"evaluate: candidate {overall.candidate_avg:.2f} mi vs baseline {overall.baseline_avg:.2f} mi "
-        f"(saving {overall.saving_abs:.2f} mi, {overall.saving_pct:.1f}%) -> {out_dir / REPORT_JSON}"
+        f"evaluate: candidate {overall.candidate_avg_mi:.2f} mi vs baseline {overall.baseline_avg_mi:.2f} mi "
+        f"(saving {overall.saving_mi:.2f} mi, {overall.saving_pct:.1f}%) -> {out_dir / REPORT_JSON}"
     )
 
 

@@ -77,6 +77,7 @@ MAGIC = b"DMAT1"
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SECONDS = 0.5
 RETRY_STATUSES = (429, 503)  # too many requests, unavailable: worth asking again
+TRANSPORT_TIMEOUT_SECONDS = 30.0  # per connect and per read of RequestsTransport
 GC_BLOCK_CELLS = 4096  # cells per pass of the great-circle kernel
 # the largest float block a matrix may take, 2 GiB: 16,384 points square
 MAX_MATRIX_BYTES = 2**31
@@ -220,13 +221,12 @@ class RequestsTransport:
     (HTTPS for https URLs), so build_matrix's tile threads never share one.
     A reused connection that the server closed while it sat idle is reopened
     and the request sent once more at once; any other network failure, or a
-    timeout, raises TransportError. Proxy settings (HTTP_PROXY, HTTPS_PROXY)
+    connect or read past TRANSPORT_TIMEOUT_SECONDS, raises TransportError. Proxy settings (HTTP_PROXY, HTTPS_PROXY)
     are not consulted: requests go straight to the host in the URL. close()
     closes every connection the transport opened.
     """
 
-    def __init__(self, timeout: float = 30.0):
-        self.timeout = timeout
+    def __init__(self):
         self._local = threading.local()
         self._lock = threading.Lock()
         self._opened = []
@@ -245,7 +245,7 @@ class RequestsTransport:
                 port = parts.port or kinds[parts.scheme].default_port
             except ValueError as exc:  # a port that is not a number in 0-65535
                 raise DistanceError(f"table URL {parts.geturl()}: {exc}") from None
-            conn = kinds[parts.scheme](parts.hostname, port, timeout=self.timeout)
+            conn = kinds[parts.scheme](parts.hostname, port, timeout=TRANSPORT_TIMEOUT_SECONDS)
             self._local.conns[(parts.scheme, parts.netloc)] = conn
             with self._lock:
                 self._opened.append(conn)

@@ -22,6 +22,10 @@ runs.
 The household-wide functions, nearest_facility_stats and households_geojson,
 take a Sequence[Household]; given an ingest.HouseholdTable, as the loaders
 return, they read its points column and build no Household.
+
+Each report figure is named once: a GroupStats or PenaltyBlock field is
+named as its report.json key, and report.json is dataclasses.asdict of the
+EvaluationReport.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ import numpy as np
 
 from .distance import GeoPoint, ProviderSpec, build_matrix, nearest_great_circle
 from .errors import EvaluateError
-from .hierarchy import PlacementPlan
+from .hierarchy import PlacementPlan, point_feature
 from .ingest import HouseholdTable
 from .kmedoids import MatrixLike, as_square_array
 
 METERS_PER_MILE = 1609.344
+OVERALL = "overall"  # the group of all households
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,15 @@ class FacilitySet:
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group comparison figures, all in miles."""
+    """Per-group comparison figures, in miles but for the percentage and
+    the count."""
 
-    candidate_avg: float
-    baseline_avg: float
-    saving_abs: float
+    candidate_avg_mi: float
+    baseline_avg_mi: float
+    saving_mi: float
     saving_pct: float
-    candidate_total: float
-    baseline_total: float
+    candidate_total_mi: float
+    baseline_total_mi: float
     household_count: int
 
 
@@ -71,12 +77,12 @@ class PenaltyBlock:
     Positive means the candidate's pantry-bank legs are longer.
     """
 
-    per_pantry_avg: float
-    total: float
-    candidate_avg: float
-    candidate_total: float
-    baseline_avg: float
-    baseline_total: float
+    per_pantry_avg_mi: float
+    total_mi: float
+    candidate_avg_mi: float
+    candidate_total_mi: float
+    baseline_avg_mi: float
+    baseline_total_mi: float
     pantry_count: int
 
 
@@ -84,11 +90,6 @@ class PenaltyBlock:
 class EvaluationReport:
     groups: dict[str, GroupStats]
     penalty: Optional[PenaltyBlock] = None
-
-
-def _locations(households) -> Sequence[GeoPoint]:
-    """A HouseholdTable's points column, or each household's location."""
-    return households.points if isinstance(households, HouseholdTable) else [h.location for h in households]
 
 
 def _nearest(spec: ProviderSpec, sources, destinations, max_in_flight: int) -> np.ndarray:
@@ -116,7 +117,7 @@ def nearest_facility_stats(households, facilities: FacilitySet, provider: Provid
         for i, w in enumerate(weights):
             if not 0 < w < math.inf:
                 raise EvaluateError(f"weight {i} must be positive and finite, got {w!r}")
-    per_household = _nearest(provider, _locations(households), facilities.points, max_in_flight).tolist()
+    per_household = _nearest(provider, HouseholdTable.of(households).points, facilities.points, max_in_flight).tolist()
     if weights is None:
         total = math.fsum(per_household)
         return per_household, total / len(per_household), total
@@ -133,12 +134,12 @@ def _group_stats(cand_m: Sequence[float], base_m: Sequence[float]) -> GroupStats
     saving = base_avg - cand_avg
     pct = 100.0 * saving / base_avg if base_avg > 0 else 0.0
     return GroupStats(
-        candidate_avg=cand_avg,
-        baseline_avg=base_avg,
-        saving_abs=saving,
+        candidate_avg_mi=cand_avg,
+        baseline_avg_mi=base_avg,
+        saving_mi=saving,
         saving_pct=pct,
-        candidate_total=cand_total,
-        baseline_total=base_total,
+        candidate_total_mi=cand_total,
+        baseline_total_mi=base_total,
         household_count=count,
     )
 
@@ -149,12 +150,16 @@ def compare(
     groups: Optional[Sequence[Optional[str]]] = None,
 ) -> dict[str, GroupStats]:
     """Savings statistics from each household's nearest-candidate and
-    nearest-baseline meters, overall and per group label (None: no group)."""
+    nearest-baseline meters, overall and per group label (None: no group).
+    The label "overall" names the figures over all households, so no group
+    may carry it."""
     if not len(candidate_m) or len(candidate_m) != len(baseline_m):
         raise EvaluateError("candidate and baseline distances must cover the same, nonempty households")
     if groups is not None and len(groups) != len(candidate_m):
         raise EvaluateError("group labels do not match households")
-    out = {"overall": _group_stats(candidate_m, baseline_m)}
+    if groups is not None and OVERALL in groups:
+        raise EvaluateError(f"group label {OVERALL!r} is reserved for the figures over all households")
+    out = {OVERALL: _group_stats(candidate_m, baseline_m)}
     if groups is not None:
         for label in sorted({g for g in groups if g is not None}):
             idx = [i for i, g in enumerate(groups) if g == label]
@@ -171,12 +176,12 @@ def penalty_from_distances(candidate_m: Sequence[float], baseline_m: Sequence[fl
     cand_avg = cand_total / len(candidate_m)
     base_avg = base_total / len(baseline_m)
     return PenaltyBlock(
-        per_pantry_avg=cand_avg - base_avg,
-        total=cand_total - base_total,
-        candidate_avg=cand_avg,
-        candidate_total=cand_total,
-        baseline_avg=base_avg,
-        baseline_total=base_total,
+        per_pantry_avg_mi=cand_avg - base_avg,
+        total_mi=cand_total - base_total,
+        candidate_avg_mi=cand_avg,
+        candidate_total_mi=cand_total,
+        baseline_avg_mi=base_avg,
+        baseline_total_mi=base_total,
         pantry_count=len(candidate_m),
     )
 
@@ -200,49 +205,17 @@ def penalty_report(
     return penalty_from_distances(candidate_m, [float(x) for x in base])
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    """Full-precision JSON-ready report."""
-    out = {
-        "groups": {
-            label: {
-                "candidate_avg_mi": g.candidate_avg,
-                "baseline_avg_mi": g.baseline_avg,
-                "saving_mi": g.saving_abs,
-                "saving_pct": g.saving_pct,
-                "candidate_total_mi": g.candidate_total,
-                "baseline_total_mi": g.baseline_total,
-                "household_count": g.household_count,
-            }
-            for label, g in report.groups.items()
-        }
-    }
-    if report.penalty is not None:
-        p = report.penalty
-        out["penalty"] = {
-            "per_pantry_avg_mi": p.per_pantry_avg,
-            "total_mi": p.total,
-            "candidate_avg_mi": p.candidate_avg,
-            "candidate_total_mi": p.candidate_total,
-            "baseline_avg_mi": p.baseline_avg,
-            "baseline_total_mi": p.baseline_total,
-            "pantry_count": p.pantry_count,
-        }
-    else:
-        out["penalty"] = None
-    return out
-
-
 def report_to_csv(report: EvaluationReport) -> str:
     """Display-precision CSV: miles to 2 decimals, percents to 1."""
     lines = [
         "group,household_count,candidate_avg_mi,baseline_avg_mi,saving_mi,saving_pct,candidate_total_mi,baseline_total_mi"
     ]
-    labels = [k for k in report.groups if k != "overall"] + ["overall"]
+    labels = [k for k in report.groups if k != OVERALL] + [OVERALL]
     for label in labels:
         g = report.groups[label]
         lines.append(
-            f"{label},{g.household_count},{g.candidate_avg:.2f},{g.baseline_avg:.2f},"
-            f"{g.saving_abs:.2f},{g.saving_pct:.1f},{g.candidate_total:.2f},{g.baseline_total:.2f}"
+            f"{label},{g.household_count},{g.candidate_avg_mi:.2f},{g.baseline_avg_mi:.2f},"
+            f"{g.saving_mi:.2f},{g.saving_pct:.1f},{g.candidate_total_mi:.2f},{g.baseline_total_mi:.2f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -252,17 +225,12 @@ def households_geojson(households, candidate_m: Sequence[float], baseline_m: Seq
     which set serves them better, for map rendering. A HouseholdTable is
     read by its points column."""
     features = []
-    for p, c, b in zip(_locations(households), candidate_m, baseline_m):
+    for p, c, b in zip(HouseholdTable.of(households).points, candidate_m, baseline_m):
         better = "tie" if c == b else ("candidate" if c < b else "baseline")
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [p.lon, p.lat]},
-                "properties": {
-                    "nearest_candidate_mi": c / METERS_PER_MILE,
-                    "nearest_baseline_mi": b / METERS_PER_MILE,
-                    "better": better,
-                },
-            }
-        )
+        properties = {
+            "nearest_candidate_mi": c / METERS_PER_MILE,
+            "nearest_baseline_mi": b / METERS_PER_MILE,
+            "better": better,
+        }
+        features.append(point_feature(p.lon, p.lat, properties))
     return {"type": "FeatureCollection", "features": features}

@@ -9,6 +9,11 @@ the banks and pantries, for place_two_level and for evaluate's check. A
 household goes to the globally nearest pantry, so one near a cluster
 boundary may be served by a neighboring cluster's pantry; that matches how
 household-to-pantry distance is reported.
+
+A plan's record is plan_to_dict's: plan.json is that record, and
+plan_to_geojson draws plan.geojson from it, so each site's Household is
+resolved once. point_feature is the one GeoJSON Point, for plan.geojson and
+evaluate's households.geojson.
 """
 
 from __future__ import annotations
@@ -144,30 +149,19 @@ def plan_of_sites(matrix: MatrixLike, banks: Sequence[int], pantries: Sequence[i
     )
 
 
-def _sites(plan: PlacementPlan, households) -> dict:
-    """Each bank's and pantry's household by index, built once per site, so
-    a HouseholdTable builds no other Household."""
-    return {i: households[i] for i in {*plan.banks, *plan.pantries}}
-
-
 def plan_to_dict(plan: PlacementPlan, households) -> dict:
-    """JSON-ready plan with ids and coordinates resolved from households."""
-    site = _sites(plan, households)
+    """JSON-ready plan with ids and coordinates resolved from households:
+    each bank's and pantry's Household is built once, so a HouseholdTable
+    builds no other Household."""
+    site = {i: households[i] for i in {*plan.banks, *plan.pantries}}
+
+    def entry(i: int) -> dict:
+        h = site[i]
+        return {"index": i, "id": h.id, "lat": h.location.lat, "lon": h.location.lon}
+
     return {
-        "banks": [
-            {"index": b, "id": site[b].id, "lat": site[b].location.lat, "lon": site[b].location.lon}
-            for b in plan.banks
-        ],
-        "pantries": [
-            {
-                "index": p,
-                "id": site[p].id,
-                "lat": site[p].location.lat,
-                "lon": site[p].location.lon,
-                "bank_index": plan.pantry_to_bank[p],
-            }
-            for p in plan.pantries
-        ],
+        "banks": [entry(b) for b in plan.banks],
+        "pantries": [{**entry(p), "bank_index": plan.pantry_to_bank[p]} for p in plan.pantries],
         "household_to_pantry": list(plan.household_to_pantry),
         "level1_objective_m": plan.level1_objective,
         "level2_objective_m": plan.level2_objective,
@@ -176,27 +170,17 @@ def plan_to_dict(plan: PlacementPlan, households) -> dict:
     }
 
 
-def plan_to_geojson(plan: PlacementPlan, households) -> dict:
-    """FeatureCollection of bank/pantry points for any standard map viewer."""
-    site = _sites(plan, households)
-    features = []
-    for b in plan.banks:
-        h = site[b]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [h.location.lon, h.location.lat]},
-                "properties": {"role": "bank", "id": h.id},
-            }
-        )
-    for p in plan.pantries:
-        h = site[p]
-        bank = site[plan.pantry_to_bank[p]]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [h.location.lon, h.location.lat]},
-                "properties": {"role": "pantry", "id": h.id, "bank_id": bank.id},
-            }
-        )
+def point_feature(lon: float, lat: float, properties: dict) -> dict:
+    """A GeoJSON Point feature; a GeoJSON position puts longitude first."""
+    return {"type": "Feature", "geometry": {"type": "Point", "coordinates": [lon, lat]}, "properties": properties}
+
+
+def plan_to_geojson(record: dict) -> dict:
+    """FeatureCollection of the bank and pantry points of plan_to_dict's
+    record, for any standard map viewer."""
+    bank_id = {b["index"]: b["id"] for b in record["banks"]}
+    features = [point_feature(b["lon"], b["lat"], {"role": "bank", "id": b["id"]}) for b in record["banks"]]
+    for p in record["pantries"]:
+        properties = {"role": "pantry", "id": p["id"], "bank_id": bank_id[p["bank_index"]]}
+        features.append(point_feature(p["lon"], p["lat"], properties))
     return {"type": "FeatureCollection", "features": features}

@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .distance import GeoPoint
+from .distance import GeoPoint, require_fits
 from .errors import IngestError
 from .rng import sample_indices
 
@@ -380,6 +380,11 @@ def apply_weights(households: Sequence[Household], config: IngestConfig) -> Hous
     return replace(table, weights=tuple(weights))
 
 
+def _copies(weights: Sequence[float]) -> list[int]:
+    # weights are positive, where floor(w + 0.5) rounds half away from zero
+    return [max(1, math.floor(w + 0.5)) for w in weights]
+
+
 def duplicate_by_weight(households: Sequence[Household]) -> HouseholdTable:
     """Repeat each household max(1, round(weight)) times, copies adjacent,
     rounding half away from zero.
@@ -388,8 +393,11 @@ def duplicate_by_weight(households: Sequence[Household]) -> HouseholdTable:
     keeps the source id so single-copy households pass through unchanged.
     """
     table = HouseholdTable.of(households)
-    # weights are positive, where floor(w + 0.5) rounds half away from zero
-    copies = [max(1, math.floor(w + 0.5)) for w in table.weights]
+    return _repeated(table, _copies(table.weights))
+
+
+def _repeated(table: HouseholdTable, copies: list[int]) -> HouseholdTable:
+    """duplicate_by_weight's table, each row repeated its count of copies."""
     ids = tuple([hid if j == 0 else f"{hid}#{j}" for hid, c in zip(table.ids, copies) for j in range(c)])
 
     def repeated(column):
@@ -400,16 +408,20 @@ def duplicate_by_weight(households: Sequence[Household]) -> HouseholdTable:
 
 
 def prepare(households: Sequence[Household], config: IngestConfig) -> HouseholdTable:
-    """Full preparation pipeline: filter -> sample -> weight -> duplicate."""
+    """Full preparation pipeline: filter -> sample -> weight -> duplicate.
+
+    The matrix stage builds the prepared rows' square matrix, so rows whose
+    matrix distance.require_fits refuses are an IngestError, raised from
+    the copy counts before duplication builds a row."""
     table = filter_by_income(households, config.income_cap)
     if config.sample_size != "all":
         table = sample(table, config.sample_size, config.seed)
-    if config.weighting_mode == "none":
-        return table
-    table = apply_weights(table, config)
-    if config.weighting_mode == "duplicate":
-        table = duplicate_by_weight(table)
-    return table
+    if config.weighting_mode != "none":
+        table = apply_weights(table, config)
+    copies = _copies(table.weights) if config.weighting_mode == "duplicate" else None
+    rows = len(table) if copies is None else sum(copies)
+    require_fits(rows, rows, IngestError)
+    return table if copies is None else _repeated(table, copies)
 
 
 PREPARED_FIELDS = ("id", "lat", "lon", "income", "weight", "origin_id", "city")

@@ -125,20 +125,20 @@ def test_criterion_3_paper_arithmetic():
     candidate = FacilitySet(label="candidate", points=(equator_point_at_miles(3.22),))
     baseline = FacilitySet(label="baseline", points=(equator_point_at_miles(6.83),))
     overall = overall_saving(candidate, baseline, households)
-    assert overall.candidate_avg == pytest.approx(3.22, abs=1e-6)
-    assert overall.baseline_avg == pytest.approx(6.83, abs=1e-6)
-    assert overall.saving_abs == pytest.approx(3.61, abs=5e-3)
+    assert overall.candidate_avg_mi == pytest.approx(3.22, abs=1e-6)
+    assert overall.baseline_avg_mi == pytest.approx(6.83, abs=1e-6)
+    assert overall.saving_mi == pytest.approx(3.61, abs=5e-3)
     assert overall.saving_pct == pytest.approx(52.9, abs=0.05)
 
     # 57 pantries, 571.21 total penalty miles -> 10.02 per pantry
     block = _penalty_scenario(pantries=57, total_miles=571.21)
-    assert block.total == pytest.approx(571.21, abs=5e-3)
-    assert block.per_pantry_avg == pytest.approx(10.02, abs=5e-3)
+    assert block.total_mi == pytest.approx(571.21, abs=5e-3)
+    assert block.per_pantry_avg_mi == pytest.approx(10.02, abs=5e-3)
 
     # 176 pantries, 273.75 total penalty miles -> 1.56 per pantry
     block = _penalty_scenario(pantries=176, total_miles=273.75)
-    assert block.total == pytest.approx(273.75, abs=5e-3)
-    assert block.per_pantry_avg == pytest.approx(1.56, abs=5e-3)
+    assert block.total_mi == pytest.approx(273.75, abs=5e-3)
+    assert block.per_pantry_avg_mi == pytest.approx(1.56, abs=5e-3)
 
 
 def _penalty_scenario(pantries: int, total_miles: float):
@@ -295,7 +295,7 @@ def test_criterion_7_degenerate_cases():
     households = [Household(id=str(i), location=GeoPoint(float(i), float(i))) for i in range(6)]
     fs = FacilitySet(label="same", points=(households[1].location, households[4].location))
     overall = overall_saving(fs, fs, households)
-    assert overall.saving_abs == 0.0 and overall.saving_pct == 0.0
+    assert overall.saving_mi == 0.0 and overall.saving_pct == 0.0
 
     plan = PlacementPlan(
         banks=(0,),
@@ -307,5 +307,5 @@ def test_criterion_7_degenerate_cases():
     )
     banks = FacilitySet(label="bb", points=(households[0].location,))
     block = penalty_report(plan, household_matrix(households), banks, fs, GC)
-    assert block.per_pantry_avg == pytest.approx(0.0, abs=1e-9)
-    assert block.total == pytest.approx(0.0, abs=1e-9)
+    assert block.per_pantry_avg_mi == pytest.approx(0.0, abs=1e-9)
+    assert block.total_mi == pytest.approx(0.0, abs=1e-9)

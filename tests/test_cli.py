@@ -9,7 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from copy import deepcopy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +190,30 @@ def test_ingest_refuses_rows_whose_matrix_is_over_the_limit(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err == "error: a 12 x 12 distance matrix needs 1,152 bytes, over the limit of 1,151 bytes\n"
     assert prepared.read_bytes() == before  # left as it was
+
+
+def test_ingest_refuses_copies_past_the_matrix_limit_before_building_them(tmp_path, capsys, monkeypatch):
+    # one row weighted to 16,385 copies, whose square matrix is past the
+    # limit: the largest table ingest builds is the one row's
+    (tmp_path / "one.csv").write_text("lat,lon,income\n40.0,-86.0,1\n")
+    ingest_cfg = {"weighting_mode": "duplicate", "weight_cap": 16385, "weight_numerator": 1e9}
+    dataset = {"path": str(tmp_path / "one.csv"), "schema": {"income": "income"}}
+    cfg_path, cfg = write_config(tmp_path, dataset=dataset, ingest=ingest_cfg)
+    built = []
+    init = ingest.HouseholdTable.__init__
+
+    def recording(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        built.append(len(table))
+
+    monkeypatch.setattr(ingest.HouseholdTable, "__init__", recording)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "ingest"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a 16385 x 16385 distance matrix needs 2,147,745,800 bytes, over the limit of 2,147,483,648 bytes\n"
+    )
+    assert max(built) == 1
+    assert not (Path(cfg["out_dir"]) / "prepared.csv").exists()
 
 
 def test_matrix_over_the_limit_exits_3_before_building(tmp_path, capsys, monkeypatch):
@@ -552,6 +576,46 @@ def test_evaluate_groups_by_city_tags(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert set(report["groups"]) == {"overall", "blob0", "blob1"}
     assert report["penalty"] is None
+
+
+def test_report_json_keys_are_the_report_field_names(tmp_path):
+    _, out_dir = pipeline_through_place(tmp_path)
+    assert run(["--config", evaluate_config(tmp_path, out_dir), "evaluate"]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert set(report) == {"meta", "groups", "penalty"}
+    figures = {"candidate_avg_mi", "baseline_avg_mi", "candidate_total_mi", "baseline_total_mi"}
+    for group in report["groups"].values():
+        assert set(group) == {*figures, "saving_mi", "saving_pct", "household_count"}
+    assert set(report["penalty"]) == {*figures, "per_pantry_avg_mi", "total_mi", "pantry_count"}
+
+
+def test_plan_geojson_has_a_point_per_site_of_plan_json(tmp_path):
+    _, out_dir = pipeline_through_place(tmp_path)
+    plan = json.loads((out_dir / "plan.json").read_text())
+    features = json.loads((out_dir / "plan.geojson").read_text())["features"]
+    sites = [("bank", b) for b in plan["banks"]] + [("pantry", p) for p in plan["pantries"]]
+    assert len(features) == len(sites)
+    bank_id = {b["index"]: b["id"] for b in plan["banks"]}
+    for feature, (role, site) in zip(features, sites):
+        assert feature["geometry"] == {"type": "Point", "coordinates": [site["lon"], site["lat"]]}
+        assert feature["properties"]["role"] == role and feature["properties"]["id"] == site["id"]
+        if role == "pantry":
+            assert feature["properties"]["bank_id"] == bank_id[site["bank_index"]]
+
+
+@pytest.mark.parametrize("source", ["city column", "city box"])
+def test_evaluate_refuses_a_group_labelled_overall(tmp_path, capsys, source):
+    # a box over the whole globe, or a city cell, labels a household overall
+    _, out_dir = pipeline_through_place(tmp_path)
+    boxes = {"overall": [-90, -180, 90, 180]} if source == "city box" else None
+    if source == "city column":
+        table = load_prepared(out_dir / "prepared.csv")
+        write_households_csv(replace(table, cities=("overall",) + table.cities[1:]), out_dir / "prepared.csv")
+    cfg_path = evaluate_config(tmp_path, out_dir, cities=boxes)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 5
+    assert capsys.readouterr().err == "error: group label 'overall' is reserved for the figures over all households\n"
+    assert not (out_dir / "report.json").exists()
 
 
 def test_evaluate_without_plan_exits_5(tmp_path):
@@ -1220,8 +1284,7 @@ def test_stages_on_a_retyped_config_value_exit_0_or_name_the_error(placed, tmp_p
     # error line, never a traceback, or the run reports as before
     cfg, _, report = placed
     root = tmp_path_factory.mktemp("retyped")
-    # a copy: the resolved config shares its unset sections with cli.DEFAULTS
-    resolved = deepcopy(cli.load_config(None, {**cfg, "out_dir": str(root / "out")}))
+    resolved = cli.load_config(None, {**cfg, "out_dir": str(root / "out")})
     *sections, name = key
     parent = resolved
     for section in sections:
@@ -1359,7 +1422,7 @@ def test_stages_build_households_only_for_plan_sites(tmp_path, monkeypatch):
                 counts.clear()
                 assert run(["--config", cfg_path, stage]) == 0
                 built[points, stage] = len(counts)
-        assert (built[points, "matrix"], built[points, "place"], built[points, "evaluate"]) == (0, 2 * sites, sites)
+        assert (built[points, "matrix"], built[points, "place"], built[points, "evaluate"]) == (0, sites, sites)
         rows[points] = len(load_prepared(out_dir / "prepared.csv"))
     assert rows[10] < rows[40]
 

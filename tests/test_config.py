@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import pantryplan.cli as cli
 from pantryplan.cli import config_hash, load_config, main
 
 README_EXAMPLE = {
@@ -190,3 +191,13 @@ def test_integer_at_float_range_is_a_number(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"hierarchy": {"epsilon": %d}}' % int(sys.float_info.max))
     assert load_config(path, {})["hierarchy"]["epsilon"] == int(sys.float_info.max)
+
+
+def test_editing_a_loaded_config_leaves_the_defaults_unchanged():
+    defaults = json.loads(json.dumps(cli.DEFAULTS))
+    cfg = load_config(None, {"hierarchy": {"k_banks": 2}})
+    cfg["ingest"]["weighting_mode"] = "x"
+    cfg["dataset"]["schema"]["lat"] = "y"
+    cfg["hierarchy"]["k_pantries_total"] = 9
+    assert cli.DEFAULTS == defaults
+    assert load_config(None, {}) == defaults

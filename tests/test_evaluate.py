@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from pantryplan.evaluate import (
     penalty_from_distances,
     penalty_report,
     report_to_csv,
-    report_to_dict,
 )
 from pantryplan.hierarchy import PlacementPlan, plan_of_sites
 from pantryplan.ingest import Household, HouseholdTable
@@ -116,9 +116,9 @@ def test_identical_sets_give_zero_saving():
     fs = facility_set("same", [(0, 0.05), (0, 0.35)])
     report = compare_sets(fs, fs, households)
     overall = report.groups["overall"]
-    assert overall.saving_abs == 0.0
+    assert overall.saving_mi == 0.0
     assert overall.saving_pct == 0.0
-    assert overall.candidate_avg == overall.baseline_avg
+    assert overall.candidate_avg_mi == overall.baseline_avg_mi
     assert overall.household_count == 5
 
 
@@ -127,7 +127,7 @@ def test_paper_headline_arithmetic():
     from pantryplan.evaluate import _group_stats
 
     g = _group_stats([3.22 * METERS_PER_MILE], [6.83 * METERS_PER_MILE])
-    assert g.saving_abs == pytest.approx(3.61, abs=5e-3)
+    assert g.saving_mi == pytest.approx(3.61, abs=5e-3)
     assert g.saving_pct == pytest.approx(52.9, abs=0.05)
 
 
@@ -139,7 +139,7 @@ def test_city_groups_partition_households():
     assert set(report.groups) == {"overall", "east", "west"}
     assert report.groups["east"].household_count == 2
     assert report.groups["west"].household_count == 1
-    assert report.groups["west"].saving_abs > 0
+    assert report.groups["west"].saving_mi > 0
 
 
 def test_compare_weighted_by_duplication_matches_direct_weights():
@@ -156,8 +156,8 @@ def test_compare_weighted_by_duplication_matches_direct_weights():
     # direct weighted mean with weights (2, 1), computed by hand
     cand_avg = (2 * d0c + d1c) / 3 / METERS_PER_MILE
     base_avg = (2 * d0b + d1b) / 3 / METERS_PER_MILE
-    assert rep_dup.groups["overall"].candidate_avg == pytest.approx(cand_avg, abs=1e-9)
-    assert rep_dup.groups["overall"].baseline_avg == pytest.approx(base_avg, abs=1e-9)
+    assert rep_dup.groups["overall"].candidate_avg_mi == pytest.approx(cand_avg, abs=1e-9)
+    assert rep_dup.groups["overall"].baseline_avg_mi == pytest.approx(base_avg, abs=1e-9)
 
 
 def test_synthetic_town_optimum_beats_corner_baseline():
@@ -178,7 +178,7 @@ def test_synthetic_town_optimum_beats_corner_baseline():
     base_hand = [min(great_circle(p, q) for q in baseline.points) for p in pts]
     saving_hand = (math.fsum(base_hand) - math.fsum(cand_hand)) / 20 / METERS_PER_MILE
     assert saving_hand > 0
-    assert overall.saving_abs == pytest.approx(saving_hand, abs=1e-9)
+    assert overall.saving_mi == pytest.approx(saving_hand, abs=1e-9)
 
 
 def test_compare_rejects_mismatched_vectors():
@@ -207,8 +207,8 @@ def test_candidate_legs_come_from_the_plan_matrix():
     banks = FacilitySet(label="bb", points=(households[0].location,))
     pantries = FacilitySet(label="bp", points=(households[1].location, households[2].location))
     block = penalty_report(plan, road, banks, pantries, GC)
-    assert block.candidate_total == pytest.approx((road[1, 0] + road[2, 0]) / METERS_PER_MILE, rel=1e-12)
-    assert block.total == pytest.approx(block.baseline_total, rel=1e-12)
+    assert block.candidate_total_mi == pytest.approx((road[1, 0] + road[2, 0]) / METERS_PER_MILE, rel=1e-12)
+    assert block.total_mi == pytest.approx(block.baseline_total_mi, rel=1e-12)
 
 
 def test_identical_plan_and_baseline_zero_penalty():
@@ -224,17 +224,17 @@ def test_identical_plan_and_baseline_zero_penalty():
     banks = FacilitySet(label="bb", points=(households[0].location,))
     pantries = FacilitySet(label="bp", points=(households[1].location, households[2].location))
     block = penalty_report(plan, household_matrix(households), banks, pantries, GC)
-    assert block.per_pantry_avg == pytest.approx(0.0, abs=1e-12)
-    assert block.total == pytest.approx(0.0, abs=1e-12)
+    assert block.per_pantry_avg_mi == pytest.approx(0.0, abs=1e-12)
+    assert block.total_mi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_penalty_consistency_paper_indiana_numbers():
     # 176 pantries, 273.75 total penalty miles -> 1.56 average
     per = [273.75 / 176 * METERS_PER_MILE] * 176
     block = penalty_from_distances(per, [0.0] * 176)
-    assert block.total == pytest.approx(273.75, abs=5e-3)
-    assert block.per_pantry_avg == pytest.approx(1.56, abs=5e-3)
-    assert block.per_pantry_avg * block.pantry_count == pytest.approx(block.total, abs=1e-6)
+    assert block.total_mi == pytest.approx(273.75, abs=5e-3)
+    assert block.per_pantry_avg_mi == pytest.approx(1.56, abs=5e-3)
+    assert block.per_pantry_avg_mi * block.pantry_count == pytest.approx(block.total_mi, abs=1e-6)
 
 
 def test_penalty_hand_instance_two_banks_four_pantries():
@@ -242,10 +242,10 @@ def test_penalty_hand_instance_two_banks_four_pantries():
     cand = [x * METERS_PER_MILE for x in (2.0, 3.0, 4.0, 5.0)]
     base = [x * METERS_PER_MILE for x in (1.0, 1.0, 2.0, 2.0)]
     block = penalty_from_distances(cand, base)
-    assert block.candidate_total == pytest.approx(14.0)
-    assert block.baseline_total == pytest.approx(6.0)
-    assert block.total == pytest.approx(8.0)
-    assert block.per_pantry_avg == pytest.approx(14.0 / 4 - 6.0 / 4)
+    assert block.candidate_total_mi == pytest.approx(14.0)
+    assert block.baseline_total_mi == pytest.approx(6.0)
+    assert block.total_mi == pytest.approx(8.0)
+    assert block.per_pantry_avg_mi == pytest.approx(14.0 / 4 - 6.0 / 4)
 
 
 def test_baseline_pantries_attributed_to_nearest_bank():
@@ -263,7 +263,7 @@ def test_baseline_pantries_attributed_to_nearest_bank():
     block = penalty_report(plan, household_matrix(households), banks, pantries, GC)
     # baseline pantry at lon 1.0 uses the bank at lon 0.9, not 0.0
     expected_base = great_circle(GeoPoint(0, 1.0), GeoPoint(0, 0.9)) / METERS_PER_MILE
-    assert block.baseline_total == pytest.approx(expected_base, abs=1e-9)
+    assert block.baseline_total_mi == pytest.approx(expected_base, abs=1e-9)
 
 
 # --- report output ------------------------------------------------------------------
@@ -274,10 +274,10 @@ def test_report_invariants_and_csv_rounding():
     base = facility_set("b", [(0, 0.9)])
     report = compare_sets(cand, base, households, groups=[h.city for h in households])
     for g in report.groups.values():
-        assert g.saving_abs == pytest.approx(g.baseline_avg - g.candidate_avg, abs=1e-12)
-        if g.baseline_avg > 0:
-            assert g.saving_pct == pytest.approx(100 * g.saving_abs / g.baseline_avg, abs=0.05)
-        assert g.candidate_total == pytest.approx(g.candidate_avg * g.household_count, abs=1e-6)
+        assert g.saving_mi == pytest.approx(g.baseline_avg_mi - g.candidate_avg_mi, abs=1e-12)
+        if g.baseline_avg_mi > 0:
+            assert g.saving_pct == pytest.approx(100 * g.saving_mi / g.baseline_avg_mi, abs=0.05)
+        assert g.candidate_total_mi == pytest.approx(g.candidate_avg_mi * g.household_count, abs=1e-6)
 
     csv_text = report_to_csv(report)
     lines = csv_text.strip().splitlines()
@@ -286,17 +286,23 @@ def test_report_invariants_and_csv_rounding():
     cells = lines[-1].split(",")
     assert all("." in c and len(c.split(".")[1]) == 2 for c in cells[2:4])
 
-    data = report_to_dict(report)
+    data = asdict(report)
     assert set(data["groups"]) == {"overall", "core"}
     assert data["penalty"] is None
+
+
+def test_compare_refuses_a_group_labelled_overall():
+    # the label would replace the figures over all three households
+    with pytest.raises(EvaluateError, match="^group label 'overall' is reserved for the figures over all households$"):
+        compare([1.0, 2.0, 100.0], [1.0, 2.0, 3.0], groups=["overall", None, None])
 
 
 def test_reports_are_bit_stable_across_runs():
     households = [hh(0, i * 0.31, i) for i in range(9)]
     cand = facility_set("c", [(0, 0.4), (0, 2.0)])
     base = facility_set("b", [(0, 1.3)])
-    a = report_to_dict(compare_sets(cand, base, households))
-    b = report_to_dict(compare_sets(cand, base, households))
+    a = asdict(compare_sets(cand, base, households))
+    b = asdict(compare_sets(cand, base, households))
     assert a == b
 
 

@@ -13,6 +13,7 @@ from pantryplan.hierarchy import (
     allocate_pantry_counts,
     place_two_level,
     plan_of_sites,
+    plan_to_dict,
     plan_to_geojson,
 )
 from pantryplan.ingest import Household
@@ -174,7 +175,7 @@ def test_colocated_pantry_bank_distance_zero():
         level2_objective=12.0,
     )
     block = hand_penalty(plan, d)
-    assert block.candidate_total == 0.0 and block.candidate_avg == 0.0 and block.pantry_count == 1
+    assert block.candidate_total_mi == 0.0 and block.candidate_avg_mi == 0.0 and block.pantry_count == 1
 
 
 def test_pantry_bank_distances_hand_instance():
@@ -189,8 +190,8 @@ def test_pantry_bank_distances_hand_instance():
     )
     block = hand_penalty(plan, d)
     # legs 1, 1 and 0 read off the matrix
-    assert block.candidate_total == 2.0 / METERS_PER_MILE
-    assert block.candidate_avg == 2.0 / METERS_PER_MILE / 3
+    assert block.candidate_total_mi == 2.0 / METERS_PER_MILE
+    assert block.candidate_avg_mi == 2.0 / METERS_PER_MILE / 3
     assert block.pantry_count == 3
 
 
@@ -264,7 +265,7 @@ def test_plan_geojson_structure():
     d = two_blob_matrix()
     plan = place_two_level(d, HierarchyParams(k_banks=2, k_pantries_total=4))
     hh = households_for(10)
-    geo = plan_to_geojson(plan, hh)
+    geo = plan_to_geojson(plan_to_dict(plan, hh))
     assert geo["type"] == "FeatureCollection"
     roles = [f["properties"]["role"] for f in geo["features"]]
     assert roles.count("bank") == 2

@@ -250,6 +250,19 @@ def test_prepare_recipe_duplicated_total_at_least_unique(data_dir):
     assert all(h.weight == 1.0 for h in out)
 
 
+def test_prepare_refuses_copies_past_the_matrix_limit(monkeypatch):
+    # a cap of 16,385 copies one row that often, and that many rows' square
+    # matrix needs 2,147,745,800 bytes, past distance.MAX_MATRIX_BYTES (2**31);
+    # 16,384 copies need exactly the limit
+    def config(cap):
+        return IngestConfig(weighting_mode="duplicate", weight_cap=cap, weight_numerator=1e9)
+
+    assert len(prepare([hh(0, income=1.0)], config(16384.0))) == 16384
+    message = "a 16385 x 16385 distance matrix needs 2,147,745,800 bytes, over the limit of 2,147,483,648 bytes"
+    with pytest.raises(IngestError, match=f"^{message}$"):
+        prepare([hh(0, income=1.0)], config(16385.0))
+
+
 def test_prepare_direct_mode_attaches_weights(data_dir):
     rows = load_households(data_dir / "ca_blocks.csv", CA_SCHEMA)
     cfg = IngestConfig(weighting_mode="direct")

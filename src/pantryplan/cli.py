@@ -12,7 +12,8 @@ plan.json and report.json are written by json.dump(..., sort_keys=True,
 indent=1). plan.geojson and households.geojson are written on one line in
 the canonical form config_hash hashes: sorted keys, no whitespace.
 
-Exit codes: 2 ingest/config, 3 distance, 4 solver, 5 evaluation.
+Exit codes live in pantryplan.errors, as each error family's exit_code; an
+OSError exits with that of the family its stage names in COMMANDS.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ from .errors import (
     PantryPlanError,
     SolveError,
 )
-
-EXIT_INGEST = 2
-EXIT_DISTANCE = 3
-EXIT_SOLVE = 4
-EXIT_EVALUATE = 5
 
 # evaluate's tolerance for a plan's objectives against their recomputation:
 # another host's BLAS may sum np.dot in another order
@@ -236,6 +232,8 @@ def cmd_ingest(cfg: dict, args) -> None:
     icfg = ingest.IngestConfig(**cfg["ingest"], seed=cfg["seed"])
     households = ingest.load_households(ds["path"], ingest.ColumnSchema(**ds["schema"]))
     prepared = ingest.prepare(households, icfg)
+    if not prepared:
+        raise IngestError(f"{len(households)} households read from {ds['path']}, and the income filter kept none")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / PREPARED_CSV
@@ -431,6 +429,17 @@ def cmd_evaluate(cfg: dict, args) -> None:
     )
 
 
+# The stages, in the order a run takes them: each one's command, its help
+# line, and the error family whose exit code an OSError in it ends with.
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic household CSV", IngestError),
+    "ingest": (cmd_ingest, "filter, sample and weight the dataset", IngestError),
+    "matrix": (cmd_matrix, "build or reuse the household distance matrix", DistanceError),
+    "place": (cmd_place, "run the two-level placement", SolveError),
+    "evaluate": (cmd_evaluate, "compare the plan against baselines", EvaluateError),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pantryplan", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON config file")
@@ -439,17 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="pipeline output directory")
     parser.add_argument("--force", action="store_true", help="rebuild outputs even when cached")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic household CSV")
+    stages = {name: sub.add_parser(name, help=text) for name, (_, text, _) in COMMANDS.items()}
+    p_synth = stages["synth"]
     p_synth.add_argument("--clusters", type=int, default=3)
     p_synth.add_argument("--points", type=int, default=100, help="points per cluster")
     p_synth.add_argument("--spread", type=float, default=0.05, help="blob stddev, degrees")
     p_synth.add_argument("--output", default="synth.csv")
-
-    sub.add_parser("ingest", help="filter, sample and weight the dataset")
-    sub.add_parser("matrix", help="build or reuse the household distance matrix")
-    sub.add_parser("place", help="run the two-level placement")
-    sub.add_parser("evaluate", help="compare the plan against baselines")
     return parser
 
 
@@ -458,23 +462,6 @@ def _parser() -> argparse.ArgumentParser:
     """build_parser's parser, built on the first call (about 1 ms) and shared
     by every later main call in the process: parse_args keeps no state."""
     return build_parser()
-
-
-COMMANDS = {
-    "synth": (cmd_synth, EXIT_INGEST),
-    "ingest": (cmd_ingest, EXIT_INGEST),
-    "matrix": (cmd_matrix, EXIT_DISTANCE),
-    "place": (cmd_place, EXIT_SOLVE),
-    "evaluate": (cmd_evaluate, EXIT_EVALUATE),
-}
-
-_ERROR_EXITS = (
-    (IngestError, EXIT_INGEST),
-    (ConfigError, EXIT_INGEST),
-    (DistanceError, EXIT_DISTANCE),
-    (SolveError, EXIT_SOLVE),
-    (EvaluateError, EXIT_EVALUATE),
-)
 
 
 def main(argv=None) -> int:
@@ -487,20 +474,13 @@ def main(argv=None) -> int:
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
 
-    command, default_exit = COMMANDS[args.command]
+    command, _, family = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, overrides)
         command(cfg, args)
-    except PantryPlanError as exc:
-        for cls, code in _ERROR_EXITS:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (PantryPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return default_exit
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return default_exit
+        return exc.exit_code if isinstance(exc, PantryPlanError) else family.exit_code
     return 0
 
 

@@ -289,19 +289,14 @@ def _exchange(conn, target: str):
     return response.status, response.read()
 
 
-def _or_default(transport):
-    """A context giving transport, or when it is None a RequestsTransport
-    that is closed on exit."""
-    return closing(RequestsTransport()) if transport is None else nullcontext(transport)
-
-
 def table_request(
     spec: ProviderSpec,
     sources: Sequence[GeoPoint],
     destinations: Sequence[GeoPoint],
-    transport=None,
+    transport,
 ) -> np.ndarray:
-    """One GET against the table endpoint; returns the distances block.
+    """One GET against the table endpoint over transport; returns the
+    distances block.
 
     A TransportError, HTTP 429 (too many requests) or HTTP 503 (unavailable)
     is retried, up to RETRY_ATTEMPTS in all, after sleeping
@@ -312,20 +307,19 @@ def table_request(
         raise DistanceError("table_request needs a table_api provider")
     url = table_url(spec, sources, destinations)
 
-    with _or_default(transport) as transport:
-        for attempt in range(RETRY_ATTEMPTS):
-            try:
-                status, body = transport.get(url)
-            except TransportError as exc:
-                last = str(exc)
-            else:
-                if status not in RETRY_STATUSES:
-                    break
-                last = f"HTTP {status}"
-            if attempt + 1 < RETRY_ATTEMPTS:
-                time.sleep(RETRY_BASE_SECONDS * 2**attempt)
+    for attempt in range(RETRY_ATTEMPTS):
+        try:
+            status, body = transport.get(url)
+        except TransportError as exc:
+            last = str(exc)
         else:
-            raise DistanceError(f"table request failed after {RETRY_ATTEMPTS} attempts: {last}: {url}")
+            if status not in RETRY_STATUSES:
+                break
+            last = f"HTTP {status}"
+        if attempt + 1 < RETRY_ATTEMPTS:
+            time.sleep(RETRY_BASE_SECONDS * 2**attempt)
+    else:
+        raise DistanceError(f"table request failed after {RETRY_ATTEMPTS} attempts: {last}: {url}")
 
     if status != 200:
         raise DistanceError(f"table request returned HTTP {status}: {url}")
@@ -575,8 +569,9 @@ def build_matrix(
 
     unreachable = []
     hard_error = None
-    # the pool's threads are joined before the transport is closed
-    with _or_default(transport) as transport, ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
+    # the pool's threads are joined before a transport made here is closed
+    owned = closing(RequestsTransport()) if transport is None else nullcontext(transport)
+    with owned as transport, ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
         futures = [pool.submit(fetch, t) for t in tiles]
         for (r0, r1, c0, c1), future in zip(tiles, futures):
             try:

@@ -1,24 +1,28 @@
 """Exception classes, one family per pipeline stage.
 
-The CLI maps these to stable exit codes: ingest/config 2, distance 3,
-solver 4, evaluation 5.
+Each family carries the CLI's stable exit code as its exit_code, which its
+subclasses inherit: ingest/config 2, distance 3, solver 4, evaluation 5.
+This is the one place the codes are written.
 """
 
 
 class PantryPlanError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; only its families are raised."""
 
 
 class ConfigError(PantryPlanError):
     """Bad run configuration or unusable input file."""
+    exit_code = 2
 
 
 class IngestError(PantryPlanError):
     """Household loading, filtering, sampling or weighting failed."""
+    exit_code = 2
 
 
 class DistanceError(PantryPlanError):
     """Distance provider or matrix cache failure."""
+    exit_code = 3
 
 
 class UnreachablePairsError(DistanceError):
@@ -41,6 +45,7 @@ class StaleMatrixError(DistanceError):
 
 class SolveError(PantryPlanError):
     """Solver or allocation failure."""
+    exit_code = 4
 
 
 class ConvergenceError(SolveError):
@@ -56,3 +61,4 @@ class ConvergenceError(SolveError):
 
 class EvaluateError(PantryPlanError):
     """Evaluation inputs are inconsistent or unusable."""
+    exit_code = 5

@@ -30,6 +30,8 @@ EvaluationReport.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -206,18 +208,20 @@ def penalty_report(
 
 
 def report_to_csv(report: EvaluationReport) -> str:
-    """Display-precision CSV: miles to 2 decimals, percents to 1."""
-    lines = [
-        "group,household_count,candidate_avg_mi,baseline_avg_mi,saving_mi,saving_pct,candidate_total_mi,baseline_total_mi"
-    ]
+    """Display-precision CSV: miles to 2 decimals, percents to 1. A group
+    label holding a comma, a quote or a line break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["group", "household_count", "candidate_avg_mi", "baseline_avg_mi", "saving_mi", "saving_pct",
+                     "candidate_total_mi", "baseline_total_mi"])
     labels = [k for k in report.groups if k != OVERALL] + [OVERALL]
     for label in labels:
         g = report.groups[label]
-        lines.append(
-            f"{label},{g.household_count},{g.candidate_avg_mi:.2f},{g.baseline_avg_mi:.2f},"
-            f"{g.saving_mi:.2f},{g.saving_pct:.1f},{g.candidate_total_mi:.2f},{g.baseline_total_mi:.2f}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([
+            label, g.household_count, f"{g.candidate_avg_mi:.2f}", f"{g.baseline_avg_mi:.2f}", f"{g.saving_mi:.2f}",
+            f"{g.saving_pct:.1f}", f"{g.candidate_total_mi:.2f}", f"{g.baseline_total_mi:.2f}",
+        ])
+    return out.getvalue()
 
 
 def households_geojson(households, candidate_m: Sequence[float], baseline_m: Sequence[float]) -> dict:

@@ -30,6 +30,7 @@ from pantryplan.distance import (
     nearest_great_circle,
     save_matrix,
 )
+from pantryplan.errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError
 from pantryplan.hierarchy import HierarchyParams, place_two_level, plan_to_dict
 from pantryplan.ingest import ColumnSchema, Household, load_households, load_prepared, write_households_csv
 from pantryplan.kmedoids import SolveParams, solve
@@ -225,6 +226,26 @@ def test_matrix_over_the_limit_exits_3_before_building(tmp_path, capsys, monkeyp
     assert run(["--config", cfg_path, "matrix"]) == 3
     assert "needs 1,152 bytes, over the limit of 100 bytes" in capsys.readouterr().err
     assert not (Path(cfg["out_dir"]) / "matrix.dmat").exists()
+
+
+@pytest.mark.parametrize("dataset, read", [
+    ("id,lat,lon,income,city\na,39.0,-86.5,20000,x\nb,39.1,-86.4,30000,x\n", 2),
+    ("id,lat,lon,income,city\n", 0),
+], ids=["income_cap -1", "header only"])
+def test_ingest_that_keeps_no_household_exits_2_before_writing(tmp_path, capsys, dataset, read):
+    cfg_path, cfg = write_config(tmp_path)
+    run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 12, "--output", tmp_path / "synth.csv"])
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    prepared = Path(cfg["out_dir"]) / "prepared.csv"
+    before = prepared.read_bytes()
+    (tmp_path / "synth.csv").write_text(dataset)
+    cfg_path, _ = write_config(tmp_path, ingest={"income_cap": -1} if read else {})
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "ingest"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {read} households read from {tmp_path / 'synth.csv'}, and the income filter kept none\n"
+    )
+    assert prepared.read_bytes() == before  # left as it was
 
 
 def test_ingest_bad_path_exits_2(tmp_path, capsys):
@@ -1336,7 +1357,7 @@ def damage_dmat(path, damage):
     trailer's JSON first (the CRC kept, unless the edit is of it), a key's
     after a point's or the CRC's, then edits of the bytes, truncations last.
     Points count from 0 modulo their number, and bytes modulo the file's
-    length."""
+    length; a truncation of a file an earlier one emptied leaves it empty."""
     def sized(kind, n):
         return {"zero": 0, "one": 1, "less": n - 1, "more": n + 1, "max": 2**32 - 1}[kind] % 2**32
 
@@ -1369,7 +1390,7 @@ def damage_dmat(path, damage):
             data[args[0] % len(data)] ^= args[1]
     for kind, *args in damage:
         if kind == "truncate":
-            del data[args[0] % len(data):]
+            del data[args[0] % max(len(data), 1):]
     path.write_bytes(bytes(data))
 
 
@@ -1383,6 +1404,7 @@ def damage_dmat(path, damage):
 @example(damage=[("trailer length", "max")])
 @example(damage=[("crc", 1)])
 @example(damage=[("point", "destinations", 3, 0, 11)])
+@example(damage=[("truncate", 0), ("truncate", 0)])
 def test_stages_on_a_damaged_matrix_exit_0_or_name_the_error(placed, tmp_path_factory, damage):
     # matrix.dmat damaged after place: place and evaluate end in an exit
     # code of the CLI's with an error line, or run as before; matrix then
@@ -1572,8 +1594,8 @@ def test_importing_the_cli_does_not_import_requests():
 def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "COMMANDS", {
-        name: (lambda cfg, args: seen.append((cfg["seed"], vars(args))), code)
-        for name, (_, code) in cli.COMMANDS.items()
+        name: (lambda cfg, args: seen.append((cfg["seed"], vars(args))), text, family)
+        for name, (_, text, family) in cli.COMMANDS.items()
     })
     cfg_path, _ = write_config(tmp_path)
     assert run(["--seed", 7, "--force", "synth", "--clusters", 2, "--output", "a.csv"]) == 0
@@ -1592,6 +1614,31 @@ def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
         (0, {"config": None, "seed": None, "threads": 2, "out_dir": None, "force": False, "command": "synth",
              "clusters": 3, "points": 100, "spread": 0.05, "output": "synth.csv"}),
     ]
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+# the exit codes README and ROADMAP document, by error family
+DOCUMENTED_EXITS = {ConfigError: 2, IngestError: 2, DistanceError: 3, SolveError: 4, EvaluateError: 5}
+
+
+@pytest.mark.parametrize("cls", _subclasses(PantryPlanError)[1:], ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_familys_documented_code(monkeypatch, capsys, cls):
+    (code,) = {code for family, code in DOCUMENTED_EXITS.items() if issubclass(cls, family)}
+    exc = cls.__new__(cls)  # past __init__, whose arguments differ by class
+    Exception.__init__(exc, f"a {cls.__name__}")
+
+    def raising(cfg, args):
+        raise exc
+
+    for stage in cli.COMMANDS:
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.COMMANDS, stage, (raising, *cli.COMMANDS[stage][1:]))
+            capsys.readouterr()
+            assert run([stage]) == code
+            assert capsys.readouterr().err == f"error: a {cls.__name__}\n"
 
 
 def test_flag_overrides_config_seed(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 from dataclasses import asdict
@@ -289,6 +291,25 @@ def test_report_invariants_and_csv_rounding():
     data = asdict(report)
     assert set(data["groups"]) == {"overall", "core"}
     assert data["penalty"] is None
+
+
+@pytest.mark.parametrize("label", ["Los Angeles, CA", 'x"y', "two\nlines"])
+def test_report_csv_reads_back_a_label_holding_a_comma_a_quote_or_a_line_break(label):
+    report = EvaluationReport(groups=compare([1609.344, 0.0], [3218.688, 0.0], groups=[label, None]), penalty=None)
+    rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert [row[0] for row in rows] == ["group", label, "overall"]
+    assert rows[1][1:] == ["1", "1.00", "2.00", "1.00", "50.0", "1.00", "2.00"]
+
+
+def test_report_csv_writes_a_plain_label_as_before():
+    report = EvaluationReport(groups=compare([1609.344, 0.0], [3218.688, 0.0], groups=["core", None]), penalty=None)
+    assert report_to_csv(report) == (
+        "group,household_count,candidate_avg_mi,baseline_avg_mi,saving_mi,saving_pct,candidate_total_mi,"
+        "baseline_total_mi\n"
+        "core,1,1.00,2.00,1.00,50.0,1.00,2.00\n"
+        "overall,2,0.50,1.00,0.50,50.0,1.00,2.00\n"
+    )
 
 
 def test_compare_refuses_a_group_labelled_overall():

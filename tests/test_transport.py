@@ -162,9 +162,9 @@ def test_ok_status_with_a_body_that_is_not_json_is_malformed(serve, sleeps):
     url = table_url(spec, POINTS[:2], POINTS[:2])
     transport = RequestsTransport()
     assert transport.get(url) == (200, None)
-    transport.close()
     with pytest.raises(DistanceError, match="malformed table response") as err:
-        distance.table_request(spec, POINTS[:2], POINTS[:2])
+        distance.table_request(spec, POINTS[:2], POINTS[:2], transport)
+    transport.close()
     assert url in str(err.value)
     assert sleeps == []
 

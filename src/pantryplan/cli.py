@@ -31,7 +31,7 @@ from dataclasses import MISSING, asdict, fields
 from numbers import Real
 from pathlib import Path
 
-from . import distance, evaluate, hierarchy, ingest, synth
+from . import distance, evaluate, hierarchy, ingest
 from .errors import (
     ConfigError,
     DistanceError,
@@ -212,6 +212,8 @@ def _write_geojson(path: Path, collection: dict, cfg: dict) -> None:
 
 
 def cmd_synth(cfg: dict, args) -> None:
+    from . import synth  # deferred: no other stage generates households
+
     params = synth.SynthParams(
         clusters=args.clusters,
         points_per_cluster=args.points,

@@ -6,8 +6,9 @@ fallback. Matrices are dense sources x destinations, row-major float64,
 always meters; road matrices are directed, so no symmetry is assumed.
 
 The table client's default transport is the standard library's http.client,
-imported on first use, with one keep-alive connection per tile thread and no
-proxy. Network failures and HTTP 429 and 503 are retried with backoff; any
+with one keep-alive connection per tile thread and no proxy. It and the
+tiles' thread pool are imported on first use, so a great-circle build loads
+neither. Network failures and HTTP 429 and 503 are retried with backoff; any
 other failure stops the build from sending further tiles.
 
 The great-circle provider computes one haversine per distinct pair of exact
@@ -60,7 +61,6 @@ import struct
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import repeat
@@ -566,6 +566,9 @@ def build_matrix(
         except DistanceError:
             stop.set()
             raise
+
+    # deferred, like http.client: the great-circle branch never runs a pool
+    from concurrent.futures import ThreadPoolExecutor
 
     unreachable = []
     hard_error = None

@@ -18,9 +18,8 @@ evaluate's households.geojson.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import floor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,10 +63,15 @@ def allocate_pantry_counts(cluster_sizes: Sequence[int], total: int) -> list[int
     """Largest-remainder apportionment of `total` proportional to sizes.
 
     Every cluster gets at least 1 and at most its size; leftovers go to the
-    largest fractional remainders, ties to the lower cluster index. Exact
-    Fraction arithmetic keeps remainder ties portable.
+    largest fractional remainders, ties to the lower cluster index. Quota i,
+    total * size_i / s over the sum s of sizes, is split by exact integer
+    division into its floor and a remainder over the shared denominator s,
+    so remainders compare and tie exactly, on any host.
+    Each size and the total pass through operator.index, so a numpy integer
+    becomes a Python int and total * size cannot overflow.
     """
-    sizes = list(cluster_sizes)
+    sizes = [operator.index(size) for size in cluster_sizes]
+    total = operator.index(total)
     if any(s < 1 for s in sizes):
         raise SolveError("cluster sizes must be positive")
     m = len(sizes)
@@ -77,9 +81,9 @@ def allocate_pantry_counts(cluster_sizes: Sequence[int], total: int) -> list[int
         raise SolveError(f"cannot place {total} pantries among {sum(sizes)} households")
 
     s = sum(sizes)
-    quotas = [Fraction(total * size, s) for size in sizes]
-    counts = [min(max(1, floor(q)), size) for q, size in zip(quotas, sizes)]
-    remainders = [q - floor(q) for q in quotas]
+    quotas = [divmod(total * size, s) for size in sizes]  # (floor, remainder over s)
+    counts = [min(max(1, q), size) for (q, _), size in zip(quotas, sizes)]
+    remainders = [r for _, r in quotas]
 
     inc_order = sorted(range(m), key=lambda i: (-remainders[i], i))
     dec_order = sorted(range(m), key=lambda i: (remainders[i], i))

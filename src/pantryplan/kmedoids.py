@@ -280,6 +280,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     trial_buf = np.empty((BLOCK, n))
     other_buf = np.empty((BLOCK, n))
     w_col = w[:, None]
+    screens: dict = {}  # _screen's per-medoid terms, kept until the next accept
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
@@ -316,7 +317,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             while hit is None and lo < live.size:
                 if screened:
                     # the block is the next candidate that passes the screen
-                    while lo < live.size and not _screen(d, w, assignment, int(outs[live[lo]]), int(live_inns[lo]), params.epsilon):
+                    while lo < live.size and not _screen(d, w, assignment, int(outs[live[lo]]), int(live_inns[lo]), params.epsilon, screens):
                         lo += 1
                     hi = lo + 1
                 else:
@@ -342,6 +343,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             is_medoid[out], is_medoid[inn] = False, True
             slot[medoids] = np.arange(k)
             assignment, obj, other = _medoid_state(rows, w, medoids)
+            screens.clear()
             accepted_any = True
             if trace is not None:
                 trace(passes, out, inn, obj)
@@ -358,12 +360,17 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     )
 
 
-def _screen(d: np.ndarray, w: np.ndarray, assignment: np.ndarray, out: int, inn: int, epsilon: float) -> bool:
+def _screen(d: np.ndarray, w: np.ndarray, assignment: np.ndarray, out: int, inn: int, epsilon: float, screens: dict) -> bool:
     """cluster_screened's test: inn serves out's cluster better than out by
-    more than epsilon."""
-    members = np.flatnonzero(assignment == out)
-    within_old = float(np.dot(w[members], d[members, out]))
-    within_new = float(np.dot(w[members], d[members, inn]))
+    more than epsilon. out's members, their weights and their total distance
+    to out depend only on the assignment, so screens keeps them per medoid
+    until the caller clears it on an accept."""
+    if out not in screens:
+        members = np.flatnonzero(assignment == out)
+        w_members = w[members]
+        screens[out] = members, w_members, float(np.dot(w_members, d[members, out]))
+    members, w_members, within_old = screens[out]
+    within_new = float(np.dot(w_members, d[members, inn]))
     return within_new < within_old - epsilon
 
 

@@ -1591,6 +1591,34 @@ def test_importing_the_cli_does_not_import_requests():
     assert out.strip() == "False"
 
 
+def test_a_great_circle_chain_imports_no_pool_fraction_transport_or_synth(tmp_path):
+    # in a fresh interpreter, as each console-script stage runs: pytest
+    # itself imports logging, so an in-process check would see nothing
+    assert run(["--config", write_config(tmp_path)[0], "synth", "--clusters", 2, "--points", 10,
+                "--output", tmp_path / "synth.csv"]) == 0
+    (tmp_path / "pantries.csv").write_text("lat,lon\n39.05,-86.45\n")
+    cfg_path, _ = write_config(
+        tmp_path,
+        baselines={"banks": None, "pantries": str(tmp_path / "pantries.csv"), "schema": {"lat": "lat", "lon": "lon"}},
+    )
+    probe = (
+        "import sys, json\n"
+        "before = set(sys.modules)\n"
+        "from pantryplan.cli import main\n"
+        "for stage in ('ingest', 'matrix', 'place', 'evaluate'):\n"
+        "    assert main(['--config', sys.argv[1], stage]) == 0, stage\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe, str(cfg_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "pantryplan.hierarchy" in loaded and "pantryplan.evaluate" in loaded
+    unused = {"concurrent.futures", "logging", "fractions", "decimal", "http.client", "ssl", "pantryplan.synth"}
+    assert not unused & loaded, sorted(unused & loaded)
+
+
 def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "COMMANDS", {

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
@@ -70,6 +72,67 @@ def test_allocation_properties(sizes, extra):
     counts = allocate_pantry_counts(sizes, total)
     assert sum(counts) == total
     assert all(1 <= c <= s for c, s in zip(counts, sizes))
+
+
+def fraction_allocation(cluster_sizes, total):
+    """allocate_pantry_counts as it was with exact Fraction quotas: the
+    reference the integer quotas must match."""
+    sizes = list(cluster_sizes)
+    if any(s < 1 for s in sizes):
+        raise SolveError("cluster sizes must be positive")
+    m = len(sizes)
+    if total < m:
+        raise SolveError(f"cannot place {total} pantries across {m} clusters (need >= {m})")
+    if total > sum(sizes):
+        raise SolveError(f"cannot place {total} pantries among {sum(sizes)} households")
+
+    s = sum(sizes)
+    quotas = [Fraction(total * size, s) for size in sizes]
+    counts = [min(max(1, floor(q)), size) for q, size in zip(quotas, sizes)]
+    remainders = [q - floor(q) for q in quotas]
+
+    inc_order = sorted(range(m), key=lambda i: (-remainders[i], i))
+    dec_order = sorted(range(m), key=lambda i: (remainders[i], i))
+    diff = total - sum(counts)
+    while diff > 0:
+        for i in inc_order:
+            if diff == 0:
+                break
+            if counts[i] < sizes[i]:
+                counts[i] += 1
+                diff -= 1
+    while diff < 0:
+        for i in dec_order:
+            if diff == 0:
+                break
+            if counts[i] > 1:
+                counts[i] -= 1
+                diff += 1
+    return counts
+
+
+def outcome(allocate, sizes, total):
+    try:
+        return [int(c) for c in allocate(sizes, total)]
+    except SolveError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # small sizes make remainder ties and the min-1 bumps common, large
+    # ones push total * size far past 2**31; 0 and -1 are infeasible
+    st.lists(st.one_of(st.integers(-1, 12), st.integers(1, 10**6)), max_size=50),
+    st.one_of(st.integers(0, 60), st.floats(0, 1.05)),
+    st.booleans(),
+)
+def test_integer_allocation_matches_the_fraction_reference(sizes, total, numpy_sizes):
+    # a float total is a fraction of the feasible range and a bit beyond it
+    if isinstance(total, float):
+        total = int(total * sum(max(s, 0) for s in sizes))
+    if numpy_sizes:
+        sizes = np.asarray(sizes, dtype=np.int64)
+    assert outcome(allocate_pantry_counts, sizes, total) == outcome(fraction_allocation, sizes, total)
 
 
 # --- place_two_level -----------------------------------------------------------

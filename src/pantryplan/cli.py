@@ -28,18 +28,10 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
-from numbers import Real
 from pathlib import Path
 
 from . import distance, evaluate, hierarchy, ingest
-from .errors import (
-    ConfigError,
-    DistanceError,
-    EvaluateError,
-    IngestError,
-    PantryPlanError,
-    SolveError,
-)
+from .errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError, is_int, is_real
 
 # evaluate's tolerance for a plan's objectives against their recomputation:
 # another host's BLAS may sum np.dot in another order
@@ -89,22 +81,14 @@ def _path_or_null(value) -> bool:
 # The CLI's own keys, what each must be and the test of it; the stage that
 # builds a section's dataclass checks that section's values.
 CLI_KEYS = (
-    ("seed", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    ("threads", "an integer >= 1", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+    ("seed", "an integer", is_int),
+    ("threads", "an integer >= 1", lambda v: is_int(v) and v >= 1),
     ("out_dir", "a path string", lambda v: isinstance(v, str)),
     ("dataset.path", "a path string or null", _path_or_null),
     ("baselines.pantries", "a path string or null", _path_or_null),
     ("baselines.banks", "a path string or null", _path_or_null),
     ("cities", "an object or null", lambda v: v is None or isinstance(v, dict)),
 )
-
-
-def _is_box(box) -> bool:
-    return (
-        isinstance(box, list)
-        and len(box) == 4
-        and all(isinstance(v, Real) and not isinstance(v, bool) for v in box)
-    )
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -163,7 +147,7 @@ def load_config(path, overrides: dict) -> dict:
         if not ok(value):
             raise ConfigError(f"config key {key} must be {want}, got {value!r}")
     for label, box in (cfg["cities"] or {}).items():
-        if not _is_box(box):
+        if not (isinstance(box, list) and len(box) == 4 and all(map(is_real, box))):
             raise ConfigError(
                 f"config key cities.{label} must be [lat_min, lon_min, lat_max, lon_max] numbers, got {box!r}"
             )
@@ -318,8 +302,8 @@ def _city_groups(households: ingest.HouseholdTable, boxes) -> list:
 
 
 def _is_count(x, stop=math.inf) -> bool:
-    """x is an int, not a bool, in [0, stop)."""
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < stop
+    """x is an integer (errors.is_int) in [0, stop)."""
+    return is_int(x) and 0 <= x < stop
 
 
 def _same_json(a, b) -> bool:

@@ -64,13 +64,12 @@ import zlib
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import repeat
-from numbers import Integral, Real
 from typing import Optional, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError
+from .errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError, is_real, require_int, require_real
 
 EARTH_RADIUS_M = 6_371_000.0
 MAGIC = b"DMAT1"
@@ -109,17 +108,25 @@ class ProviderSpec:
     def __post_init__(self):
         if self.kind not in ("great_circle", "table_api"):
             raise DistanceError(f"unknown provider kind {self.kind!r}")
-        if isinstance(self.chunk_size, bool) or not isinstance(self.chunk_size, Integral):
-            raise DistanceError(f"chunk_size must be an integer, got {self.chunk_size!r}")
+        require_int("chunk_size", self.chunk_size, DistanceError)
         if self.chunk_size < 2:
             raise DistanceError(f"chunk_size must be >= 2, got {self.chunk_size}")
         if self.base_url is not None and not isinstance(self.base_url, str):
             raise DistanceError(f"base_url must be a string, got {self.base_url!r}")
         if (self.kind == "table_api") != (self.base_url is not None):
             raise DistanceError("base_url is required for table_api and forbidden otherwise")
-        r = self.earth_radius
-        if isinstance(r, bool) or not isinstance(r, Real) or not (math.isfinite(r) and r > 0):
-            raise DistanceError(f"earth_radius must be a positive finite number, got {r!r}")
+        require_real("earth_radius", self.earth_radius, DistanceError)
+        if not (math.isfinite(self.earth_radius) and self.earth_radius > 0):
+            raise DistanceError(f"earth_radius must be a positive finite number, got {self.earth_radius!r}")
+
+
+def weight_fault(weights) -> Optional[int]:
+    """The index of the first weight that is not positive and finite (NaN is
+    neither), or None. As in matrix_fault, valid weights cost no mask."""
+    w = np.asarray(weights, dtype=np.float64)
+    if not w.size or 0 < w.min() and w.max() < np.inf:
+        return None
+    return int(np.argmax(~((w > 0) & (w < np.inf))))
 
 
 def matrix_fault(values: np.ndarray, diagonal: bool) -> Optional[str]:
@@ -346,7 +353,7 @@ def _distances(rows, n_src: int, n_dst: int, url: str) -> np.ndarray:
     if block.dtype.kind not in "iuf":  # a null, a string, an object, or an int past 64 bits
         cells = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)]
         for i, j, v in cells:
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            if v is not None and not is_real(v):
                 raise DistanceError(f"table response cell ({i}, {j}) is not a number ({v!r}): {url}")
         bad = [(i, j) for i, j, v in cells if v is None]
         if bad:

@@ -1,9 +1,34 @@
-"""Exception classes, one family per pipeline stage.
+"""Exception classes, one family per pipeline stage, and the two number
+rules every module checks its inputs by.
 
 Each family carries the CLI's stable exit code as its exit_code, which its
 subclasses inherit: ingest/config 2, distance 3, solver 4, evaluation 5.
-This is the one place the codes are written.
+This is the one place the codes are written, and the one place the rules
+are: an integer is a numbers.Integral and a real number a numbers.Real, so
+numpy numbers pass, and a bool is neither.
 """
+
+from numbers import Integral, Real
+
+
+def is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def require_int(name: str, value, error) -> None:
+    """Raise the caller's error family when value is not an integer."""
+    if not is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value, error) -> None:
+    """Raise the caller's error family when value is not a real number."""
+    if not is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
 
 
 class PantryPlanError(Exception):

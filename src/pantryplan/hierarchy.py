@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SolveError
-from .kmedoids import DEFAULT_EPSILON, DEFAULT_MODE, MatrixLike, SolveParams, as_square_array, assign, require_int, solve
+from .errors import SolveError, require_int
+from .kmedoids import DEFAULT_EPSILON, DEFAULT_MODE, MatrixLike, SolveParams, as_square_array, assign, solve
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class HierarchyParams:
     max_passes: Optional[int] = None
 
     def __post_init__(self):
-        require_int("k_banks", self.k_banks)
-        require_int("k_pantries_total", self.k_pantries_total)
+        require_int("k_banks", self.k_banks, SolveError)
+        require_int("k_pantries_total", self.k_pantries_total, SolveError)
         if self.k_banks < 1 or self.k_pantries_total < 1:
             raise SolveError("k_banks and k_pantries_total must be positive")
 

@@ -30,13 +30,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from numbers import Integral, Real
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .distance import GeoPoint, require_fits
-from .errors import IngestError
+from .distance import GeoPoint, require_fits, weight_fault
+from .errors import IngestError, is_int, require_int, require_real
 from .rng import sample_indices
 
 DEFAULT_INCOME_CAP = 40_000.0
@@ -138,15 +137,12 @@ class IngestConfig:
     def __post_init__(self):
         if self.weighting_mode not in ("none", "duplicate", "direct"):
             raise IngestError(f"unknown weighting_mode {self.weighting_mode!r}")
-        if self.sample_size != "all":
-            if isinstance(self.sample_size, bool) or not isinstance(self.sample_size, int) or self.sample_size < 1:
-                raise IngestError(f"sample_size must be a positive integer or 'all', got {self.sample_size!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
-            raise IngestError(f"seed must be an integer, got {self.seed!r}")
+        if self.sample_size != "all" and not (is_int(self.sample_size) and self.sample_size >= 1):
+            raise IngestError(f"sample_size must be a positive integer or 'all', got {self.sample_size!r}")
+        require_int("seed", self.seed, IngestError)
         for name in ("income_cap", "weight_cap", "weight_numerator"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise IngestError(f"{name} must be a real number, got {value!r}")
+            require_real(name, value, IngestError)
             if name != "income_cap" and not math.isfinite(value):
                 raise IngestError(f"{name} must be finite, got {value!r}")
         _require_cap(self.income_cap)
@@ -272,9 +268,7 @@ def _read_table(
             weights = (1.0,) * n
             if weight_at is not None:
                 weights = tuple(_floats(column(weight_at), 1.0))
-                w = np.array(weights)
-                # numpy's min propagates a NaN, which then fails the comparison
-                if w.size and not (0 < w.min() and w.max() < math.inf):
+                if weight_fault(weights) is not None:
                     raise ValueError("a weight is not positive and finite")
         except ValueError as exc:
             fault = exc  # _first_fault raises it only if no row is at fault, which would be a bug

@@ -55,6 +55,10 @@ matrix equals its transpose bit for bit, and of its row's and column's
 otherwise; a key shared with an earlier representative is confirmed by
 comparing bytes, as float == would take -0.0 for 0.0. The scan keeps only
 the representatives' indices and the keys, never a copy of their rows.
+Bit symmetry is decided once per solve, for the scan and the core. A k
+above the number of distinct points is a SolveError.
+Settings are checked by errors.require_int and require_real, and arrays by
+distance.weight_fault and matrix_fault.
 
 A brute-force enumerator doubles as the test oracle for desk-size instances.
 """
@@ -64,14 +68,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isfinite
-from numbers import Real
 from typing import Optional, Sequence, Union
 from zlib import crc32
 
 import numpy as np
 
-from .distance import DistanceMatrix, matrix_fault
-from .errors import ConvergenceError, SolveError
+from .distance import DistanceMatrix, matrix_fault, weight_fault
+from .errors import ConvergenceError, SolveError, require_int, require_real
 from .rng import SplitMix64
 
 DEFAULT_MODE = "global_swap"
@@ -101,25 +104,18 @@ class SolveParams:
     max_passes: Optional[int] = None
 
     def __post_init__(self):
-        require_int("k", self.k)
-        require_int("seed", self.seed)
+        require_int("k", self.k, SolveError)
+        require_int("seed", self.seed, SolveError)
         if self.max_passes is not None:
-            require_int("max_passes", self.max_passes)
+            require_int("max_passes", self.max_passes, SolveError)
             if self.max_passes < 1:
                 raise SolveError(f"max_passes must be >= 1, got {self.max_passes}")
         if self.mode not in ("global_swap", "cluster_screened"):
             raise SolveError(f"unknown mode {self.mode!r}")
-        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, Real):
-            raise SolveError(f"epsilon must be a real number, got {self.epsilon!r}")
+        require_real("epsilon", self.epsilon, SolveError)
         if not (self.epsilon > 0 and isfinite(self.epsilon)):
             # an infinite epsilon would refuse every swap and return the start
             raise SolveError(f"epsilon must be positive and finite, got {self.epsilon}")
-
-
-def require_int(field: str, value) -> None:
-    """Reject a count that is not an integer; bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SolveError(f"{field} must be an integer, got {value!r}")
 
 
 def as_square_array(matrix: MatrixLike) -> np.ndarray:
@@ -135,10 +131,7 @@ def _check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise SolveError(f"weights length {w.shape} does not match {n} points")
-    # NaN compares False with everything, so test for the good weights
-    bad = ~((w > 0) & (w < np.inf))
-    if bad.any():
-        i = int(np.argmax(bad))
+    if (i := weight_fault(w)) is not None:
         raise SolveError(f"weights must all be positive and finite; weight {i} is {float(w[i])}")
     return w
 
@@ -160,7 +153,7 @@ def assign(matrix: MatrixLike, medoids: Sequence[int], weights=None) -> tuple[np
     w = _check_weights(weights, n)
     med = list(medoids)
     for i in med:
-        require_int("medoid index", i)
+        require_int("medoid index", i, SolveError)
     med.sort()
     if not med:
         raise SolveError("assign needs at least one medoid")
@@ -189,7 +182,7 @@ def _nearest(sub: np.ndarray, w: np.ndarray, med: list[int]):
     return assignment, float(w.dot(served)), first, nearest
 
 
-def _duplicate_classes(d: np.ndarray):
+def _duplicate_classes(d: np.ndarray, symmetric: bool):
     """Group points whose whole distance profile (row and column) is
     identical bit for bit. Representatives keep first-occurrence order.
 
@@ -199,12 +192,11 @@ def _duplicate_classes(d: np.ndarray):
     module doc for the keys."""
     n = d.shape[0]
     suspects = np.flatnonzero(np.count_nonzero(d == 0, axis=1) > 1).tolist()
-    # equal rows of a matrix equal to its transpose have equal columns
-    symmetric = bool(suspects) and _symmetric(d)
 
     def profile(i: int) -> tuple:
-        """Point i's row, and unless d is symmetric its column, as bytes;
-        made for one comparison and not kept."""
+        """Point i's row, and unless symmetric (_symmetric(d): then equal
+        rows have equal columns) its column, as bytes; made for one
+        comparison and not kept."""
         return (d[i].tobytes(),) if symmetric else (d[i].tobytes(), d[:, i].tobytes())
 
     rep_of = list(range(n))  # itself, until it matches an earlier point
@@ -232,11 +224,11 @@ def _symmetric(d: np.ndarray) -> bool:
     return np.array_equal(bits[0], bits[:, 0]) and np.array_equal(bits, bits.T)
 
 
-def _column_rows(d: np.ndarray) -> np.ndarray:
+def _column_rows(d: np.ndarray, symmetric: bool) -> np.ndarray:
     """An array whose row p is column p of d, contiguous and aligned: d
-    itself when it equals its transpose bit for bit (a great-circle matrix
-    does) and can be gathered from, else one transposed copy."""
-    if d.dtype == np.float64 and d.flags.c_contiguous and d.flags.aligned and _symmetric(d):
+    itself when symmetric (_symmetric(d), as for a great-circle matrix) and
+    d can be gathered from, else one transposed copy."""
+    if symmetric and d.dtype == np.float64 and d.flags.c_contiguous and d.flags.aligned:
         return d
     return np.ascontiguousarray(d.T, dtype=np.float64)
 
@@ -260,10 +252,11 @@ def _medoid_state(rows: np.ndarray, w: np.ndarray, med: list[int]):
     return assignment, obj, other
 
 
-def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None) -> Clustering:
+def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, symmetric=None) -> Clustering:
+    """The swap engine on distinct points; symmetric is _symmetric(d), or None."""
     n = d.shape[0]
     medoids = initialize(n, k)
-    rows = _column_rows(d)
+    rows = _column_rows(d, _symmetric(d) if symmetric is None else symmetric)
     assignment, obj, other = _medoid_state(rows, w, medoids)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[medoids] = True
@@ -381,7 +374,8 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     by weighting-by-duplication) are collapsed to one point carrying their
     combined weight before solving, then expanded back. This makes the
     duplication trick exactly equivalent to direct weights: both instances
-    reduce to the same core solve.
+    reduce to the same core solve, and a k above the number of distinct
+    points is a SolveError naming it.
 
     trace, if given, is called as trace(pass_number, out_index, in_index,
     new_objective) after every accepted swap.
@@ -394,29 +388,24 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     if not 1 <= params.k <= n:
         raise SolveError(f"k={params.k} out of range for {n} points")
 
-    reps, class_of = _duplicate_classes(d)
+    # once per solve: a principal submatrix of a matrix equal to its
+    # transpose bit for bit is too
+    symmetric = _symmetric(d)
+    reps, class_of = _duplicate_classes(d, symmetric)
     if len(reps) == n:
-        return _solve_core(d, w, params.k, params, trace)
+        return _solve_core(d, w, params.k, params, trace, symmetric=symmetric)
+    if params.k > len(reps):
+        raise SolveError(f"k={params.k} out of range for {len(reps)} distinct of {n} points")
 
-    rep_idx = np.asarray(reps)
-    dc = d[np.ix_(rep_idx, rep_idx)]
+    dc = d[np.ix_(reps, reps)]
     wc = np.zeros(len(reps))
     np.add.at(wc, class_of, w)
-    kc = min(params.k, len(reps))
 
     def expand(core: Clustering) -> Clustering:
         medoids = [reps[m] for m in core.medoids]
-        if params.k > len(reps):
-            chosen = set(medoids)
-            for i in range(n):
-                if len(medoids) == params.k:
-                    break
-                if i not in chosen:
-                    medoids.append(i)
-                    chosen.add(i)
-        assignment, obj = assign(d, sorted(medoids), w)
+        assignment, obj = assign(d, medoids, w)
         return Clustering(
-            medoids=tuple(sorted(medoids)),
+            medoids=tuple(medoids),
             assignment=tuple(int(x) for x in assignment),
             objective=obj,
             passes=core.passes,
@@ -425,7 +414,7 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     # trace in original indices even though the walk is over representatives
     wrapped = None if trace is None else (lambda p, o, i, obj: trace(p, reps[o], reps[i], obj))
     try:
-        core = _solve_core(dc, wc, kc, params, wrapped)
+        core = _solve_core(dc, wc, params.k, params, wrapped, symmetric=symmetric)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best=expand(exc.best)) from None
     return expand(core)

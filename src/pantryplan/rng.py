@@ -44,7 +44,7 @@ class SplitMix64:
         """The next count outputs of next_u64, as a uint64 array; the stream
         continues after them."""
         z = np.arange(1, count + 1, dtype=np.uint64) * _U_GAMMA + np.uint64(self._state)
-        self._state = (self._state + count * _GAMMA) & _MASK64
+        self._state = (self._state + operator.index(count) * _GAMMA) & _MASK64
         z = (z ^ (z >> _U30)) * _U_MIX1
         z = (z ^ (z >> _U27)) * _U_MIX2
         return z ^ (z >> _U31)

@@ -7,12 +7,12 @@ tested offline. Deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from numbers import Integral
 
 from .distance import GeoPoint
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_real
 from .ingest import Household
 
 
@@ -29,11 +29,12 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("clusters", "points_per_cluster", "seed"):
+            require_int(name, getattr(self, name), ConfigError)
         if self.clusters < 1 or self.points_per_cluster < 1:
             raise ConfigError("clusters and points_per_cluster must be positive")
         for name in ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma"):
+            require_real(name, getattr(self, name), ConfigError)
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.spread_deg <= 0 or self.extent_deg <= 0:
@@ -42,7 +43,7 @@ class SynthParams:
 
 def generate(params: SynthParams) -> list[Household]:
     """Blob households with ids c<cluster>-p<point> and city tag blob<cluster>."""
-    rng = random.Random(params.seed)
+    rng = random.Random(operator.index(params.seed))  # Random refuses a numpy integer
     centers = [
         (
             params.center_lat + rng.uniform(-params.extent_deg, params.extent_deg),

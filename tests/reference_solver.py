@@ -31,10 +31,15 @@ def _no_scan(pass_number, position, status):
     pass
 
 
-def reference_solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, scan=_no_scan) -> Clustering:
+def reference_solve_core(
+    d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, scan=_no_scan, symmetric=None
+) -> Clustering:
     """scan is called as scan(pass_number, position, status) for every
     candidate in scan order, status being "stale", "screened" (refused by
-    cluster_screened's within-cluster test), "rejected" or "accepted"."""
+    cluster_screened's within-cluster test), "rejected" or "accepted".
+    symmetric, solve's answer to whether d equals its transpose, is taken
+    so that this can stand in for kmedoids._solve_core, and not read: the
+    reference reads d's columns as they are."""
     n = d.shape[0]
     medoids = initialize(n, k)
     assignment, obj = assign(d, medoids, w)

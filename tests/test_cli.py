@@ -553,6 +553,24 @@ def test_place_with_infinite_epsilon_exits_4(tmp_path, capsys):
     assert err.startswith("error: ") and "epsilon must be positive and finite" in err
 
 
+@pytest.mark.parametrize("mode", ["duplicate", "direct"])
+def test_place_refuses_more_pantries_than_distinct_households(tmp_path, capsys, mode):
+    # one household, income 20,000: weight 2.5, three copies under duplicate;
+    # duplicate put the second pantry on a copy and exited 0
+    cfg_path, cfg = write_config(
+        tmp_path, ingest={"weighting_mode": mode}, hierarchy={"k_banks": 1, "k_pantries_total": 2})
+    (tmp_path / "synth.csv").write_text("id,lat,lon,income,city\na,39.0,-86.5,20000,x\n")
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    assert len(load_prepared(Path(cfg["out_dir"]) / "prepared.csv")) == (3 if mode == "duplicate" else 1)
+    assert run(["--config", cfg_path, "matrix"]) == 0
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    want = {"duplicate": "k=2 out of range for 1 distinct of 3 points",
+            "direct": "cannot place 2 pantries among 1 households"}[mode]
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (Path(cfg["out_dir"]) / "plan.json").exists()
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 def baseline_from_plan(out_dir, tmp_path):

@@ -298,7 +298,11 @@ def placements(draw):
 @given(placements())
 def test_plan_of_sites_is_the_placed_plan(instance):
     d, w, params = instance
-    plan = place_two_level(d, params, w)
+    try:
+        plan = place_two_level(d, params, w)
+    except SolveError as exc:  # a cluster's pantries outnumber its distinct points
+        assert " distinct of " in str(exc)
+        return
     derived = plan_of_sites(d, plan.banks, plan.pantries, w)
     assert replace(plan, level1_passes=0, level2_passes=()) == derived
     assert list(derived.pantry_to_bank) == list(plan.pantries)

@@ -152,6 +152,19 @@ def test_solve_k_equals_n():
     assert list(c.assignment) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("mode", ["global_swap", "cluster_screened"])
+def test_solve_refuses_k_above_the_distinct_points(mode):
+    # points 0, 1 and 3 are copies of one point: 2 distinct points among 4,
+    # which took a copy as a third medoid
+    d = line_matrix([0.0, 0.0, 5.0, 0.0])
+    assert solve(d, SolveParams(k=2, mode=mode)).medoids == (0, 2)
+    with pytest.raises(SolveError, match=r"^k=3 out of range for 2 distinct of 4 points$"):
+        solve(d, SolveParams(k=3, mode=mode))
+    # one household's three copies
+    with pytest.raises(SolveError, match=r"^k=2 out of range for 1 distinct of 3 points$"):
+        solve(np.zeros((3, 3)), SolveParams(k=2, mode=mode))
+
+
 def test_solve_two_blobs_one_medoid_each():
     rng = np.random.default_rng(17)
     blob_a = rng.normal((0, 0), 5, (5, 2))
@@ -221,19 +234,27 @@ def test_bad_weight_message_names_the_first_bad_index():
         assign(LINE, [0], [1.0, float("nan"), float("inf"), 0.0])
 
 
+def column_rows(d):
+    return kmedoids._column_rows(d, kmedoids._symmetric(d))
+
+
+def duplicate_classes(d):
+    return kmedoids._duplicate_classes(d, kmedoids._symmetric(d))
+
+
 def test_column_rows_are_the_matrix_itself_when_it_equals_its_transpose():
     d = planar_matrix(np.random.default_rng(2), 12)
-    assert kmedoids._column_rows(d) is d
+    assert column_rows(d) is d
     directed = d * np.random.default_rng(3).uniform(0.5, 2.0, size=d.shape)
-    rows = kmedoids._column_rows(directed)
+    rows = column_rows(directed)
     assert rows.flags.c_contiguous and (rows == directed.T).all()
     # 0.0 == -0.0, but not bit for bit
     signed = d.copy()
     signed[0, 1] = signed[1, 0] = 0.0
     signed[1, 0] = -0.0
-    assert kmedoids._column_rows(signed) is not signed
+    assert column_rows(signed) is not signed
     # a transposed view equals its transpose but is not C-contiguous
-    assert kmedoids._column_rows(d.T) is not d.T
+    assert column_rows(d.T) is not d.T
 
 
 def test_max_passes_exhaustion_reports_best_so_far():
@@ -465,7 +486,7 @@ def contract_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(contract_matrices())
 def test_duplicate_classes_match_a_full_scan(d):
-    reps, class_of = kmedoids._duplicate_classes(d)
+    reps, class_of = duplicate_classes(d)
     want_reps, want_class_of = full_scan_duplicate_classes(d)
     assert reps == want_reps
     assert class_of.tolist() == want_class_of.tolist()
@@ -474,7 +495,7 @@ def test_duplicate_classes_match_a_full_scan(d):
 @settings(max_examples=300, deadline=None)
 @given(contract_matrices())
 def test_duplicate_classes_match_the_bytes_keyed_scan(d):
-    reps, class_of = kmedoids._duplicate_classes(d)
+    reps, class_of = duplicate_classes(d)
     want_reps, want_class_of = bytes_key_duplicate_classes(d)
     assert reps == want_reps
     assert class_of.tolist() == want_class_of.tolist()
@@ -491,10 +512,10 @@ def test_duplicate_scan_holds_no_row_copies(directed):
     origin = np.repeat(np.arange(200), 2)
     d = base[np.ix_(origin, origin)]
     assert kmedoids._symmetric(d) is not directed
-    assert len(kmedoids._duplicate_classes(d)[0]) == 200
+    assert len(duplicate_classes(d)[0]) == 200
     assert peak_bytes(lambda: bytes_key_duplicate_classes(d))[0] > d.nbytes
     # an n x n bool mask (an eighth of the block) at a time, and one column
-    assert peak_bytes(lambda: kmedoids._duplicate_classes(d))[0] < d.nbytes / 4
+    assert peak_bytes(lambda: duplicate_classes(d))[0] < d.nbytes / 4
 
 
 
@@ -510,8 +531,8 @@ def test_solve_trajectory_on_duplicated_rows_is_that_of_a_full_scan(monkeypatch)
         events = []
         return events, solve(d, params, lambda *e: events.append(e))
 
-    assert len(kmedoids._duplicate_classes(d)[0]) == 40 < len(origin)
+    assert len(duplicate_classes(d)[0]) == 40 < len(origin)
     fast = walk()
-    monkeypatch.setattr(kmedoids, "_duplicate_classes", full_scan_duplicate_classes)
+    monkeypatch.setattr(kmedoids, "_duplicate_classes", lambda d, symmetric: full_scan_duplicate_classes(d))
     assert walk() == fast
     assert len(fast[0]) > 6  # many accepted swaps

@@ -1,0 +1,221 @@
+"""The package's input rules, each written once: an integer, a real number
+(pantryplan.errors) and the weight contract (distance.weight_fault). Every
+dataclass field and CLI key they cover refuses the same values with its
+stage's error family, and every weight check names the same index."""
+
+import ast
+import math
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pantryplan import cli
+from pantryplan.distance import GeoPoint, ProviderSpec, weight_fault
+from pantryplan.errors import ConfigError, DistanceError, EvaluateError, IngestError, SolveError
+from pantryplan.evaluate import FacilitySet, nearest_facility_stats
+from pantryplan.hierarchy import HierarchyParams, place_two_level
+from pantryplan.ingest import Household, IngestConfig, load_prepared, prepare
+from pantryplan.kmedoids import SolveParams, assign, solve
+from pantryplan.synth import SynthParams, generate
+
+from conftest import line_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pantryplan"
+LINE = line_matrix([0.0, 1.0, 5.0, 6.0])
+
+
+def placed(**settings):
+    """HierarchyParams' solver settings, which place_two_level checks when
+    it builds SolveParams from them."""
+    return place_two_level(LINE, HierarchyParams(k_banks=1, k_pantries_total=1, **settings))
+
+
+# (build, field, error family, message prefix); a field without a default
+# that the rule accepts is given VALID's value
+INTEGERS = [
+    (IngestConfig, "sample_size", IngestError, "sample_size must be a positive integer or 'all'"),
+    (IngestConfig, "seed", IngestError, "seed must be an integer"),
+    (ProviderSpec, "chunk_size", DistanceError, "chunk_size must be an integer"),
+    (lambda **kw: SolveParams(**{"k": 1, **kw}), "k", SolveError, "k must be an integer"),
+    (lambda **kw: SolveParams(k=1, **kw), "seed", SolveError, "seed must be an integer"),
+    (lambda **kw: SolveParams(k=1, **kw), "max_passes", SolveError, "max_passes must be an integer"),
+    (lambda **kw: HierarchyParams(**{"k_banks": 1, "k_pantries_total": 1, **kw}), "k_banks", SolveError,
+     "k_banks must be an integer"),
+    (lambda **kw: HierarchyParams(**{"k_banks": 1, "k_pantries_total": 1, **kw}), "k_pantries_total",
+     SolveError, "k_pantries_total must be an integer"),
+    (placed, "seed", SolveError, "seed must be an integer"),
+    (placed, "max_passes", SolveError, "max_passes must be an integer"),
+    (SynthParams, "clusters", ConfigError, "clusters must be an integer"),
+    (SynthParams, "points_per_cluster", ConfigError, "points_per_cluster must be an integer"),
+    (SynthParams, "seed", ConfigError, "seed must be an integer"),
+]
+REALS = [
+    (IngestConfig, "income_cap", IngestError),
+    (IngestConfig, "weight_cap", IngestError),
+    (IngestConfig, "weight_numerator", IngestError),
+    (ProviderSpec, "earth_radius", DistanceError),
+    (lambda **kw: SolveParams(k=1, **kw), "epsilon", SolveError),
+    (placed, "epsilon", SolveError),
+    *[(SynthParams, name, ConfigError) for name in
+      ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma")],
+]
+# a value each field accepts where its default is not one
+VALID = {"sample_size": 3, "k": 2, "k_banks": 1, "k_pantries_total": 1, "max_passes": 3}
+CLASSES = (IngestConfig, ProviderSpec, SolveParams, HierarchyParams, SynthParams)
+
+
+def valid(name):
+    if name in VALID:
+        return VALID[name]
+    defaults = {f.name: f.default for cls in CLASSES for f in fields(cls) if f.default not in (MISSING, None)}
+    return defaults[name]
+
+
+def refused(build, name, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
+        build(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "3", None, 2.5, np.float64(3.0), [3]])
+@pytest.mark.parametrize("build, name, error, message", INTEGERS)
+def test_an_integer_field_refuses_what_is_not_an_integer(build, name, error, message, value):
+    if value is None and name == "max_passes":
+        return  # None means no cap
+    refused(build, name, value, error, message)
+
+
+@pytest.mark.parametrize("value", [True, False, "3", None, [3.0]])
+@pytest.mark.parametrize("build, name, error", REALS)
+def test_a_real_field_refuses_what_is_not_a_real_number(build, name, error, value):
+    refused(build, name, value, error, f"{name} must be a real number")
+
+
+@pytest.mark.parametrize("build, name, error, message", INTEGERS)
+def test_an_integer_field_takes_a_numpy_integer(build, name, error, message):
+    built = build(**{name: np.int64(valid(name))})
+    if hasattr(built, name):  # not so for placed's plan
+        assert getattr(built, name) == valid(name)
+
+
+@pytest.mark.parametrize("build, name, error", REALS)
+def test_a_real_field_takes_a_numpy_float(build, name, error):
+    built = build(**{name: np.float64(valid(name))})
+    if hasattr(built, name):
+        assert getattr(built, name) == valid(name)
+
+
+def test_numpy_numbers_run_each_stage_as_python_numbers_do():
+    households = generate(SynthParams(clusters=np.int64(2), points_per_cluster=np.int64(6), seed=np.int64(4)))
+    assert households == generate(SynthParams(clusters=2, points_per_cluster=6, seed=4))
+    as_numpy = IngestConfig(sample_size=np.int64(8), seed=np.int64(3), weighting_mode="duplicate",
+                            weight_cap=np.float64(50.0))
+    plain = IngestConfig(sample_size=8, seed=3, weighting_mode="duplicate", weight_cap=50.0)
+    assert list(prepare(households, as_numpy)) == list(prepare(households, plain))
+    d = line_matrix([0.0, 1.0, 5.0, 6.0, 9.0, 12.0])
+    assert solve(d, SolveParams(k=np.int64(2), seed=np.int64(7), max_passes=np.int64(50))) == solve(
+        d, SolveParams(k=2, seed=7, max_passes=50))
+
+
+@pytest.mark.parametrize("value", [True, "3", None, 2.5, [3]])
+@pytest.mark.parametrize("key, want", [("seed", "an integer"), ("threads", "an integer >= 1")])
+def test_the_cli_integer_keys_refuse_what_is_not_an_integer(key, want, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'config key {key} must be {want}, got {value!r}')}$"):
+        cli.load_config(None, {key: value})
+
+
+@pytest.mark.parametrize("key", ["seed", "threads"])
+def test_the_cli_integer_keys_take_a_numpy_integer(key):
+    assert cli.load_config(None, {key: np.int64(3)})[key] == 3
+
+
+def test_a_city_box_takes_numpy_floats_and_refuses_a_bool():
+    box = [np.float64(39.0), -86.5, 40, -85.0]
+    assert cli.load_config(None, {"cities": {"a": box}})["cities"]["a"] == box
+    with pytest.raises(ConfigError, match=r"^config key cities\.a must be \[lat_min"):
+        cli.load_config(None, {"cities": {"a": [39.0, -86.5, True, -85.0]}})
+
+
+# --- the weight contract --------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, -1.0, -5e-324, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf, 1.0, 1e308]
+
+
+def first_bad(weights):
+    """The scalar contract: the first index whose weight is not in (0, inf)."""
+    return next((i for i, w in enumerate(weights) if not 0 < w < math.inf), None)
+
+
+@pytest.mark.parametrize("value", SPECIAL)
+def test_weight_fault_on_one_weight(value):
+    assert weight_fault([value]) == first_bad([value])
+    assert weight_fault(np.array([2.0, value, -1.0])) == (1 if first_bad([value]) == 0 else 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=12))
+def test_weight_fault_agrees_with_the_scalar_contract(weights):
+    assert weight_fault(weights) == first_bad(weights)
+    assert weight_fault(np.array(weights, dtype=np.float64)) == first_bad(weights)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -2.0, -5e-324, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 2, 3])
+def test_every_weight_check_names_the_same_first_bad_weight(tmp_path, bad, at):
+    weights = [1.0, 2.0, 0.5, 3.0]
+    weights[at] = bad
+    if at < 3:
+        weights[3] = math.nan  # a later fault, not the one named
+    solver = f"weights must all be positive and finite; weight {at} is {bad}"
+    with pytest.raises(SolveError, match=f"^{re.escape(solver)}$"):
+        solve(LINE, SolveParams(k=1, weights=weights))
+    with pytest.raises(SolveError, match=f"^{re.escape(solver)}$"):
+        assign(LINE, [0], weights)
+    households = [Household(f"h{i}", GeoPoint(0.0, float(i))) for i in range(4)]
+    with pytest.raises(EvaluateError, match=f"^{re.escape(f'weight {at} must be positive and finite, got {bad!r}')}$"):
+        nearest_facility_stats(households, FacilitySet("f", (GeoPoint(0.0, 0.5),)), ProviderSpec(), weights=weights)
+    path = tmp_path / "prepared.csv"
+    rows = "".join(f"h{i},0.0,{i}.0,,{w!r},h{i},\n" for i, w in enumerate(weights))
+    path.write_text("id,lat,lon,income,weight,origin_id,city\n" + rows)
+    line = f"line {at + 2}: weight must be positive and finite, got {repr(bad)!r}"  # the cell's text
+    with pytest.raises(IngestError, match=f"^{re.escape(line)}$"):
+        load_prepared(path)
+
+
+# --- each rule is written once ----------------------------------------------------
+
+def rule_copies(src: Path) -> list:
+    """Where a module of src other than errors.py spells the bool exclusion,
+    isinstance(..., bool), or imports numbers, as 'file:line what'."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                kinds = node.args[1:2]
+                if kinds and isinstance(kinds[0], ast.Tuple):
+                    kinds = kinds[0].elts
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    found.append((path.name, node.lineno, "isinstance(..., bool)"))
+            elif isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+                found.append((path.name, node.lineno, "import numbers"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found.append((path.name, node.lineno, "from numbers import"))
+    return [f"{name}:{line} {what}" for name, line, what in sorted(found)]
+
+
+def test_the_number_rules_are_written_only_in_errors():
+    assert rule_copies(SRC) == []
+
+
+def test_the_rule_scan_finds_a_copy(tmp_path):
+    (tmp_path / "errors.py").write_text("import numbers\nisinstance(1, bool)\n")
+    (tmp_path / "m.py").write_text("from numbers import Real\nisinstance(x, (int, bool))\nimport os, numbers\n")
+    assert rule_copies(tmp_path) == [
+        "m.py:1 from numbers import", "m.py:2 isinstance(..., bool)", "m.py:3 import numbers",
+    ]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pantryplan import kmedoids
-from pantryplan.errors import ConvergenceError
+from pantryplan.errors import ConvergenceError, SolveError
 from pantryplan.kmedoids import SolveParams, solve
 
 from conftest import planar_matrix
@@ -69,7 +69,13 @@ def test_engine_matches_reference_loop(instance, size):
         fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
     slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace))
     assert fast == slow
-    # solve(), which collapses duplicate points before the core runs
+    # solve(), which collapses duplicate points before the core runs, and
+    # refuses a k above their number rather than fill it with copies
+    distinct = len(np.unique(np.hstack([d, d.T]), axis=0))
+    if params.k > distinct:
+        with pytest.raises(SolveError, match=rf"^k={params.k} out of range for {distinct} distinct of {len(d)} points$"):
+            solve(d, params)
+        return
     fast = outcome(lambda trace: solve(d, params, trace))
     with mock.patch.object(kmedoids, "_solve_core", reference_solve_core):
         slow = outcome(lambda trace: solve(d, params, trace))

@@ -19,7 +19,6 @@ OSError exits with that of the family its stage names in COMMANDS.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import hashlib
 import json
@@ -31,7 +30,7 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import distance, evaluate, hierarchy, ingest
-from .errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError, is_int, is_real
+from .errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError, as_python, is_int, is_real
 
 # evaluate's tolerance for a plan's objectives against their recomputation:
 # another host's BLAS may sum np.dot in another order
@@ -101,6 +100,17 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _plain(value):
+    """A copy of value's dicts and lists, with every number in them a Python
+    number (errors.as_python): config_hash's JSON takes a numpy float as a
+    float, but no numpy integer."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_plain, value))
+    return as_python(value)
+
+
 def _check_keys(cfg: dict, defaults: dict, prefix: str = "", unhashed=()) -> None:
     """Refuse a key that defaults does not hold and that is not one of the
     unhashed fields, and a section that is not an object."""
@@ -126,8 +136,7 @@ def load_config(path, overrides: dict) -> dict:
                 return value
         raise ConfigError(f"bad config {path}: the integer {literal[:12]}... is past the range of a float")
 
-    # a copy, so that editing the config a caller gets edits no later one
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = DEFAULTS
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -139,7 +148,8 @@ def load_config(path, overrides: dict) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(loaded).__name__}")
         cfg = _merge(cfg, loaded)
-    cfg = _merge(cfg, overrides)
+    # a copy, so that editing the config a caller gets edits no later one
+    cfg = _plain(_merge(cfg, overrides))
     _check_keys(cfg, DEFAULTS)
     for key, want, ok in CLI_KEYS:
         section, _, name = key.rpartition(".")

@@ -69,7 +69,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError, is_real, require_int, require_real
+from .errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError, is_real
+from .errors import require_fields, require_int, require_real
 
 EARTH_RADIUS_M = 6_371_000.0
 MAGIC = b"DMAT1"
@@ -108,14 +109,14 @@ class ProviderSpec:
     def __post_init__(self):
         if self.kind not in ("great_circle", "table_api"):
             raise DistanceError(f"unknown provider kind {self.kind!r}")
-        require_int("chunk_size", self.chunk_size, DistanceError)
+        require_fields(self, require_int, DistanceError, "chunk_size")
         if self.chunk_size < 2:
             raise DistanceError(f"chunk_size must be >= 2, got {self.chunk_size}")
         if self.base_url is not None and not isinstance(self.base_url, str):
             raise DistanceError(f"base_url must be a string, got {self.base_url!r}")
         if (self.kind == "table_api") != (self.base_url is not None):
             raise DistanceError("base_url is required for table_api and forbidden otherwise")
-        require_real("earth_radius", self.earth_radius, DistanceError)
+        require_fields(self, require_real, DistanceError, "earth_radius")
         if not (math.isfinite(self.earth_radius) and self.earth_radius > 0):
             raise DistanceError(f"earth_radius must be a positive finite number, got {self.earth_radius!r}")
 

@@ -1,8 +1,9 @@
 """Two-level placement: banks over all households, pantries inside each
 bank's cluster, pantry counts apportioned by cluster size.
 
-Both levels run the same solver settings (mode, seed, epsilon, max_passes);
-only k differs. Pantry counts are always apportioned by largest remainder.
+Both levels run the same solver settings (the one swap rule, seed, epsilon
+and a caller's max_passes cap); only k differs. Pantry counts are always
+apportioned by largest remainder.
 
 A plan is its sites: plan_of_sites derives its mappings and objectives from
 the banks and pantries, for place_two_level and for evaluate's check. A
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SolveError, require_int
+from .errors import SolveError, require_fields, require_int
 from .kmedoids import DEFAULT_EPSILON, DEFAULT_MODE, MatrixLike, SolveParams, as_square_array, assign, solve
 
 
@@ -41,8 +42,7 @@ class HierarchyParams:
     max_passes: Optional[int] = None
 
     def __post_init__(self):
-        require_int("k_banks", self.k_banks, SolveError)
-        require_int("k_pantries_total", self.k_pantries_total, SolveError)
+        require_fields(self, require_int, SolveError, "k_banks", "k_pantries_total")
         if self.k_banks < 1 or self.k_pantries_total < 1:
             raise SolveError("k_banks and k_pantries_total must be positive")
 

@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .distance import GeoPoint, require_fits, weight_fault
-from .errors import IngestError, is_int, require_int, require_real
+from .errors import IngestError, is_int, require_fields, require_int, require_real
 from .rng import sample_indices
 
 DEFAULT_INCOME_CAP = 40_000.0
@@ -137,12 +137,14 @@ class IngestConfig:
     def __post_init__(self):
         if self.weighting_mode not in ("none", "duplicate", "direct"):
             raise IngestError(f"unknown weighting_mode {self.weighting_mode!r}")
-        if self.sample_size != "all" and not (is_int(self.sample_size) and self.sample_size >= 1):
-            raise IngestError(f"sample_size must be a positive integer or 'all', got {self.sample_size!r}")
-        require_int("seed", self.seed, IngestError)
+        if self.sample_size != "all":
+            if not (is_int(self.sample_size) and self.sample_size >= 1):
+                raise IngestError(f"sample_size must be a positive integer or 'all', got {self.sample_size!r}")
+            object.__setattr__(self, "sample_size", int(self.sample_size))
+        require_fields(self, require_int, IngestError, "seed")
         for name in ("income_cap", "weight_cap", "weight_numerator"):
+            require_fields(self, require_real, IngestError, name)
             value = getattr(self, name)
-            require_real(name, value, IngestError)
             if name != "income_cap" and not math.isfinite(value):
                 raise IngestError(f"{name} must be finite, got {value!r}")
         _require_cap(self.income_cap)

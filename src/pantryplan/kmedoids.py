@@ -1,14 +1,12 @@
 """K-Medoids over a precomputed square distance matrix.
 
 Medoids start as the first K points. Each pass enumerates (medoid,
-non-medoid) swap candidates in a seeded-permutation order; in the default
-global_swap mode a swap is kept iff the full weighted objective after global
-reassignment drops by more than epsilon, so the objective is strictly
-decreasing and the solver terminates without an iteration cap. The
-cluster_screened mode instead screens a candidate by the total distance within
-the medoid's own cluster and then commits only if the global objective does
-not increase; it can in principle oscillate, so max_passes is the guard
-there.
+non-medoid) swap candidates in a seeded-permutation order, and a swap is
+kept iff the full weighted objective after global reassignment drops by
+more than epsilon: the first-improvement global swap, the one rule (mode
+"global_swap"). The objective is strictly decreasing, so the solver
+terminates without an iteration cap; max_passes is a caller's cap on the
+passes, and a ConvergenceError carries the best clustering when it runs out.
 
 A candidate is scored in O(n), not by a full O(n*k) reassignment. The
 solver keeps, for each medoid m, every point's distance to its nearest
@@ -39,12 +37,9 @@ np.dot call, so each score has the bits of its own np.dot; a (b, n) @ (n,)
 matrix-vector product sums in another order and does not. The first
 candidate of the block that passes is accepted and the scan resumes right
 after it, so the same candidates are scored and accepted as one at a time.
-A block holds up to BLOCK candidates. In cluster_screened mode the
-within-cluster screen runs lazily, one candidate at a time, and the block
-is the next candidate that passes it; screening a whole block ahead would
-waste the screens of the candidates after an accept. The columns are
-gathered as rows of d itself when d equals its transpose bit for bit (a
-great-circle matrix does), else of one transposed copy.
+A block holds up to BLOCK candidates. The columns are gathered as rows of
+d itself when d equals its transpose bit for bit (a great-circle matrix
+does), else of one transposed copy.
 
 solve collapses points with identical rows and columns (the copies of
 duplication weighting) into one weighted point before the core solve. Two
@@ -57,8 +52,8 @@ comparing bytes, as float == would take -0.0 for 0.0. The scan keeps only
 the representatives' indices and the keys, never a copy of their rows.
 Bit symmetry is decided once per solve, for the scan and the core. A k
 above the number of distinct points is a SolveError.
-Settings are checked by errors.require_int and require_real, and arrays by
-distance.weight_fault and matrix_fault.
+Settings are checked by errors.require_int and require_real, which store
+them as Python numbers, and arrays by distance.weight_fault and matrix_fault.
 
 A brute-force enumerator doubles as the test oracle for desk-size instances.
 """
@@ -74,7 +69,7 @@ from zlib import crc32
 import numpy as np
 
 from .distance import DistanceMatrix, matrix_fault, weight_fault
-from .errors import ConvergenceError, SolveError, require_int, require_real
+from .errors import ConvergenceError, SolveError, require_fields, require_int, require_real
 from .rng import SplitMix64
 
 DEFAULT_MODE = "global_swap"
@@ -98,21 +93,22 @@ class Clustering:
 class SolveParams:
     k: int
     weights: Optional[Sequence[float]] = None
-    mode: str = DEFAULT_MODE  # global_swap | cluster_screened
+    mode: str = DEFAULT_MODE  # the swap rule; global_swap is the only one
     seed: int = 0
     epsilon: float = DEFAULT_EPSILON
-    max_passes: Optional[int] = None
+    max_passes: Optional[int] = None  # a caller's cap on the passes; None runs to convergence
 
     def __post_init__(self):
-        require_int("k", self.k, SolveError)
-        require_int("seed", self.seed, SolveError)
+        require_fields(self, require_int, SolveError, "k", "seed")
         if self.max_passes is not None:
-            require_int("max_passes", self.max_passes, SolveError)
+            require_fields(self, require_int, SolveError, "max_passes")
             if self.max_passes < 1:
                 raise SolveError(f"max_passes must be >= 1, got {self.max_passes}")
-        if self.mode not in ("global_swap", "cluster_screened"):
+        if self.mode == "cluster_screened":
+            raise SolveError(f"mode 'cluster_screened' was removed; the one swap rule is {DEFAULT_MODE!r}")
+        if self.mode != DEFAULT_MODE:
             raise SolveError(f"unknown mode {self.mode!r}")
-        require_real("epsilon", self.epsilon, SolveError)
+        require_fields(self, require_real, SolveError, "epsilon")
         if not (self.epsilon > 0 and isfinite(self.epsilon)):
             # an infinite epsilon would refuse every swap and return the start
             raise SolveError(f"epsilon must be positive and finite, got {self.epsilon}")
@@ -151,10 +147,7 @@ def assign(matrix: MatrixLike, medoids: Sequence[int], weights=None) -> tuple[np
     d = as_square_array(matrix)
     n = d.shape[0]
     w = _check_weights(weights, n)
-    med = list(medoids)
-    for i in med:
-        require_int("medoid index", i, SolveError)
-    med.sort()
+    med = sorted(require_int("medoid index", i, SolveError) for i in medoids)
     if not med:
         raise SolveError("assign needs at least one medoid")
     for i in (med[0], med[-1]):
@@ -263,17 +256,11 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     slot = np.zeros(n, dtype=np.intp)  # slot[m]: the row of medoid m in other
     slot[medoids] = np.arange(k)
     rng = SplitMix64(params.seed)
-    screened = params.mode == "cluster_screened"
-    # a swap is kept if its score is below the bar: cluster_screened keeps
-    # one that does not raise the objective, global_swap one that lowers it
-    # by more than epsilon
-    below = np.less_equal if screened else np.less
     passes = 0
     # a block's trial vectors and the nearest-other rows they are cut by
     trial_buf = np.empty((BLOCK, n))
     other_buf = np.empty((BLOCK, n))
     w_col = w[:, None]
-    screens: dict = {}  # _screen's per-medoid terms, kept until the next accept
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
@@ -285,14 +272,8 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
         accepted_any = False
 
         points = np.flatnonzero(~is_medoid)
-        if screened:
-            # candidates pair each medoid with the points of its own cluster,
-            # medoids in order; the stable sort keeps points in order
-            inns = points[np.argsort(assignment[points], kind="stable")]
-            outs = assignment[inns]
-        else:
-            outs = np.repeat(np.asarray(medoids, dtype=np.intp), len(points))
-            inns = np.tile(points, k)
+        outs = np.repeat(np.asarray(medoids, dtype=np.intp), len(points))
+        inns = np.tile(points, k)
         order = list(range(len(inns)))
         rng.shuffle(order)
         order = np.fromiter(order, dtype=np.intp, count=len(order))
@@ -305,16 +286,11 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
         while True:
             live = start + (is_medoid[outs[start:]] > is_medoid[inns[start:]]).nonzero()[0]
             live_inns, live_slots = inns[live], slot[outs[live]]
-            bar = obj if screened else obj - params.epsilon
+            # a swap is kept if it lowers the objective by more than epsilon
+            bar = obj - params.epsilon
             lo, hit = 0, None
             while hit is None and lo < live.size:
-                if screened:
-                    # the block is the next candidate that passes the screen
-                    while lo < live.size and not _screen(d, w, assignment, int(outs[live[lo]]), int(live_inns[lo]), params.epsilon, screens):
-                        lo += 1
-                    hi = lo + 1
-                else:
-                    hi = lo + BLOCK
+                hi = lo + BLOCK
                 block_inns, block_slots = live_inns[lo:hi], live_slots[lo:hi]
                 m = len(block_inns)
                 trial, nearest = trial_buf[:m], other_buf[:m]
@@ -324,7 +300,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
                 # assign() gathers; each (1, n) @ (n, 1) product of the stack
                 # is summed by w.dot's routine, so it has np.dot's bits
                 np.minimum(trial, nearest, out=trial)
-                hits = below(np.matmul(trial[:, None, :], w_col), bar).nonzero()[0]
+                hits = np.less(np.matmul(trial[:, None, :], w_col), bar).nonzero()[0]
                 if hits.size:
                     hit = lo + int(hits[0])
                 lo = hi
@@ -336,7 +312,6 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             is_medoid[out], is_medoid[inn] = False, True
             slot[medoids] = np.arange(k)
             assignment, obj, other = _medoid_state(rows, w, medoids)
-            screens.clear()
             accepted_any = True
             if trace is not None:
                 trace(passes, out, inn, obj)
@@ -351,20 +326,6 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
         objective=obj,
         passes=passes,
     )
-
-
-def _screen(d: np.ndarray, w: np.ndarray, assignment: np.ndarray, out: int, inn: int, epsilon: float, screens: dict) -> bool:
-    """cluster_screened's test: inn serves out's cluster better than out by
-    more than epsilon. out's members, their weights and their total distance
-    to out depend only on the assignment, so screens keeps them per medoid
-    until the caller clears it on an accept."""
-    if out not in screens:
-        members = np.flatnonzero(assignment == out)
-        w_members = w[members]
-        screens[out] = members, w_members, float(np.dot(w_members, d[members, out]))
-    members, w_members, within_old = screens[out]
-    within_new = float(np.dot(w_members, d[members, inn]))
-    return within_new < within_old - epsilon
 
 
 def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .distance import GeoPoint
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, require_fields, require_int, require_real
 from .ingest import Household
 
 
@@ -29,12 +29,11 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("clusters", "points_per_cluster", "seed"):
-            require_int(name, getattr(self, name), ConfigError)
+        require_fields(self, require_int, ConfigError, "clusters", "points_per_cluster", "seed")
         if self.clusters < 1 or self.points_per_cluster < 1:
             raise ConfigError("clusters and points_per_cluster must be positive")
         for name in ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma"):
-            require_real(name, getattr(self, name), ConfigError)
+            require_fields(self, require_real, ConfigError, name)
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.spread_deg <= 0 or self.extent_deg <= 0:

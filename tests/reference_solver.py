@@ -35,8 +35,9 @@ def reference_solve_core(
     d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, scan=_no_scan, symmetric=None
 ) -> Clustering:
     """scan is called as scan(pass_number, position, status) for every
-    candidate in scan order, status being "stale", "screened" (refused by
-    cluster_screened's within-cluster test), "rejected" or "accepted".
+    candidate in scan order, status being "stale", "rejected" or "accepted":
+    a candidate is accepted iff its objective is below the current one less
+    epsilon, the one swap rule.
     symmetric, solve's answer to whether d equals its transpose, is taken
     so that this can stand in for kmedoids._solve_core, and not read: the
     reference reads d's columns as they are."""
@@ -44,7 +45,6 @@ def reference_solve_core(
     medoids = initialize(n, k)
     assignment, obj = assign(d, medoids, w)
     rng = SplitMix64(params.seed)
-    screened = params.mode == "cluster_screened"
     passes = 0
 
     while True:
@@ -58,13 +58,7 @@ def reference_solve_core(
 
         in_set = np.zeros(n, dtype=bool)
         in_set[medoids] = True
-        if screened:
-            # candidates pair each medoid with the points of its own cluster
-            candidates = [
-                (m, p) for m in sorted(medoids) for p in range(n) if not in_set[p] and assignment[p] == m
-            ]
-        else:
-            candidates = [(m, p) for m in sorted(medoids) for p in range(n) if not in_set[p]]
+        candidates = [(m, p) for m in sorted(medoids) for p in range(n) if not in_set[p]]
         reference_shuffle(rng, candidates)
 
         current = set(medoids)
@@ -72,16 +66,9 @@ def reference_solve_core(
             if out not in current or inn in current:
                 scan(passes, position, "stale")
                 continue  # stale: the set changed since this pass was enumerated
-            if screened:
-                members = np.flatnonzero(np.asarray(assignment) == out)
-                within_old = float(np.dot(w[members], d[members, out]))
-                within_new = float(np.dot(w[members], d[members, inn]))
-                if not within_new < within_old - params.epsilon:
-                    scan(passes, position, "screened")
-                    continue
             trial = sorted(current - {out} | {inn})
             trial_assignment, trial_obj = assign(d, trial, w)
-            ok = trial_obj <= obj if screened else trial_obj < obj - params.epsilon
+            ok = trial_obj < obj - params.epsilon
             scan(passes, position, "accepted" if ok else "rejected")
             if ok:
                 current = set(trial)

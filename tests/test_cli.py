@@ -553,6 +553,36 @@ def test_place_with_infinite_epsilon_exits_4(tmp_path, capsys):
     assert err.startswith("error: ") and "epsilon must be positive and finite" in err
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("cluster_screened", "mode 'cluster_screened' was removed; the one swap rule is 'global_swap'"),
+    ("annealing", "unknown mode 'annealing'"),
+])
+def test_place_refuses_every_mode_but_global_swap(tmp_path, capsys, mode, message):
+    with pytest.raises(SolveError) as refused:
+        SolveParams(k=2, mode=mode)
+    assert str(refused.value) == message
+    cfg_path, cfg = write_config(tmp_path, hierarchy={"k_banks": 2, "k_pantries_total": 4, "mode": mode})
+    assert run(["--config", cfg_path, "synth", "--clusters", 2, "--points", 10,
+                "--output", tmp_path / "synth.csv"]) == 0
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    assert run(["--config", cfg_path, "matrix"]) == 0
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (Path(cfg["out_dir"]) / "plan.json").exists()
+
+
+def test_place_that_runs_out_of_passes_exits_4_and_keeps_the_plan(tmp_path, capsys):
+    cfg_path, out_dir = pipeline_through_place(tmp_path)
+    plan = {name: (out_dir / name).read_bytes() for name in ("plan.json", "plan.geojson")}
+    assert json.loads(plan["plan.json"])["level1_passes"] > 1  # the bank level needs a second pass
+    cfg_path, _ = write_config(tmp_path, hierarchy={"k_banks": 2, "k_pantries_total": 4, "max_passes": 1})
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "place"]) == 4
+    assert capsys.readouterr().err == "error: no convergence after 1 passes\n"
+    assert {name: (out_dir / name).read_bytes() for name in plan} == plan
+
+
 @pytest.mark.parametrize("mode", ["duplicate", "direct"])
 def test_place_refuses_more_pantries_than_distinct_households(tmp_path, capsys, mode):
     # one household, income 20,000: weight 2.5, three copies under duplicate;

@@ -263,7 +263,7 @@ def test_pantry_bank_distances_hand_instance():
 @st.composite
 def placements(draw):
     """A matrix with duplicate points, rounded ties or directed distances,
-    its weights or None, and HierarchyParams of either mode."""
+    its weights or None, and HierarchyParams."""
     n = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = planar_matrix(rng, n)
@@ -287,7 +287,6 @@ def placements(draw):
     params = HierarchyParams(
         k_banks=k_banks,
         k_pantries_total=draw(st.integers(k_banks, n)),
-        mode=draw(st.sampled_from(["global_swap", "cluster_screened"])),
         seed=draw(st.integers(0, 1000)),
         max_passes=100,
     )

@@ -152,17 +152,16 @@ def test_solve_k_equals_n():
     assert list(c.assignment) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("mode", ["global_swap", "cluster_screened"])
-def test_solve_refuses_k_above_the_distinct_points(mode):
+def test_solve_refuses_k_above_the_distinct_points():
     # points 0, 1 and 3 are copies of one point: 2 distinct points among 4,
     # which took a copy as a third medoid
     d = line_matrix([0.0, 0.0, 5.0, 0.0])
-    assert solve(d, SolveParams(k=2, mode=mode)).medoids == (0, 2)
+    assert solve(d, SolveParams(k=2)).medoids == (0, 2)
     with pytest.raises(SolveError, match=r"^k=3 out of range for 2 distinct of 4 points$"):
-        solve(d, SolveParams(k=3, mode=mode))
+        solve(d, SolveParams(k=3))
     # one household's three copies
     with pytest.raises(SolveError, match=r"^k=2 out of range for 1 distinct of 3 points$"):
-        solve(np.zeros((3, 3)), SolveParams(k=2, mode=mode))
+        solve(np.zeros((3, 3)), SolveParams(k=2))
 
 
 def test_solve_two_blobs_one_medoid_each():
@@ -346,20 +345,6 @@ def test_equivariance_of_brute_force():
         inv = np.argsort(perm)
         # continuous random instances have a unique optimum, so sets must map
         assert tuple(sorted(inv[list(c.medoids)])) == cp.medoids
-
-
-def test_cluster_screened_mode_converges_and_is_valid():
-    rng = np.random.default_rng(83)
-    d = planar_matrix(rng, 20)
-    c = solve(d, SolveParams(k=3, seed=5, mode="cluster_screened", max_passes=200))
-    check_clustering_invariants(d, c)
-    _, start = assign(d, initialize(20, 3))
-    assert c.objective <= start
-
-
-def test_cluster_screened_line_instance():
-    c = solve(LINE, SolveParams(k=2, mode="cluster_screened", max_passes=100))
-    check_clustering_invariants(LINE, c)
 
 
 def test_trace_reports_monotone_accepted_swaps():

@@ -1,12 +1,16 @@
 """The package's input rules, each written once: an integer, a real number
 (pantryplan.errors) and the weight contract (distance.weight_fault). Every
 dataclass field and CLI key they cover refuses the same values with its
-stage's error family, and every weight check names the same index."""
+stage's error family, and every weight check names the same index. A
+numpy number that a rule passes gives every output that the Python number
+of its value gives."""
 
+import argparse
 import ast
+import json
 import math
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pantryplan import cli
-from pantryplan.distance import GeoPoint, ProviderSpec, weight_fault
+from pantryplan.distance import GeoPoint, ProviderSpec, build_matrix, provider_tag, save_matrix, weight_fault
 from pantryplan.errors import ConfigError, DistanceError, EvaluateError, IngestError, SolveError
 from pantryplan.evaluate import FacilitySet, nearest_facility_stats
 from pantryplan.hierarchy import HierarchyParams, place_two_level
-from pantryplan.ingest import Household, IngestConfig, load_prepared, prepare
+from pantryplan.ingest import Household, IngestConfig, load_prepared, prepare, write_households_csv
 from pantryplan.kmedoids import SolveParams, assign, solve
 from pantryplan.synth import SynthParams, generate
 
@@ -63,8 +67,9 @@ REALS = [
     *[(SynthParams, name, ConfigError) for name in
       ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma")],
 ]
-# a value each field accepts where its default is not one
-VALID = {"sample_size": 3, "k": 2, "k_banks": 1, "k_pantries_total": 1, "max_passes": 3}
+# a value each field accepts where its default is not one, or where the
+# default would not show in the provider tag
+VALID = {"sample_size": 3, "k": 2, "k_banks": 1, "k_pantries_total": 1, "max_passes": 3, "earth_radius": 6e6}
 CLASSES = (IngestConfig, ProviderSpec, SolveParams, HierarchyParams, SynthParams)
 
 
@@ -98,14 +103,65 @@ def test_a_real_field_refuses_what_is_not_a_real_number(build, name, error, valu
 def test_an_integer_field_takes_a_numpy_integer(build, name, error, message):
     built = build(**{name: np.int64(valid(name))})
     if hasattr(built, name):  # not so for placed's plan
-        assert getattr(built, name) == valid(name)
+        assert getattr(built, name) == valid(name) and type(getattr(built, name)) is int
 
 
 @pytest.mark.parametrize("build, name, error", REALS)
 def test_a_real_field_takes_a_numpy_float(build, name, error):
     built = build(**{name: np.float64(valid(name))})
     if hasattr(built, name):
-        assert getattr(built, name) == valid(name)
+        assert getattr(built, name) == valid(name) and type(getattr(built, name)) is float
+
+
+# the first household's weight is capped at the default weight_cap of 50
+HOUSEHOLDS = [Household(f"h{i}", GeoPoint(39.0 + i / 100, -86.5 + i / 50), income)
+              for i, income in enumerate((500.0, 20000.0, 35000.0, 9000.0, None))]
+
+
+def config_at(name: str, value):
+    """Overrides that set the config key called name, or {} if none is."""
+    if name in cli.DEFAULTS:
+        return {name: value}
+    for section in ("ingest", "provider", "hierarchy"):
+        if name in cli.DEFAULTS[section] or name in cli.UNHASHED.get(section, ()):
+            return {section: {name: value}}
+    return {}
+
+
+def outputs(here: Path, monkeypatch, build, name, value) -> list:
+    """What value reaches as the field called name: the object build makes;
+    for IngestConfig, the prepared.csv of HOUSEHOLDS under direct weights;
+    for ProviderSpec, the provider tag and the DMAT1 file of their points;
+    and for a config key, the config hash and the prepared.csv and DMAT1
+    file that ingest and matrix write. Files go to here, the working
+    directory, so configs name the same paths."""
+    here.mkdir()
+    monkeypatch.chdir(here)
+    built = build(**{name: value})
+    found = [repr(built)]
+    if isinstance(built, IngestConfig):
+        write_households_csv(prepare(HOUSEHOLDS, replace(built, weighting_mode="direct")), "prepared.csv")
+    if isinstance(built, ProviderSpec):
+        found.append(provider_tag(built))
+        points = [h.location for h in HOUSEHOLDS]
+        save_matrix(build_matrix(built, points, points), "matrix.dmat")
+    if overrides := config_at(name, value):
+        write_households_csv(HOUSEHOLDS, "households.csv")
+        Path("run.json").write_text(json.dumps({"out_dir": "out", "ingest": {"weighting_mode": "direct"}, "dataset": {
+            "path": "households.csv", "schema": {"income": "income", "id": "id"}}}))
+        cfg = cli.load_config("run.json", overrides)
+        found.append(cli.config_hash(cfg))
+        cli.cmd_ingest(cfg, None)
+        cli.cmd_matrix(cfg, argparse.Namespace(force=True))
+    return found + [(str(p), p.read_bytes()) for p in sorted(Path().rglob("*")) if p.is_file()]
+
+
+@pytest.mark.parametrize("build, name", [row[:2] for row in INTEGERS + REALS])
+def test_a_numpy_number_gives_what_its_python_number_gives(tmp_path, monkeypatch, build, name):
+    plain = valid(name)
+    twin = (np.int64 if isinstance(plain, int) else np.float64)(plain)
+    assert outputs(tmp_path / "numpy", monkeypatch, build, name, twin) == outputs(
+        tmp_path / "python", monkeypatch, build, name, plain)
 
 
 def test_numpy_numbers_run_each_stage_as_python_numbers_do():
@@ -129,7 +185,8 @@ def test_the_cli_integer_keys_refuse_what_is_not_an_integer(key, want, value):
 
 @pytest.mark.parametrize("key", ["seed", "threads"])
 def test_the_cli_integer_keys_take_a_numpy_integer(key):
-    assert cli.load_config(None, {key: np.int64(3)})[key] == 3
+    cfg = cli.load_config(None, {key: np.int64(3)})
+    assert type(cfg[key]) is int and cli.config_hash(cfg) == cli.config_hash(cli.load_config(None, {key: 3}))
 
 
 def test_a_city_box_takes_numpy_floats_and_refuses_a_bool():

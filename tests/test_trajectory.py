@@ -16,8 +16,6 @@ from pantryplan.kmedoids import SolveParams, solve
 from conftest import planar_matrix
 from reference_solver import reference_solve_core
 
-MODES = ("global_swap", "cluster_screened")
-
 
 def outcome(run):
     """(trace events, clustering or None, ConvergenceError.best or None)."""
@@ -52,10 +50,9 @@ def instances(draw):
     else:
         w = rng.integers(1, 6, size=n).astype(np.float64)
     k = draw(st.sampled_from(sorted({1, max(1, n - 1), n})) | st.integers(1, n))
-    mode = draw(st.sampled_from(MODES))
     # a cap that only a wrong engine reaches makes a cycling engine fail, not hang
     cap = st.integers(1, 3) | st.just(100)
-    params = SolveParams(k=k, weights=w, mode=mode, seed=draw(st.integers(0, 1000)), max_passes=draw(cap))
+    params = SolveParams(k=k, weights=w, seed=draw(st.integers(0, 1000)), max_passes=draw(cap))
     return d, w, params
 
 
@@ -69,6 +66,12 @@ def test_engine_matches_reference_loop(instance, size):
         fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
     slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace))
     assert fast == slow
+    # each accepted swap lowers the objective by more than epsilon, the
+    # first from assign's objective at the first-K start
+    previous = kmedoids.assign(d, range(params.k), w)[1]
+    for *_, objective in fast[0]:
+        assert objective < previous - params.epsilon
+        previous = objective
     # solve(), which collapses duplicate points before the core runs, and
     # refuses a k above their number rather than fill it with copies
     distinct = len(np.unique(np.hstack([d, d.T]), axis=0))
@@ -82,14 +85,13 @@ def test_engine_matches_reference_loop(instance, size):
     assert fast == slow
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", [2, 5, 9])
-def test_engine_matches_reference_on_long_trajectories(mode, k):
+def test_engine_matches_reference_on_long_trajectories(k):
     rng = np.random.default_rng(97 + k)
     n = 70
     d = planar_matrix(rng, n)
     w = rng.uniform(0.5, 3.0, size=n)
-    params = SolveParams(k=k, weights=w, mode=mode, seed=k, max_passes=100)
+    params = SolveParams(k=k, weights=w, seed=k, max_passes=100)
     fast = outcome(lambda trace: kmedoids._solve_core(d, w, k, params, trace))
     slow = outcome(lambda trace: reference_solve_core(d, w, k, params, trace))
     assert len(fast[0]) > k  # many accepted swaps
@@ -101,18 +103,14 @@ def test_engine_matches_reference_on_long_trajectories(mode, k):
 def block_edges(scan_events, size: int) -> set:
     """Where the engine's blocks fall on the reference's scan. The engine
     cuts the live candidates after a pass's start, and after each accept,
-    into blocks of size candidates until a block holds an accept. In
-    cluster_screened mode a block is the next candidate that passes the
-    within-cluster screen: pass size 1, and the screened-out candidates are
-    skipped like stale ones. Names: an accept "first", "middle" or "last"
-    in its block; a "stale run" of at least a block's height skipped before
-    or inside a block."""
+    into blocks of size candidates until a block holds an accept. Names:
+    an accept "first", "middle" or "last" in its block; a "stale run" of at
+    least size candidates skipped before or inside a block."""
     passes: dict = {}
     for number, _, status in scan_events:
         passes.setdefault(number, []).append(status)
     edges = set()
     for statuses in passes.values():
-        statuses = ["stale" if s == "screened" else s for s in statuses]
         start = 0
         while start < len(statuses):
             live = [i for i in range(start, len(statuses)) if statuses[i] != "stale"]
@@ -139,11 +137,9 @@ def scanned(d, w, params):
     return slow, events
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("size", [1, 2, 5, kmedoids.BLOCK])
-def test_engine_matches_reference_at_block_edges(monkeypatch, mode, size):
+def test_engine_matches_reference_at_block_edges(monkeypatch, size):
     monkeypatch.setattr(kmedoids, "BLOCK", size)
-    height = 1 if mode == "cluster_screened" else size
     edges = set()
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -152,36 +148,34 @@ def test_engine_matches_reference_at_block_edges(monkeypatch, mode, size):
         if seed % 2:
             d = np.round(d / 250.0)  # ties
         w = rng.uniform(0.5, 3.0, size=n)
-        params = SolveParams(k=2 + seed % 5, weights=w, mode=mode, seed=seed, max_passes=100)
+        params = SolveParams(k=2 + seed % 5, weights=w, seed=seed, max_passes=100)
         slow, events = scanned(d, w, params)
         assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow
-        edges |= block_edges(events, height)
-    expected = {"first", "stale run"} | ({"middle"} if height > 2 else set())
-    if 1 < height <= 5:  # a full-height block seldom ends on its accept
+        edges |= block_edges(events, size)
+    expected = {"first", "stale run"} | ({"middle"} if size > 2 else set())
+    if 1 < size <= 5:  # a full-size block seldom ends on its accept
         expected.add("last")
     assert edges >= expected
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", [1, 2, 7])
-def test_engine_matches_reference_when_k_is_n(mode, n):
+def test_engine_matches_reference_when_k_is_n(n):
     # no point is left to swap in, so the only pass has no candidates
     d = planar_matrix(np.random.default_rng(n), n)
-    params = SolveParams(k=n, mode=mode)
+    params = SolveParams(k=n)
     w = np.ones(n)
     fast = outcome(lambda trace: kmedoids._solve_core(d, w, n, params, trace))
     assert fast == scanned(d, w, params)[0]
     assert fast[1].passes == 1 and fast[1].objective == 0.0
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_engine_matches_reference_with_one_medoid(mode):
+def test_engine_matches_reference_with_one_medoid():
     # the nearest other medoid of the only medoid is at infinity, so each
     # candidate's trial vector is its own column
     rng = np.random.default_rng(5)
     d = planar_matrix(rng, 30)
     w = rng.uniform(0.5, 3.0, size=30)
-    params = SolveParams(k=1, weights=w, mode=mode, seed=3)
+    params = SolveParams(k=1, weights=w, seed=3)
     fast = outcome(lambda trace: kmedoids._solve_core(d, w, 1, params, trace))
     assert fast == scanned(d, w, params)[0]
     assert len(fast[0]) > 1

@@ -455,9 +455,10 @@ def _great_circle_values(sources, destinations, earth_radius: float) -> np.ndarr
     n distinct points cost n(n + 1) / 2 cells rather than n^2. When no
     point repeats on either side, the distinct block is returned itself;
     otherwise the full matrix is gathered from it, a strip of rows at a time.
+    Passed one list as both sides, it collects the distinct points once.
     """
     src, si = _distinct(sources)
-    dst, di = _distinct(destinations)
+    dst, di = (src, si) if destinations is sources else _distinct(destinations)
     a = _radians_and_cos(src)
     diameter = earth_radius * 2.0
     block = np.empty((len(src), len(dst)), dtype=np.float64)
@@ -548,17 +549,18 @@ def build_matrix(
     tile order is raised. Without a transport, a RequestsTransport is made
     for the call and closed after it.
     """
-    sources = list(sources)
-    destinations = list(destinations)
     if not sources or not destinations:
         raise DistanceError("sources and destinations must be nonempty")
     require_fits(len(sources), len(destinations))
 
     if spec.kind == "great_circle":
+        # uncopied (DistanceMatrix keeps tuples of its own), so one list
+        # passed as both sides, as cmd_matrix passes it, arrives as one
         values = _great_circle_values(sources, destinations, spec.earth_radius)
         values.setflags(write=False)  # nothing else holds it: handed over, not copied
         return DistanceMatrix(sources, destinations, values, provider_tag(spec))
 
+    sources, destinations = list(sources), list(destinations)
     values = np.empty((len(sources), len(destinations)), dtype=np.float64)
     tiles = list(_tiles(len(sources), len(destinations), spec.chunk_size))
     stop = threading.Event()  # set by the first hard error: tiles not yet sent are skipped

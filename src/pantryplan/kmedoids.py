@@ -14,20 +14,23 @@ medoid other than m (the nearest and second-nearest caches of FasterPAM,
 Schubert & Rousseeuw, arXiv:2008.05171). Swapping m out for p leaves each
 point at min(d[i, p], that distance), and the objective is one dot
 product of the weights with that vector. After every accepted swap the
-assignment, the objective and those caches are rebuilt from one gather of
-the medoids' columns by _nearest, the nearest-medoid kernel that assign()
-calls too, so the objective is assign()'s own sum. Under the input contract
-(distance.matrix_fault's: every cell finite and nonnegative, a zero
-diagonal; checked once per solve) a candidate's vector equals the one
-assign() would serve after the swap, element by element, so every score is
-bit-identical to a full reassignment and the swap trajectory (candidate
-order, accepted swaps, final clustering) is the same as scoring each
-candidate with assign().
+objective and those caches, all the scan reads, are rebuilt from one gather
+of the medoids' columns by _nearest, the nearest-medoid kernel that assign()
+calls too, so the objective is assign()'s own sum; the assignment is built
+from the last such gather when the solve returns or runs out of passes.
+Under the input contract (distance.matrix_fault's: every cell finite and
+nonnegative, a zero diagonal; checked once per solve) a candidate's vector
+equals the one assign() would serve after the swap, element by element, so
+every score is bit-identical to a full reassignment and the swap trajectory
+(candidate order, accepted swaps, final clustering) is the same as scoring
+each candidate with assign().
 
-Candidates are scored in blocks. Each pass's candidate list is shuffled
-with one block of splitmix64 draws (rng.SplitMix64.shuffle), the same
-permutation and stream state as one draw per swap. The scan drops the
-stale candidates after the pass's start, or after the last accept, with one
+Candidates are scored in blocks. Candidate c of a pass is (the
+(c // (n - k))-th medoid, the (c % (n - k))-th non-medoid), and the pass
+takes them in the order rng.SplitMix64.permutation gives: the Fisher-Yates
+shuffle of range(k * (n - k)) by one splitmix64 draw per swap, built from
+one block of draws without a swap loop. The scan drops the stale
+candidates after the pass's start, or after the last accept, with one
 mask, and scores the live ones a block at a time: the matrix columns of
 their points and the cached rows of their medoids are gathered into
 preallocated buffers, cut by one np.minimum, and every weighted sum comes
@@ -37,19 +40,27 @@ np.dot call, so each score has the bits of its own np.dot; a (b, n) @ (n,)
 matrix-vector product sums in another order and does not. The first
 candidate of the block that passes is accepted and the scan resumes right
 after it, so the same candidates are scored and accepted as one at a time.
-A block holds up to BLOCK candidates. The columns are gathered as rows of
-d itself when d equals its transpose bit for bit (a great-circle matrix
-does), else of one transposed copy.
+A block holds block_height(n) candidates: BLOCK_CELLS // n, within
+[1, BLOCK], so 64 rows up to n = 750 and fewer above, where a tall
+block's scores after its accept are wasted work (the sweep, by script, is
+in CHANGES.md; no benchmark workload has n above 750 yet). The height
+changes only how many scores are computed at once, never which candidate
+is accepted. The columns are gathered as rows of d itself when d equals
+its transpose bit for bit (a great-circle matrix does), else of one
+transposed copy.
 
 solve collapses points with identical rows and columns (the copies of
 duplication weighting) into one weighted point before the core solve. Two
 such points are 0 apart both ways, so only points with an off-diagonal zero
 are looked at; on distinct points the scan is one comparison of the matrix
-with 0. Each such point is keyed by the CRC32 of its row's bytes when the
-matrix equals its transpose bit for bit, and of its row's and column's
-otherwise; a key shared with an earlier representative is confirmed by
-comparing bytes, as float == would take -0.0 for 0.0. The scan keeps only
-the representatives' indices and the keys, never a copy of their rows.
+with 0. Each such point is keyed by the CRC32 of its row's bytes, read in
+place. A key shared with an earlier representative is confirmed by
+comparing bytes (as float == would take -0.0 for 0.0): the rows, and unless
+the matrix equals its transpose bit for bit also the columns, so a column
+is read only to confirm. The scan keeps the representatives' indices and
+the keys, and the bytes of the one representative it last compared with,
+so the copies in a run (as duplication weighting writes them) read their
+representative once; never a copy of every row or column.
 Bit symmetry is decided once per solve, for the scan and the core. A k
 above the number of distinct points is a SolveError.
 Settings are checked by errors.require_int and require_real, which store
@@ -75,8 +86,10 @@ from .rng import SplitMix64
 DEFAULT_MODE = "global_swap"
 DEFAULT_EPSILON = 1e-6
 BRUTE_FORCE_LIMIT = 10**6
-# the most candidates a block scores at once
+# a block scores up to BLOCK candidates at once, about BLOCK_CELLS cells'
+# worth (block_height; swept in CHANGES.md)
 BLOCK = 64
+BLOCK_CELLS = 48_000
 
 MatrixLike = Union[DistanceMatrix, np.ndarray, Sequence[Sequence[float]]]
 
@@ -154,25 +167,30 @@ def assign(matrix: MatrixLike, medoids: Sequence[int], weights=None) -> tuple[np
         if not 0 <= i < n:
             raise SolveError(f"medoid index {i} out of range for {n} points")
     # argmin(axis=0) reads this view of d[:, med] in place; d.T[med] it would copy
-    assignment, obj, _, _ = _nearest(d[:, med].T, w, med)
-    return assignment, obj
+    obj, first, _ = _nearest(d[:, med].T, w, med)
+    return _assignment(first, med), obj
 
 
-def _nearest(sub: np.ndarray, w: np.ndarray, med: list[int]):
+def _nearest(sub: np.ndarray, w: np.ndarray, med):
     """The one nearest-medoid kernel, for assign and the swap engine. Row j
-    of sub holds every point's distance to med[j], med sorted. Returns the
-    assignment (ties to the lowest medoid index; a medoid serves itself even
-    if another is colocated), the objective float(w.dot(served)) over each
-    point's d[i, assignment[i]], and each point's nearest row of sub and its
-    distance there."""
-    points = np.arange(sub.shape[1])
-    first = sub.argmin(axis=0)  # the first minimum: the lowest medoid index
-    nearest = sub[first, points]
-    assignment = np.asarray(med, dtype=np.int64)[first]
-    assignment[med] = med
+    of sub holds every point's distance to med[j], med sorted (a list or an
+    index array). Returns the objective float(w.dot(served)) over each
+    point's d[i, assignment[i]] (a medoid serves itself even if another is
+    colocated), and each point's nearest row of sub (the first minimum: the
+    lowest medoid index) and its distance there."""
+    first = sub.argmin(axis=0)
+    nearest = sub[first, np.arange(sub.shape[1])]
     served = nearest.copy()
     served[med] = sub[np.arange(len(med)), med]
-    return assignment, float(w.dot(served)), first, nearest
+    return float(w.dot(served)), first, nearest
+
+
+def _assignment(first: np.ndarray, med) -> np.ndarray:
+    """The medoid serving each point, from _nearest's rows: the nearest
+    medoid, ties to the lowest index, and a medoid itself."""
+    assignment = np.asarray(med, dtype=np.int64)[first]
+    assignment[med] = med
+    return assignment
 
 
 def _duplicate_classes(d: np.ndarray, symmetric: bool):
@@ -188,17 +206,21 @@ def _duplicate_classes(d: np.ndarray, symmetric: bool):
 
     def profile(i: int) -> tuple:
         """Point i's row, and unless symmetric (_symmetric(d): then equal
-        rows have equal columns) its column, as bytes; made for one
-        comparison and not kept."""
+        rows have equal columns) its column, as bytes; made to compare,
+        and kept only as the last representative compared with."""
         return (d[i].tobytes(),) if symmetric else (d[i].tobytes(), d[:, i].tobytes())
 
     rep_of = list(range(n))  # itself, until it matches an earlier point
-    seen: dict[tuple, list[int]] = {}  # a key's representatives
+    seen: dict[int, list[int]] = {}  # a key's representatives
+    last = (None, None)  # the representative last compared with, and its profile
     for i in suspects:
-        mine = profile(i)
-        bucket = seen.setdefault(tuple(map(crc32, mine)), [])
+        # the key is the row's alone: a column is read only to confirm
+        bucket = seen.setdefault(crc32(np.ascontiguousarray(d[i])), [])
+        mine = profile(i) if bucket else None
         for r in bucket:
-            if profile(r) == mine:  # bytes, not floats: -0.0 == 0.0
+            if last[0] != r:  # copies in a run read their representative once
+                last = (r, profile(r))
+            if last[1] == mine:  # bytes, not floats: -0.0 == 0.0
                 rep_of[i] = r
                 break
         else:
@@ -226,23 +248,31 @@ def _column_rows(d: np.ndarray, symmetric: bool) -> np.ndarray:
     return np.ascontiguousarray(d.T, dtype=np.float64)
 
 
-def _medoid_state(rows: np.ndarray, w: np.ndarray, med: list[int]):
-    """assign()'s assignment and objective for the sorted medoids med, and
-    the k x n nearest-other rows: row j holds every point's distance to its
-    nearest medoid other than med[j] (the second-nearest distance where
-    med[j] is the nearest, else the nearest; inf when k == 1). All of it
-    comes from one gather of the medoids' columns."""
-    sub = rows[med]  # sub[j, i] is d[i, med[j]], bit for bit
-    assignment, obj, first, nearest = _nearest(sub, w, med)
-    other = np.empty(sub.shape)
+def _medoid_state(rows: np.ndarray, w: np.ndarray, med: np.ndarray):
+    """What the scan reads for the sorted medoids med (an index array):
+    assign()'s objective, and the k x n nearest-other rows: row j holds
+    every point's distance to its nearest medoid other than med[j] (the
+    second-nearest distance where med[j] is the nearest, else the nearest;
+    inf when k == 1). Also _nearest's rows, from which _assignment gives
+    the assignment. All of it comes from one gather of the medoids'
+    columns."""
+    sub = rows.take(med, axis=0)  # sub[j, i] is d[i, med[j]], bit for bit
+    obj, first, nearest = _nearest(sub, w, med)
     if len(med) == 1:
-        other.fill(np.inf)
-    else:
-        points = np.arange(sub.shape[1])
-        other[:] = nearest
-        sub[first, points] = np.inf  # sub is a copy (fancy indexing)
-        other[first, points] = sub.min(axis=0)
-    return assignment, obj, other
+        return obj, np.full(sub.shape, np.inf), first
+    other = np.empty(sub.shape)
+    other[:] = nearest
+    # each point's nearest cell, in the flat order of sub and other
+    cells = first * sub.shape[1] + np.arange(sub.shape[1])
+    sub.reshape(-1)[cells] = np.inf  # sub is a copy (take)
+    other.reshape(-1)[cells] = sub.min(axis=0)
+    return obj, other, first
+
+
+def block_height(n: int) -> int:
+    """Candidates a block scores at once over n points: about BLOCK_CELLS
+    cells, at least one and at most BLOCK."""
+    return min(BLOCK, max(1, BLOCK_CELLS // n))
 
 
 def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, symmetric=None) -> Clustering:
@@ -250,34 +280,34 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
     n = d.shape[0]
     medoids = initialize(n, k)
     rows = _column_rows(d, _symmetric(d) if symmetric is None else symmetric)
-    assignment, obj, other = _medoid_state(rows, w, medoids)
+    med = np.array(medoids, dtype=np.intp)  # medoids, as an index array
+    obj, other, first = _medoid_state(rows, w, med)
     is_medoid = np.zeros(n, dtype=bool)
     is_medoid[medoids] = True
     slot = np.zeros(n, dtype=np.intp)  # slot[m]: the row of medoid m in other
-    slot[medoids] = np.arange(k)
+    slot[med] = np.arange(k)
     rng = SplitMix64(params.seed)
     passes = 0
     # a block's trial vectors and the nearest-other rows they are cut by
-    trial_buf = np.empty((BLOCK, n))
-    other_buf = np.empty((BLOCK, n))
+    height = block_height(n)
+    trial_buf = np.empty((height, n))
+    other_buf = np.empty((height, n))
     w_col = w[:, None]
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
-            raise ConvergenceError(
-                f"no convergence after {passes} passes",
-                best=Clustering(tuple(medoids), tuple(assignment.tolist()), obj, passes),
-            )
+            best = Clustering(tuple(medoids), tuple(_assignment(first, medoids).tolist()), obj, passes)
+            raise ConvergenceError(f"no convergence after {passes} passes", best=best)
         passes += 1
         accepted_any = False
 
-        points = np.flatnonzero(~is_medoid)
-        outs = np.repeat(np.asarray(medoids, dtype=np.intp), len(points))
-        inns = np.tile(points, k)
-        order = list(range(len(inns)))
-        rng.shuffle(order)
-        order = np.fromiter(order, dtype=np.intp, count=len(order))
-        outs, inns = outs[order], inns[order]
+        # candidate c is (medoids[c // (n - k)], the (c % (n - k))-th
+        # non-medoid), taken in a seeded Fisher-Yates order
+        non_medoids = np.flatnonzero(~is_medoid)
+        order = rng.permutation(k * (n - k))
+        outs, inns = np.divmod(order, max(n - k, 1))  # no candidates when k == n
+        outs = med[outs]
+        inns = non_medoids[inns]
 
         # from the pass's start, then right after each accept, score the
         # live candidates (out a medoid, inn not; the others are stale, the
@@ -290,7 +320,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             bar = obj - params.epsilon
             lo, hit = 0, None
             while hit is None and lo < live.size:
-                hi = lo + BLOCK
+                hi = lo + height
                 block_inns, block_slots = live_inns[lo:hi], live_slots[lo:hi]
                 m = len(block_inns)
                 trial, nearest = trial_buf[:m], other_buf[:m]
@@ -309,9 +339,10 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
             j = int(live[hit])
             out, inn = int(outs[j]), int(inns[j])
             medoids = sorted(set(medoids) - {out} | {inn})
+            med = np.array(medoids, dtype=np.intp)
             is_medoid[out], is_medoid[inn] = False, True
-            slot[medoids] = np.arange(k)
-            assignment, obj, other = _medoid_state(rows, w, medoids)
+            slot[med] = np.arange(k)
+            obj, other, first = _medoid_state(rows, w, med)
             accepted_any = True
             if trace is not None:
                 trace(passes, out, inn, obj)
@@ -322,7 +353,7 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
 
     return Clustering(
         medoids=tuple(medoids),
-        assignment=tuple(assignment.tolist()),
+        assignment=tuple(_assignment(first, medoids).tolist()),
         objective=obj,
         passes=passes,
     )

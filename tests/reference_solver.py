@@ -13,6 +13,8 @@ against a shuffle that does not share the package's block draws.
 
 from __future__ import annotations
 
+from zlib import crc32
+
 import numpy as np
 
 from pantryplan.errors import ConvergenceError
@@ -124,3 +126,32 @@ def bytes_key_duplicate_classes(d: np.ndarray):
             reps.append(i)
         class_of[i] = c
     return reps, class_of
+
+
+def rereading_duplicate_classes(d: np.ndarray, symmetric: bool):
+    """Duplicate classes keyed by the CRC32s of each suspect's row and
+    (unless symmetric) column bytes, a key shared with an earlier
+    representative confirmed by comparing bytes: the scan solve() ran before
+    it read the suspects' profiles in batches, when each confirmation read
+    the representative's profile again."""
+    n = d.shape[0]
+    suspects = np.flatnonzero(np.count_nonzero(d == 0, axis=1) > 1).tolist()
+
+    def profile(i: int) -> tuple:
+        return (d[i].tobytes(),) if symmetric else (d[i].tobytes(), d[:, i].tobytes())
+
+    rep_of = list(range(n))
+    seen: dict[tuple, list[int]] = {}
+    for i in suspects:
+        mine = profile(i)
+        bucket = seen.setdefault(tuple(map(crc32, mine)), [])
+        for r in bucket:
+            if profile(r) == mine:
+                rep_of[i] = r
+                break
+        else:
+            bucket.append(i)
+    reps = [i for i, r in enumerate(rep_of) if r == i]
+    class_of = np.empty(n, dtype=np.int64)
+    class_of[reps] = np.arange(len(reps))
+    return reps, class_of[rep_of]

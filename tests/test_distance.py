@@ -378,6 +378,24 @@ def test_square_matrix_computes_one_triangle(monkeypatch):
     assert m.values.tobytes() == scalar_loop(sources, sources, EARTH_RADIUS_M).tobytes()
 
 
+def test_one_list_as_both_sides_collects_its_distinct_points_once(monkeypatch):
+    calls = []
+    real = distance._distinct
+    monkeypatch.setattr(distance, "_distinct", lambda points: calls.append(len(points)) or real(points))
+    points = random_points(3, 6)
+    sources = points + points[1:3]
+    square = build_matrix(GC_SPEC, sources, sources)
+    assert calls == [8]
+    # the same points in two lists: the triangle still, from two collections
+    calls.clear()
+    twin = build_matrix(GC_SPEC, sources, list(sources))
+    assert calls == [8, 8]
+    assert twin.values.tobytes() == square.values.tobytes() == scalar_loop(sources, sources, EARTH_RADIUS_M).tobytes()
+    calls.clear()
+    build_matrix(GC_SPEC, sources, points)
+    assert calls == [8, 6]
+
+
 @pytest.mark.parametrize("cells", [None, 7, 64])
 @pytest.mark.parametrize("n", [1, 2, 9, 40, 300])
 def test_square_matrix_computes_exactly_the_triangle(monkeypatch, cells, n):

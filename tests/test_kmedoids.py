@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pantryplan.kmedoids import (
 )
 
 from conftest import line_matrix, peak_bytes, planar_matrix
-from reference_solver import bytes_key_duplicate_classes, full_scan_duplicate_classes
+from reference_solver import bytes_key_duplicate_classes, full_scan_duplicate_classes, rereading_duplicate_classes
 
 LINE = line_matrix([0.0, 1.0, 5.0, 6.0])
 
@@ -432,14 +433,14 @@ def test_solve_params_accept_numpy_scalars():
 # --- duplicate classes ----------------------------------------------------------
 
 @st.composite
-def contract_matrices(draw):
+def contract_matrices(draw, directed=st.booleans()):
     """Square matrices under solve's input contract: distinct points, exact
     duplicates, directed distances, and off-diagonal zeros between points
     whose rows differ."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = planar_matrix(rng, n)
-    if draw(st.booleans()):  # directed: d[i, j] != d[j, i]
+    if draw(directed):  # directed: d[i, j] != d[j, i]
         d = d * rng.uniform(0.5, 2.0, size=(n, n))
         np.fill_diagonal(d, 0.0)
     if draw(st.booleans()):  # coarse rounding makes near points 0 apart
@@ -484,6 +485,26 @@ def test_duplicate_classes_match_the_bytes_keyed_scan(d):
     want_reps, want_class_of = bytes_key_duplicate_classes(d)
     assert reps == want_reps
     assert class_of.tolist() == want_class_of.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_matrices(directed=st.just(True)), st.integers(1, 4), st.integers(0, 50))
+def test_row_keyed_duplicate_scan_is_the_rereading_scan_on_directed_matrices(d, k, seed):
+    # the rereading scan keyed each suspect by its row and its column, and
+    # read a representative's profile again for each comparison
+    reps, class_of = duplicate_classes(d)
+    want_reps, want_class_of = rereading_duplicate_classes(d, kmedoids._symmetric(d))
+    assert reps == want_reps
+    assert class_of.tolist() == want_class_of.tolist()
+    params = SolveParams(k=min(k, len(reps)), seed=seed, max_passes=100)
+
+    def walk():
+        events = []
+        return events, solve(d, params, lambda *e: events.append(e))
+
+    row_keyed = walk()
+    with mock.patch.object(kmedoids, "_duplicate_classes", rereading_duplicate_classes):
+        assert walk() == row_keyed
 
 
 @pytest.mark.parametrize("directed", [False, True])

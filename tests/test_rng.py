@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pantryplan.rng import SplitMix64, sample_indices
 
@@ -78,19 +78,34 @@ def fisher_yates_reference(seed, items):
     return items, len(draws)
 
 
+def assert_permutation_is_the_reference(seed, length):
+    rng = SplitMix64(seed)
+    order = rng.permutation(length)
+    expected, used = fisher_yates_reference(seed, range(length))
+    assert order.dtype == np.intp and order.shape == (length,)
+    assert order.tolist() == expected
+    # the stream continues exactly after the draws the shuffle took
+    assert rng.next_u64() == splitmix64_reference(seed, used + 1)[-1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, MASK) | st.sampled_from([0, 1, MASK, MASK - 0x9E3779B97F4A7C15]),
-    st.sampled_from([0, 1, 2, 3]) | st.integers(0, 3000),
+    st.integers(0, 3000),
 )
-def test_shuffle_matches_scalar_fisher_yates(seed, length):
-    rng = SplitMix64(seed)
-    items = list(range(length))
-    rng.shuffle(items)
-    expected, used = fisher_yates_reference(seed, range(length))
-    assert items == expected
-    # the stream continues exactly after the draws the shuffle took
-    assert rng.next_u64() == splitmix64_reference(seed, used + 1)[-1]
+@example(0, 0)
+@example(1, 1)
+@example(2, 2)
+@example(MASK, 3)
+@example(6, 2900)
+def test_permutation_matches_scalar_fisher_yates(seed, length):
+    assert_permutation_is_the_reference(seed, length)
+
+
+def test_permutation_matches_scalar_fisher_yates_at_paper_scale():
+    # k (n - k) candidates for n = 3,000 and k = 20: the pointer chains are
+    # longest where the lists are
+    assert_permutation_is_the_reference(20, 59_600)
 
 
 @given(st.integers(0, MASK) | st.just(MASK), st.integers(0, 300), st.integers(0, 5))
@@ -102,13 +117,11 @@ def test_block_draws_equal_scalar_draws(seed, count, after):
     assert drawn.tolist() + tail == splitmix64_reference(seed, count + after)
 
 
-def test_shuffle_golden_seed_42():
+def test_permutation_golden_seed_42():
     # hand trace: draws mod (10, 9, ..., 2) are 3, 1, 2, 2, 4, 2, 1, 2, 1
     draws = splitmix64_reference(42, 9)
     assert [d % (10 - i) for i, d in enumerate(draws)] == [3, 1, 2, 2, 4, 2, 1, 2, 1]
-    items = list(range(10))
-    SplitMix64(42).shuffle(items)
-    assert items == [0, 9, 5, 8, 6, 4, 7, 2, 1, 3]
+    assert SplitMix64(42).permutation(10).tolist() == [0, 9, 5, 8, 6, 4, 7, 2, 1, 3]
 
 
 def test_numpy_integer_seed_is_the_same_seed():
@@ -116,10 +129,7 @@ def test_numpy_integer_seed_is_the_same_seed():
     assert SplitMix64(np.uint64(MASK)).next_u64() == splitmix64_reference(MASK, 1)[0]
 
 
-def test_shuffle_is_seeded_permutation():
-    items = list(range(12))
-    a, b = list(items), list(items)
-    SplitMix64(9).shuffle(a)
-    SplitMix64(9).shuffle(b)
-    assert a == b
-    assert sorted(a) == items
+def test_permutation_is_seeded():
+    a, b = SplitMix64(9).permutation(12), SplitMix64(9).permutation(12)
+    assert a.tolist() == b.tolist()
+    assert sorted(a.tolist()) == list(range(12))

@@ -158,6 +158,26 @@ def test_engine_matches_reference_at_block_edges(monkeypatch, size):
     assert edges >= expected
 
 
+@pytest.mark.parametrize("cells, height", [(120 * 20, 20), (1, 1)])
+def test_engine_matches_reference_with_blocks_sized_in_cells(monkeypatch, cells, height):
+    # BLOCK_CELLS lowered so that the 120 points get blocks shorter than
+    # BLOCK, down to one row
+    monkeypatch.setattr(kmedoids, "BLOCK_CELLS", cells)
+    n = 120
+    assert kmedoids.block_height(n) == height < kmedoids.BLOCK
+    for seed, k in [(0, 5), (1, 9)]:
+        generator = np.random.default_rng(seed)
+        d = planar_matrix(generator, n)
+        w = generator.uniform(0.5, 3.0, size=n)
+        params = SolveParams(k=k, weights=w, seed=seed, max_passes=100)
+        slow, events = scanned(d, w, params)
+        assert len(slow[0]) > k  # many accepted swaps
+        assert outcome(lambda trace: kmedoids._solve_core(d, w, k, params, trace)) == slow
+        # accepts land first in the short blocks and, in those of more than
+        # two rows, in their middle; runs of stale candidates span them
+        assert block_edges(events, height) >= {"first", "stale run"} | ({"middle"} if height > 2 else set())
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_engine_matches_reference_when_k_is_n(n):
     # no point is left to swap in, so the only pass has no candidates

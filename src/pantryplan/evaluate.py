@@ -117,7 +117,7 @@ def nearest_facility_stats(households, facilities: FacilitySet, provider: Provid
         if len(weights) != len(households):
             raise EvaluateError("weights do not match households")
         if (i := weight_fault(weights)) is not None:
-            raise EvaluateError(f"weight {i} must be positive and finite, got {weights[i]!r}")
+            raise EvaluateError(f"weight {i} must be positive and finite, got {float(weights[i])!r}")
     per_household = _nearest(provider, HouseholdTable.of(households).points, facilities.points, max_in_flight).tolist()
     if weights is None:
         total = math.fsum(per_household)

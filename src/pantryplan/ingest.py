@@ -43,15 +43,15 @@ DEFAULT_WEIGHT_NUMERATOR = 5.0
 DEFAULT_WEIGHT_CAP = 50.0
 
 
-def _require_weight(hid: str, weight: float) -> None:
-    if not 0 < weight < math.inf:
-        raise IngestError(f"household {hid}: weight must be positive and finite, got {weight}")
+def _require_weights(ids: Sequence[str], weights: Sequence[float]) -> None:
+    if (i := weight_fault(weights)) is not None:
+        raise IngestError(f"household {ids[i]}: weight must be positive and finite, got {weights[i]}")
 
 
 @dataclass(frozen=True)
 class Household:
-    """A geolocated demand point; weight defaults to 1 and must stay positive
-    and finite."""
+    """A geolocated demand point; weight (default 1) is a positive finite
+    real number, and income, when known, a nonnegative one."""
 
     id: str
     location: GeoPoint
@@ -61,9 +61,12 @@ class Household:
     city: Optional[str] = None
 
     def __post_init__(self):
-        _require_weight(self.id, self.weight)
-        if self.income is not None and self.income < 0:
-            raise IngestError(f"household {self.id}: negative income {self.income}")
+        require_fields(self, require_real, IngestError, "weight")
+        _require_weights((self.id,), (self.weight,))
+        if self.income is not None:
+            require_fields(self, require_real, IngestError, "income")
+            if self.income < 0:
+                raise IngestError(f"household {self.id}: negative income {self.income}")
         if not self.origin_id:
             object.__setattr__(self, "origin_id", self.id)
 
@@ -304,7 +307,7 @@ def _first_fault(header: list, rows: list, line_nos: list, at: tuple, fault: Exc
                 raise IngestError(f"line {line_no}: negative income {income}")
         if weight_at is not None and row[weight_at] != "":
             raw = row[weight_at]
-            if not 0 < _parse_float(raw, "weight", line_no) < math.inf:
+            if weight_fault([_parse_float(raw, "weight", line_no)]) is not None:
                 raise IngestError(f"line {line_no}: weight must be positive and finite, got {raw!r}")
     raise fault
 
@@ -367,12 +370,15 @@ def apply_weights(households: Sequence[Household], config: IngestConfig) -> Hous
     first row whose income cannot be weighted, or whose weight is not
     positive and finite, raises IngestError."""
     table = HouseholdTable.of(households)
-    weights = []
-    for hid, income, weight in zip(table.ids, table.incomes, table.weights):
+    weights = list(table.weights)
+    for i, income in enumerate(table.incomes):
         if income is not None:
-            weight = compute_weight(income, config.weight_numerator, config.weight_cap)
-            _require_weight(hid, weight)
-        weights.append(weight)
+            try:
+                weights[i] = compute_weight(income, config.weight_numerator, config.weight_cap)
+            except IngestError:
+                _require_weights(table.ids, weights[:i])  # a weight fault in an earlier row comes first
+                raise
+    _require_weights(table.ids, weights)
     return replace(table, weights=tuple(weights))
 
 

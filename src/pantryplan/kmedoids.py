@@ -29,12 +29,14 @@ Candidates are scored in blocks. Candidate c of a pass is (the
 (c // (n - k))-th medoid, the (c % (n - k))-th non-medoid), and the pass
 takes them in the order rng.SplitMix64.permutation gives: the Fisher-Yates
 shuffle of range(k * (n - k)) by one splitmix64 draw per swap, built from
-one block of draws without a swap loop. The scan drops the stale
-candidates after the pass's start, or after the last accept, with one
-mask, and scores the live ones a block at a time: the matrix columns of
-their points and the cached rows of their medoids are gathered into
-preallocated buffers, cut by one np.minimum, and every weighted sum comes
-from one np.matmul(trial[:, None, :], w[:, None]). numpy sums each
+one block of draws without a swap loop. A pass scores a list of its live
+candidates, at first all of them, a block at a time. It swaps out only
+medoids and swaps in only non-medoids it started with, so an accepted
+(out, inn) cuts the list to the candidates after it that swap neither,
+and the scan restarts at the list's head. A block's matrix columns of its
+points and the cached rows of its medoids are gathered into preallocated
+buffers, cut by one np.minimum, and every weighted sum comes from one
+np.matmul(trial[:, None, :], w[:, None]). numpy sums each
 (1, n) @ (n, 1) product of that stack with the dot routine w.dot and
 np.dot call, so each score has the bits of its own np.dot; a (b, n) @ (n,)
 matrix-vector product sums in another order and does not. The first
@@ -278,13 +280,10 @@ def block_height(n: int) -> int:
 def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, symmetric=None) -> Clustering:
     """The swap engine on distinct points; symmetric is _symmetric(d), or None."""
     n = d.shape[0]
-    medoids = initialize(n, k)
     rows = _column_rows(d, _symmetric(d) if symmetric is None else symmetric)
-    med = np.array(medoids, dtype=np.intp)  # medoids, as an index array
+    med = np.array(initialize(n, k), dtype=np.intp)  # the medoids, sorted: the one medoid state
     obj, other, first = _medoid_state(rows, w, med)
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[medoids] = True
-    slot = np.zeros(n, dtype=np.intp)  # slot[m]: the row of medoid m in other
+    slot = np.zeros(n, dtype=np.intp)  # slot[m]: the row of medoid m in med and other
     slot[med] = np.arange(k)
     rng = SplitMix64(params.seed)
     passes = 0
@@ -296,64 +295,54 @@ def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace
 
     while True:
         if params.max_passes is not None and passes >= params.max_passes:
-            best = Clustering(tuple(medoids), tuple(_assignment(first, medoids).tolist()), obj, passes)
+            best = Clustering(tuple(med.tolist()), tuple(_assignment(first, med).tolist()), obj, passes)
             raise ConvergenceError(f"no convergence after {passes} passes", best=best)
         passes += 1
         accepted_any = False
 
-        # candidate c is (medoids[c // (n - k)], the (c % (n - k))-th
-        # non-medoid), taken in a seeded Fisher-Yates order
-        non_medoids = np.flatnonzero(~is_medoid)
+        # candidate c is (med[c // (n - k)], the (c % (n - k))-th
+        # non-medoid), taken in a seeded Fisher-Yates order; outs and inns
+        # hold the live candidates, at first all of them
         order = rng.permutation(k * (n - k))
         outs, inns = np.divmod(order, max(n - k, 1))  # no candidates when k == n
-        outs = med[outs]
-        inns = non_medoids[inns]
-
-        # from the pass's start, then right after each accept, score the
-        # live candidates (out a medoid, inn not; the others are stale, the
-        # set having changed since the pass was enumerated) in blocks
-        start = 0
-        while True:
-            live = start + (is_medoid[outs[start:]] > is_medoid[inns[start:]]).nonzero()[0]
-            live_inns, live_slots = inns[live], slot[outs[live]]
+        outs, inns = med[outs], np.delete(np.arange(n), med)[inns]
+        lo = 0
+        while lo < outs.size:
+            block_inns, block_outs = inns[lo : lo + height], outs[lo : lo + height]
+            m = len(block_inns)
+            trial, nearest = trial_buf[:m], other_buf[:m]
+            rows.take(block_inns, axis=0, out=trial, mode="clip")
+            other.take(slot[block_outs], axis=0, out=nearest, mode="clip")
+            # each point's distance after the swap, elementwise what assign()
+            # gathers; each (1, n) @ (n, 1) product of the stack is summed
+            # by w.dot's routine, so it has np.dot's bits
+            np.minimum(trial, nearest, out=trial)
             # a swap is kept if it lowers the objective by more than epsilon
-            bar = obj - params.epsilon
-            lo, hit = 0, None
-            while hit is None and lo < live.size:
-                hi = lo + height
-                block_inns, block_slots = live_inns[lo:hi], live_slots[lo:hi]
-                m = len(block_inns)
-                trial, nearest = trial_buf[:m], other_buf[:m]
-                rows.take(block_inns, axis=0, out=trial, mode="clip")
-                other.take(block_slots, axis=0, out=nearest, mode="clip")
-                # each point's distance after the swap, elementwise what
-                # assign() gathers; each (1, n) @ (n, 1) product of the stack
-                # is summed by w.dot's routine, so it has np.dot's bits
-                np.minimum(trial, nearest, out=trial)
-                hits = np.less(np.matmul(trial[:, None, :], w_col), bar).nonzero()[0]
-                if hits.size:
-                    hit = lo + int(hits[0])
-                lo = hi
-            if hit is None:
-                break
-            j = int(live[hit])
+            hits = np.less(np.matmul(trial[:, None, :], w_col), obj - params.epsilon).nonzero()[0]
+            if not hits.size:
+                lo += height
+                continue
+            j = lo + int(hits[0])
             out, inn = int(outs[j]), int(inns[j])
-            medoids = sorted(set(medoids) - {out} | {inn})
-            med = np.array(medoids, dtype=np.intp)
-            is_medoid[out], is_medoid[inn] = False, True
+            # the live candidates after the accept swap neither out nor inn
+            outs, inns = outs[j + 1 :], inns[j + 1 :]
+            live = (outs != out) & (inns != inn)
+            outs, inns = outs[live], inns[live]
+            med[slot[out]] = inn
+            med.sort()
             slot[med] = np.arange(k)
             obj, other, first = _medoid_state(rows, w, med)
             accepted_any = True
             if trace is not None:
                 trace(passes, out, inn, obj)
-            start = j + 1
+            lo = 0
 
         if not accepted_any:
             break
 
     return Clustering(
-        medoids=tuple(medoids),
-        assignment=tuple(_assignment(first, medoids).tolist()),
+        medoids=tuple(med.tolist()),
+        assignment=tuple(_assignment(first, med).tolist()),
         objective=obj,
         passes=passes,
     )

@@ -92,6 +92,7 @@ def test_adding_a_facility_never_hurts():
         ([math.nan, 1.0], "weight 0 must be positive and finite, got nan"),
         ([0.0, 0.0], "weight 0 must be positive and finite, got 0.0"),
         ([2.0, math.inf], "weight 1 must be positive and finite, got inf"),
+        (np.array([1.0, -2.0]), "weight 1 must be positive and finite, got -2.0"),
     ],
 )
 def test_direct_weights_must_be_positive_and_finite(weights, message):

@@ -66,11 +66,14 @@ REALS = [
     (placed, "epsilon", SolveError),
     *[(SynthParams, name, ConfigError) for name in
       ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma")],
+    (lambda **kw: Household("h", GeoPoint(39.0, -86.5), **kw), "weight", IngestError),
+    (lambda **kw: Household("h", GeoPoint(39.0, -86.5), **kw), "income", IngestError),
 ]
 # a value each field accepts where its default is not one, or where the
 # default would not show in the provider tag
-VALID = {"sample_size": 3, "k": 2, "k_banks": 1, "k_pantries_total": 1, "max_passes": 3, "earth_radius": 6e6}
-CLASSES = (IngestConfig, ProviderSpec, SolveParams, HierarchyParams, SynthParams)
+VALID = {"sample_size": 3, "k": 2, "k_banks": 1, "k_pantries_total": 1, "max_passes": 3, "earth_radius": 6e6,
+         "income": 20000.0}
+CLASSES = (IngestConfig, ProviderSpec, SolveParams, HierarchyParams, SynthParams, Household)
 
 
 def valid(name):
@@ -96,6 +99,8 @@ def test_an_integer_field_refuses_what_is_not_an_integer(build, name, error, mes
 @pytest.mark.parametrize("value", [True, False, "3", None, [3.0]])
 @pytest.mark.parametrize("build, name, error", REALS)
 def test_a_real_field_refuses_what_is_not_a_real_number(build, name, error, value):
+    if value is None and name == "income":
+        return  # None means unknown
     refused(build, name, value, error, f"{name} must be a real number")
 
 
@@ -131,6 +136,7 @@ def config_at(name: str, value):
 def outputs(here: Path, monkeypatch, build, name, value) -> list:
     """What value reaches as the field called name: the object build makes;
     for IngestConfig, the prepared.csv of HOUSEHOLDS under direct weights;
+    for a Household, the households CSV of it;
     for ProviderSpec, the provider tag and the DMAT1 file of their points;
     and for a config key, the config hash and the prepared.csv and DMAT1
     file that ingest and matrix write. Files go to here, the working
@@ -141,6 +147,8 @@ def outputs(here: Path, monkeypatch, build, name, value) -> list:
     found = [repr(built)]
     if isinstance(built, IngestConfig):
         write_households_csv(prepare(HOUSEHOLDS, replace(built, weighting_mode="direct")), "prepared.csv")
+    if isinstance(built, Household):
+        write_households_csv([built], "households.csv")
     if isinstance(built, ProviderSpec):
         found.append(provider_tag(built))
         points = [h.location for h in HOUSEHOLDS]
@@ -245,14 +253,25 @@ def test_every_weight_check_names_the_same_first_bad_weight(tmp_path, bad, at):
 
 # --- each rule is written once ----------------------------------------------------
 
+def is_inf(node) -> bool:
+    """Whether node spells math.inf, np.inf or numpy.inf."""
+    return (isinstance(node, ast.Attribute) and node.attr == "inf" and isinstance(node.value, ast.Name)
+            and node.value.id in ("math", "np", "numpy"))
+
+
 def rule_copies(src: Path) -> list:
     """Where a module of src other than errors.py spells the bool exclusion,
-    isinstance(..., bool), or imports numbers, as 'file:line what'."""
+    isinstance(..., bool), or imports numbers, and where one other than
+    distance.py compares a value with math.inf or np.inf (the weight
+    contract's bound), as 'file:line what'."""
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "errors.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and path.name != "distance.py":
+                if any(map(is_inf, [node.left, *node.comparators])):
+                    found.append((path.name, node.lineno, "comparison with inf"))
+            if path.name == "errors.py":
+                continue
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
                 kinds = node.args[1:2]
                 if kinds and isinstance(kinds[0], ast.Tuple):
@@ -272,7 +291,10 @@ def test_the_number_rules_are_written_only_in_errors():
 
 def test_the_rule_scan_finds_a_copy(tmp_path):
     (tmp_path / "errors.py").write_text("import numbers\nisinstance(1, bool)\n")
-    (tmp_path / "m.py").write_text("from numbers import Real\nisinstance(x, (int, bool))\nimport os, numbers\n")
+    (tmp_path / "distance.py").write_text("0 < w < math.inf\n")
+    (tmp_path / "m.py").write_text("from numbers import Real\nisinstance(x, (int, bool))\nimport os, numbers\n"
+                                   "if not 0 < w < math.inf: pass\nw.max() < np.inf\nnumpy.inf > w\n")
     assert rule_copies(tmp_path) == [
         "m.py:1 from numbers import", "m.py:2 isinstance(..., bool)", "m.py:3 import numbers",
+        "m.py:4 comparison with inf", "m.py:5 comparison with inf", "m.py:6 comparison with inf",
     ]

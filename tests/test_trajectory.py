@@ -26,6 +26,19 @@ def outcome(run):
         return events, None, exc.best
 
 
+def assert_each_pass_swaps_a_point_once(events):
+    """Within a pass of the trace events, the swapped-out points are
+    distinct, the swapped-in points are distinct, and no point is both: the
+    invariant by which the engine cuts its live candidates after an
+    accept."""
+    swaps: dict = {}
+    for number, out, inn, _ in events:
+        swaps.setdefault(number, []).append((out, inn))
+    for pairs in swaps.values():
+        outs, inns = {out for out, _ in pairs}, {inn for _, inn in pairs}
+        assert len(outs) == len(inns) == len(pairs) and not outs & inns
+
+
 @st.composite
 def instances(draw):
     n = draw(st.integers(1, 10))
@@ -66,6 +79,7 @@ def test_engine_matches_reference_loop(instance, size):
         fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
     slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace))
     assert fast == slow
+    assert_each_pass_swaps_a_point_once(fast[0])
     # each accepted swap lowers the objective by more than epsilon, the
     # first from assign's objective at the first-K start
     previous = kmedoids.assign(d, range(params.k), w)[1]
@@ -96,14 +110,16 @@ def test_engine_matches_reference_on_long_trajectories(k):
     slow = outcome(lambda trace: reference_solve_core(d, w, k, params, trace))
     assert len(fast[0]) > k  # many accepted swaps
     assert fast == slow
+    assert_each_pass_swaps_a_point_once(fast[0])
 
 
 # --- block edges ---------------------------------------------------------------
 
 def block_edges(scan_events, size: int) -> set:
     """Where the engine's blocks fall on the reference's scan. The engine
-    cuts the live candidates after a pass's start, and after each accept,
-    into blocks of size candidates until a block holds an accept. Names:
+    scores a list of live candidates, at a pass's start all of them and
+    after each accept the live ones after it, in blocks of size candidates
+    from the list's head until a block holds an accept. Names:
     an accept "first", "middle" or "last" in its block; a "stale run" of at
     least size candidates skipped before or inside a block."""
     passes: dict = {}

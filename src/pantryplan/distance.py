@@ -9,7 +9,9 @@ The table client's default transport is the standard library's http.client,
 with one keep-alive connection per tile thread and no proxy. It and the
 tiles' thread pool are imported on first use, so a great-circle build loads
 neither. Network failures and HTTP 429 and 503 are retried with backoff; any
-other failure stops the build from sending further tiles.
+other failure stops the build from sending further tiles. Each tile thread
+writes the block it fetched into the result matrix, so a table build's peak
+is one matrix plus the tiles in flight (max_in_flight, the CLI's threads).
 
 The great-circle provider computes one haversine per distinct pair of exact
 (lat, lon) coordinates and gathers the full matrix from that block, so the
@@ -339,11 +341,12 @@ def table_request(
 def _distances(rows, n_src: int, n_dst: int, url: str) -> np.ndarray:
     """The n_src x n_dst float64 block of a response's distances.
 
-    numpy infers a numeric dtype when every cell is a JSON number (true and
-    false among numbers pass as 1 and 0), so the cells are looked at one by
-    one only when it does not: a cell that is not a number raises
-    DistanceError, and null cells raise UnreachablePairsError listing every
-    one. NaN, Infinity and integers past float64's range are refused too.
+    A cell that is not a number, JSON true and false included, raises
+    DistanceError naming the first in row order; null cells raise
+    UnreachablePairsError listing every one. NaN, Infinity and integers past
+    float64's range are refused too. When numpy infers a numeric dtype,
+    every cell is a number or a boolean, which decodes as 1 or 0, so only
+    the cells equal to 0 or 1 are looked at one by one; otherwise all are.
     """
     try:
         block = np.asarray(rows)
@@ -351,11 +354,19 @@ def _distances(rows, n_src: int, n_dst: int, url: str) -> np.ndarray:
         block = None
     if block is None or block.shape != (n_src, n_dst):
         raise DistanceError(f"table response shape mismatch: {url}")
-    if block.dtype.kind not in "iuf":  # a null, a string, an object, or an int past 64 bits
+    numeric = block.dtype.kind in "iuf"
+    if numeric:
+        suspects = np.flatnonzero((block == 0) | (block == 1)).tolist()
+        cells = [(i, j, rows[i][j]) for i, j in (divmod(k, n_dst) for k in suspects)]
+    else:  # a null, a string, an object, a boolean, or an int past 64 bits
         cells = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)]
-        for i, j, v in cells:
-            if v is not None and not is_real(v):
-                raise DistanceError(f"table response cell ({i}, {j}) is not a number ({v!r}): {url}")
+    # whether a value is a number depends on its type alone: each type is asked once
+    kinds = {type(v): v for _, _, v in cells}
+    refused = {kind for kind, v in kinds.items() if v is not None and not is_real(v)}
+    if refused:
+        i, j, v = next(cell for cell in cells if type(cell[2]) in refused)
+        raise DistanceError(f"table response cell ({i}, {j}) is not a number ({v!r}): {url}")
+    if not numeric:
         bad = [(i, j) for i, j, v in cells if v is None]
         if bad:
             raise UnreachablePairsError(bad)
@@ -539,7 +550,10 @@ def build_matrix(
     max_in_flight: int = 4,
 ) -> DistanceMatrix:
     """Full matrix from the provider; table requests are tiled and fetched
-    concurrently, with tile placement independent of completion order.
+    concurrently, at most max_in_flight at once, and each tile's thread
+    writes its block into the one result array: tiles are disjoint slices,
+    so placement is independent of completion order, and the build's peak
+    is one matrix plus the tiles in flight.
 
     A matrix of more than MAX_MATRIX_BYTES raises DistanceError before
     anything is allocated or requested. Any unreachable pair aborts the
@@ -567,10 +581,10 @@ def build_matrix(
 
     def fetch(tile):
         if stop.is_set():
-            return None
+            return
         r0, r1, c0, c1 = tile
         try:
-            return table_request(spec, sources[r0:r1], destinations[c0:c1], transport)
+            values[r0:r1, c0:c1] = table_request(spec, sources[r0:r1], destinations[c0:c1], transport)
         except UnreachablePairsError:
             raise
         except DistanceError:
@@ -586,16 +600,13 @@ def build_matrix(
     owned = closing(RequestsTransport()) if transport is None else nullcontext(transport)
     with owned as transport, ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
         futures = [pool.submit(fetch, t) for t in tiles]
-        for (r0, r1, c0, c1), future in zip(tiles, futures):
+        for (r0, _, c0, _), future in zip(tiles, futures):
             try:
-                block = future.result()
+                future.result()
             except UnreachablePairsError as exc:
                 unreachable.extend((r0 + i, c0 + j) for i, j in exc.pairs)
             except DistanceError as exc:
                 hard_error = hard_error or exc
-            else:
-                if block is not None:
-                    values[r0:r1, c0:c1] = block
 
     if hard_error is not None:
         raise hard_error

@@ -48,10 +48,22 @@ def _require_weights(ids: Sequence[str], weights: Sequence[float]) -> None:
         raise IngestError(f"household {ids[i]}: weight must be positive and finite, got {weights[i]}")
 
 
+def income_fault(incomes: Sequence[Optional[float]]) -> Optional[int]:
+    """The index of the first known income (not None) that is not finite
+    and nonnegative (NaN is neither), or None. numpy reads None as NaN, so
+    the known cells are told apart only when the column is not all valid,
+    as in weight_fault."""
+    x = np.array(incomes, dtype=np.float64)
+    if not x.size or 0 <= x.min() and np.isfinite(x.max()):
+        return None
+    bad = ~((x >= 0) & np.isfinite(x)) & np.array([v is not None for v in incomes])
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class Household:
     """A geolocated demand point; weight (default 1) is a positive finite
-    real number, and income, when known, a nonnegative one."""
+    real number, and income, when known, a finite nonnegative one."""
 
     id: str
     location: GeoPoint
@@ -65,8 +77,8 @@ class Household:
         _require_weights((self.id,), (self.weight,))
         if self.income is not None:
             require_fields(self, require_real, IngestError, "income")
-            if self.income < 0:
-                raise IngestError(f"household {self.id}: negative income {self.income}")
+            if income_fault((self.income,)) is not None:
+                raise IngestError(f"household {self.id}: income must be finite and nonnegative, got {self.income}")
         if not self.origin_id:
             object.__setattr__(self, "origin_id", self.id)
 
@@ -216,7 +228,8 @@ def _read_table(
     where a later duplicate header wins, and cells past the header's width
     are ignored.
 
-    An empty income cell means income unknown. weight and origin_id name
+    An empty income cell means income unknown; a known one must be finite
+    and nonnegative (income_fault). weight and origin_id name
     optional columns: an empty or absent weight is 1.0 and an empty or
     absent origin_id the row's id. Each column is converted whole. Only when
     that fails, or the text is not UTF-8 or holds a cell past
@@ -267,9 +280,8 @@ def _read_table(
             # GeoPoint raises ValueError for a coordinate that is not finite or in range
             points = tuple(map(GeoPoint, map(float, column(lat_at)), map(float, column(lon_at))))
             incomes = _floats(column(income_at), None) if income_at is not None else [None] * n
-            # np.array turns an absent income into NaN, which is not negative
-            if (np.array(incomes, dtype=np.float64) < 0).any():
-                raise ValueError("an income is negative")
+            if income_at is not None and income_fault(incomes) is not None:
+                raise ValueError("an income is not finite and nonnegative")
             weights = (1.0,) * n
             if weight_at is not None:
                 weights = tuple(_floats(column(weight_at), 1.0))
@@ -302,9 +314,9 @@ def _first_fault(header: list, rows: list, line_nos: list, at: tuple, fault: Exc
         if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
             raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
         if income_at is not None and row[income_at] != "":
-            income = _parse_float(row[income_at], "income", line_no)
-            if income < 0:
-                raise IngestError(f"line {line_no}: negative income {income}")
+            raw = row[income_at]
+            if income_fault([_parse_float(raw, "income", line_no)]) is not None:
+                raise IngestError(f"line {line_no}: income must be finite and nonnegative, got {raw!r}")
         if weight_at is not None and row[weight_at] != "":
             raw = row[weight_at]
             if weight_fault([_parse_float(raw, "weight", line_no)]) is not None:
@@ -316,9 +328,10 @@ def load_households(path, schema: ColumnSchema) -> HouseholdTable:
     """Read one household per CSV row, in file order, all weights 1.0, as a
     HouseholdTable (see _read_table).
 
-    A row with fewer cells than the header, or with an unparseable or
-    out-of-range coordinate, is an error naming the line; an empty income
-    cell means income unknown.
+    A row with fewer cells than the header, with an unparseable or
+    out-of-range coordinate, or with an income that is not a finite
+    nonnegative number, is an error naming the line; an empty income cell
+    means income unknown.
     """
     return _read_table(path, schema)
 

@@ -1,13 +1,14 @@
 """Reference household reader on csv.DictReader.
 
 This is ingest's row walk as it was before it read rows with csv.reader
-and a header-to-index map, with one later change: a line starting with '#'
-is a comment only where the csv reader starts a row, not inside a quoted
-cell. DictReader defines the behaviour the fast reader must keep: which
-rows are read, which are skipped, every error message and every line
-number, including DictReader's own rules (with a duplicate header the later
-column wins; a short row names the first column, by first appearance, whose
-last appearance got no cell).
+and a header-to-index map, with two later changes: a line starting with
+'#' is a comment only where the csv reader starts a row, not inside a
+quoted cell, and a known income must be finite as well as nonnegative.
+DictReader defines the behaviour the fast reader must keep: which rows are
+read, which are skipped, every error message and every line number,
+including DictReader's own rules (with a duplicate header the later column
+wins; a short row names the first column, by first appearance, whose last
+appearance got no cell).
 load_prepared is ingest.load_prepared as it was before it read columns:
 one Household per row, each weight parsed and checked as it is read.
 
@@ -96,8 +97,9 @@ def read_households(path, schema: ColumnSchema, extra: tuple = ()):
             income = None
             if schema.income and row[schema.income] != "":
                 income = _parse_float(row[schema.income], "income", line_no)
-                if income < 0:
-                    raise IngestError(f"line {line_no}: negative income {income}")
+                if not (math.isfinite(income) and income >= 0):
+                    raw = row[schema.income]
+                    raise IngestError(f"line {line_no}: income must be finite and nonnegative, got {raw!r}")
             hid = row[schema.id] if schema.id else str(i)
             city = (row[schema.city] or None) if schema.city else None
             yield line_no, hid, GeoPoint(lat, lon), income, city, tuple(row.get(c) or "" for c in extra)

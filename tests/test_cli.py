@@ -177,6 +177,23 @@ def test_ingest_weighting_an_income_too_small_to_scale_exits_2(tmp_path, capsys)
     assert err.startswith("error: ") and "cannot weight income 5e-324" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_ingest_refuses_an_income_that_is_not_finite(tmp_path, capsys, cell):
+    # a NaN income was once left out by the income filter with no error, and
+    # an infinite one failed later as the weight derived from it, 5 / inf
+    cfg_path, cfg = write_config(tmp_path, ingest={"weighting_mode": "direct", "income_cap": 1e300})
+    dataset = "id,lat,lon,income,city\na,34.0,-118.0,20000,x\nb,34.1,-118.1,{},x\n"
+    (tmp_path / "synth.csv").write_text(dataset.format(cell))
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "ingest"]) == 2
+    assert capsys.readouterr().err == f"error: line 3: income must be finite and nonnegative, got {cell!r}\n"
+    prepared = Path(cfg["out_dir"]) / "prepared.csv"
+    assert not prepared.exists()
+    (tmp_path / "synth.csv").write_text(dataset.format(""))  # an empty cell is an unknown income
+    assert run(["--config", cfg_path, "ingest"]) == 0
+    assert load_prepared(prepared).incomes == (20000.0, None)
+
+
 def test_ingest_refuses_rows_whose_matrix_is_over_the_limit(tmp_path, capsys, monkeypatch):
     cfg_path, cfg = write_config(tmp_path, ingest={"income_cap": 1e9})
     run(["--config", cfg_path, "synth", "--clusters", 1, "--points", 12, "--output", tmp_path / "synth.csv"])

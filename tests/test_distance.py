@@ -958,6 +958,33 @@ def test_great_circle_build_over_distinct_points_holds_one_block():
     assert m.values.tobytes() == build_matrix(GC_SPEC, pts + pts[:1], pts + pts[:1]).values[:400, :400].tobytes()
 
 
+class IntegerTable:
+    """A table service that answers from the URL alone and keeps nothing:
+    each cell is the pair's |lat difference| + |lon difference|, in whole
+    degrees for whole-degree points, as the Python floats JSON decodes to."""
+
+    def get(self, url):
+        path, query = url.split("/table/v1/driving/")[1].split("?")
+        lonlat = np.array([c.split(",") for c in path.split(";")], dtype=np.float64)
+        params = dict(part.split("=") for part in query.split("&"))
+        src = lonlat[[int(i) for i in params["sources"].split(";")]]
+        dst = lonlat[[int(j) for j in params["destinations"].split(";")]]
+        return 200, {"distances": np.abs(src[:, None] - dst[None, :]).sum(axis=-1).tolist()}
+
+
+def test_table_build_holds_one_matrix():
+    # 500 x 499 at chunk_size 100: 100 tiles of up to 50 x 50, two in flight
+    src = [GeoPoint(i % 80, i // 80) for i in range(500)]
+    dst = [GeoPoint(-(j % 80), -(j // 80)) for j in range(499)]
+    peak, m = peak_bytes(lambda: build_matrix(TABLE_SPEC, src, dst, transport=IntegerTable(), max_in_flight=2))
+    # the matrix plus the tiles in flight; keeping each finished tile until
+    # the build returns would hold the matrix twice
+    assert peak < 1.5 * m.values.nbytes
+    lat, lon = np.array([[p.lat, p.lon] for p in src]).T
+    dlat, dlon = np.array([[p.lat, p.lon] for p in dst]).T
+    assert np.array_equal(m.values, np.abs(lat[:, None] - dlat) + np.abs(lon[:, None] - dlon))
+
+
 def test_matrix_checks_a_valid_block_without_a_mask():
     pts = [GeoPoint(0, i / 100) for i in range(400)]
     values = build_matrix(GC_SPEC, pts, pts).values

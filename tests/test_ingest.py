@@ -581,13 +581,13 @@ def test_load_prepared_matches_the_reference(tmp_path_factory, text):
 # --- the column-wise steps and writer against the row-wise reference --------
 
 TEXT = st.text(alphabet='ab#,"\n\r ', max_size=4)
-INCOMES = st.none() | st.sampled_from([0.0, 5e-324, 1e-300, 40000.0, math.inf, math.nan]) | st.floats(0, 1e6)
+INCOMES = st.none() | st.sampled_from([0.0, 5e-324, 1e-300, 40000.0, 1e308]) | st.floats(0, 1e6)
 
 
 @st.composite
 def household_lists(draw, ids=st.text(alphabet="ab1#", max_size=3)):
-    """Households with repeated ids, absent, zero, tiny, infinite and NaN
-    incomes, weights of 1 or drawn, given or absent origin ids and cities."""
+    """Households with repeated ids, absent, zero, tiny and huge incomes
+    (Household refuses an infinite or NaN one), weights of 1 or drawn, given or absent origin ids and cities."""
     return [
         Household(
             draw(ids),

@@ -1,9 +1,10 @@
 """The package's input rules, each written once: an integer, a real number
-(pantryplan.errors) and the weight contract (distance.weight_fault). Every
-dataclass field and CLI key they cover refuses the same values with its
-stage's error family, and every weight check names the same index. A
-numpy number that a rule passes gives every output that the Python number
-of its value gives."""
+(pantryplan.errors), the weight contract (distance.weight_fault) and the
+income contract (ingest.income_fault). Every dataclass field and CLI key
+they cover refuses the same values with its stage's error family, every
+weight check names the same index and every income check refuses the same
+incomes. A numpy number that a rule passes gives every output that the
+Python number of its value gives."""
 
 import argparse
 import ast
@@ -22,7 +23,8 @@ from pantryplan.distance import GeoPoint, ProviderSpec, build_matrix, provider_t
 from pantryplan.errors import ConfigError, DistanceError, EvaluateError, IngestError, SolveError
 from pantryplan.evaluate import FacilitySet, nearest_facility_stats
 from pantryplan.hierarchy import HierarchyParams, place_two_level
-from pantryplan.ingest import Household, IngestConfig, load_prepared, prepare, write_households_csv
+from pantryplan.ingest import (ColumnSchema, Household, IngestConfig, income_fault, load_households, load_prepared,
+                               prepare, write_households_csv)
 from pantryplan.kmedoids import SolveParams, assign, solve
 from pantryplan.synth import SynthParams, generate
 
@@ -247,6 +249,35 @@ def test_every_weight_check_names_the_same_first_bad_weight(tmp_path, bad, at):
     rows = "".join(f"h{i},0.0,{i}.0,,{w!r},h{i},\n" for i, w in enumerate(weights))
     path.write_text("id,lat,lon,income,weight,origin_id,city\n" + rows)
     line = f"line {at + 2}: weight must be positive and finite, got {repr(bad)!r}"  # the cell's text
+    with pytest.raises(IngestError, match=f"^{re.escape(line)}$"):
+        load_prepared(path)
+
+
+# --- the income contract --------------------------------------------------------
+
+def first_bad_income(incomes):
+    """The scalar contract: the first index whose income is known and not
+    finite and nonnegative."""
+    return next((i for i, x in enumerate(incomes) if x is not None and not (math.isfinite(x) and x >= 0)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True), max_size=12))
+def test_income_fault_agrees_with_the_scalar_contract(incomes):
+    assert income_fault(incomes) == first_bad_income(incomes)
+    assert income_fault(tuple(incomes)) == first_bad_income(incomes)
+
+
+@pytest.mark.parametrize("bad", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_every_income_check_refuses_the_same_incomes(tmp_path, bad):
+    household = f"household h: income must be finite and nonnegative, got {bad}"
+    with pytest.raises(IngestError, match=f"^{re.escape(household)}$"):
+        Household("h", GeoPoint(39.0, -86.5), bad)
+    path = tmp_path / "households.csv"
+    path.write_text(f"id,lat,lon,income,weight,origin_id,city\na,39.0,-86.5,,1.0,a,\nb,39.0,-86.5,{bad!r},1.0,b,\n")
+    line = f"line 3: income must be finite and nonnegative, got {repr(bad)!r}"  # the cell's text
+    with pytest.raises(IngestError, match=f"^{re.escape(line)}$"):
+        load_households(path, ColumnSchema(income="income", id="id"))
     with pytest.raises(IngestError, match=f"^{re.escape(line)}$"):
         load_prepared(path)
 

@@ -101,6 +101,10 @@ def test_other_http_errors_are_not_retried(sleeps, status):
         ({"code": "Ok", "distances": [[0, {}], [1, 0]]}, r"cell \(0, 1\) is not a number \(\{\}\)"),
         ({"code": "Ok", "distances": [[0, "1.5"], [1, 0]]}, r"cell \(0, 1\) is not a number"),
         ({"code": "Ok", "distances": [[0, None], [True, 0]]}, r"cell \(1, 0\) is not a number \(True\)"),
+        ({"code": "Ok", "distances": [[0.0, True], [1.0, 0.0]]}, r"cell \(0, 1\) is not a number \(True\)"),
+        ({"code": "Ok", "distances": [[0, 1], [False, 0]]}, r"cell \(1, 0\) is not a number \(False\)"),
+        ({"code": "Ok", "distances": [[0, 1.5], [1, True]]}, r"cell \(1, 1\) is not a number \(True\)"),
+        ({"code": "Ok", "distances": [[False, True], [True, False]]}, r"cell \(0, 0\) is not a number \(False\)"),
         ({"code": "Ok", "distances": [[0, float("nan")], [1, 0]]}, "not finite"),
         ({"code": "Ok", "distances": [[0, float("inf")], [1, 0]]}, "not finite"),
         ({"code": "Ok", "distances": [[0, 10**400], [1, 0]]}, "not finite"),

@@ -2,15 +2,14 @@
 
 Stages communicate through files in the output directory so an expensive
 distance matrix is computed once and reused across placement experiments.
-Each file is written beside its final name and renamed over it, so a stage
-that fails partway leaves the previous file whole.
-One seed in the config makes the whole chain reproducible; every output
-embeds the seed and a hash of the resolved config. Flag precedence is
-flags > config file > defaults.
+Every file a stage writes (synth's too) is written beside its final name
+and renamed over it (_replacing), so a failed stage leaves the previous file
+whole. One seed makes the chain reproducible; every output carries _stamp,
+the seed and config hash. Flag precedence is flags > config file > defaults.
 
-plan.json and report.json are written by json.dump(..., sort_keys=True,
-indent=1). plan.geojson and households.geojson are written on one line in
-the canonical form config_hash hashes: sorted keys, no whitespace.
+A JSON value's identity is its canonical text (_canonical: sorted keys, no
+whitespace). config_hash hashes it, the GeoJSON files are it and evaluate
+compares a plan's sites by it; plan.json and report.json are indented.
 
 Exit codes live in pantryplan.errors, as each error family's exit_code; an
 OSError exits with that of the family its stage names in COMMANDS.
@@ -164,13 +163,24 @@ def load_config(path, overrides: dict) -> dict:
     return cfg
 
 
+def _canonical(value) -> str:
+    """value's canonical JSON text, by json.dumps's C encoder. Two JSON values
+    have one text iff they are equal node for node and type for type: true
+    is not 1, 3.0 is not 3 and -0.0 is not 0.0."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_canonical(cfg).encode("utf-8")).hexdigest()[:16]
+
+
+def _stamp(cfg: dict) -> dict:
+    """The provenance every output carries: the seed and the config's hash."""
+    return {"seed": cfg["seed"], "config_hash": config_hash(cfg)}
 
 
 def _provenance(cfg: dict) -> str:
-    return f"seed={cfg['seed']} config_hash={config_hash(cfg)}"
+    return " ".join(f"{key}={value}" for key, value in _stamp(cfg).items())
 
 
 @contextmanager
@@ -188,36 +198,29 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, payload: dict, cfg: dict) -> None:
-    payload = {"meta": {"seed": cfg["seed"], "config_hash": config_hash(cfg)}, **payload}
+def _write_text(path: Path, text: str) -> None:
     with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path: Path, payload: dict, cfg: dict) -> None:
+    _write_text(path, json.dumps({"meta": _stamp(cfg), **payload}, sort_keys=True, indent=1) + "\n")
 
 
 def _write_geojson(path: Path, collection: dict, cfg: dict) -> None:
     # provenance rides along as a foreign member, which GeoJSON permits
-    collection = {**collection, "properties": {"seed": cfg["seed"], "config_hash": config_hash(cfg)}}
-    # json.dumps without an indent takes the C encoder; json.dump never does
-    text = json.dumps(collection, sort_keys=True, separators=(",", ":"))
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, _canonical({**collection, "properties": _stamp(cfg)}) + "\n")
 
 
 def cmd_synth(cfg: dict, args) -> None:
     from . import synth  # deferred: no other stage generates households
 
-    params = synth.SynthParams(
-        clusters=args.clusters,
-        points_per_cluster=args.points,
-        spread_deg=args.spread,
-        seed=cfg["seed"],
-    )
-    households = synth.generate(params)
+    given = {name: getattr(args, name) for name in ("clusters", "points_per_cluster", "spread_deg") if name in args}
+    households = synth.generate(synth.SynthParams(**given, seed=cfg["seed"]))
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    ingest.write_households_csv(households, out, header_comment=f"pantryplan synth {_provenance(cfg)}")
+    with _replacing(out) as tmp:
+        ingest.write_households_csv(households, tmp, header_comment=f"pantryplan synth {_provenance(cfg)}")
     print(f"synth: wrote {len(households)} households to {out}")
 
 
@@ -260,7 +263,7 @@ def cmd_matrix(cfg: dict, args) -> None:
 
     matrix = distance.build_matrix(spec, points, points, max_in_flight=cfg["threads"])
     with _replacing(path) as tmp:
-        distance.save_matrix(matrix, tmp, meta={"seed": cfg["seed"], "config_hash": config_hash(cfg)})
+        distance.save_matrix(matrix, tmp, meta=_stamp(cfg))
     print(f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}")
 
 
@@ -316,25 +319,13 @@ def _is_count(x, stop=math.inf) -> bool:
     return is_int(x) and 0 <= x < stop
 
 
-def _same_json(a, b) -> bool:
-    """a == b with the same type at every node of the JSON values: == alone
-    takes true for 1 and 3.0 for 3."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b
-
-
 def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
     """The plan of the sites plan.json lists, checked against the rest of
     the file. The bank and pantry indices must name prepared households,
     and neither list may be empty or name an index twice. banks, pantries
     and household_to_pantry must be what hierarchy.plan_to_dict writes for
-    hierarchy.plan_of_sites over those sites and the prepared weights,
-    node for node and type for type (_same_json).
+    hierarchy.plan_of_sites over those sites and the prepared weights, by
+    canonical text (_canonical): node for node and type for type.
     Both objectives must be JSON floats within a relative 1e-9 of its, and
     the passes counts, one per bank at level 2. A household served at
     distance 0 at both levels adds to neither objective, so its weight goes
@@ -353,7 +344,7 @@ def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
     plan = hierarchy.plan_of_sites(matrix.values, sites["banks"], sites["pantries"], households.weights)
     want = hierarchy.plan_to_dict(plan, households)
     for key in ("banks", "pantries", "household_to_pantry"):
-        if not _same_json(data.get(key), want[key]):
+        if _canonical(data.get(key)) != _canonical(want[key]):
             raise EvaluateError(
                 f"plan {plan_path}: {key} is not what place writes for these sites on the prepared households; "
                 "the plan was placed on other inputs, run place again"
@@ -413,9 +404,7 @@ def cmd_evaluate(cfg: dict, args) -> None:
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
     _write_json(out_dir / REPORT_JSON, asdict(report), cfg)
-    with _replacing(out_dir / REPORT_CSV) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"# pantryplan evaluate {_provenance(cfg)}\n")
-        fh.write(evaluate.report_to_csv(report))
+    _write_text(out_dir / REPORT_CSV, f"# pantryplan evaluate {_provenance(cfg)}\n" + evaluate.report_to_csv(report))
     _write_geojson(out_dir / HOUSEHOLDS_GEOJSON, evaluate.households_geojson(households, cand_m, base_m), cfg)
 
     overall = groups[evaluate.OVERALL]
@@ -444,11 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="pipeline output directory")
     parser.add_argument("--force", action="store_true", help="rebuild outputs even when cached")
     sub = parser.add_subparsers(dest="command", required=True)
-    stages = {name: sub.add_parser(name, help=text) for name, (_, text, _) in COMMANDS.items()}
+    # a stage flag left out is not in args: synth's leave SynthParams' defaults
+    stages = {name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+              for name, (_, text, _) in COMMANDS.items()}
     p_synth = stages["synth"]
-    p_synth.add_argument("--clusters", type=int, default=3)
-    p_synth.add_argument("--points", type=int, default=100, help="points per cluster")
-    p_synth.add_argument("--spread", type=float, default=0.05, help="blob stddev, degrees")
+    p_synth.add_argument("--clusters", type=int)
+    p_synth.add_argument("--points", dest="points_per_cluster", metavar="POINTS", type=int, help="points per cluster")
+    p_synth.add_argument("--spread", dest="spread_deg", metavar="SPREAD", type=float, help="blob stddev, degrees")
     p_synth.add_argument("--output", default="synth.csv")
     return parser
 
@@ -462,13 +453,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
+    overrides = {key: value for key in ("seed", "threads", "out_dir") if (value := getattr(args, key)) is not None}
 
     command, _, family = COMMANDS[args.command]
     try:

@@ -60,6 +60,7 @@ import json
 import math
 import os
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -83,6 +84,7 @@ TRANSPORT_TIMEOUT_SECONDS = 30.0  # per connect and per read of RequestsTranspor
 GC_BLOCK_CELLS = 4096  # cells per pass of the great-circle kernel
 # the largest float block a matrix may take, 2 GiB: 16,384 points square
 MAX_MATRIX_BYTES = 2**31
+MAX_LAT, MAX_LON = 90.0, 180.0  # a coordinate's bounds, in degrees either way of 0
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,9 @@ class GeoPoint:
     def __post_init__(self):
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
             raise ValueError(f"non-finite coordinate ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
+        if not -MAX_LAT <= self.lat <= MAX_LAT:
             raise ValueError(f"latitude {self.lat} out of [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
+        if not -MAX_LON <= self.lon <= MAX_LON:
             raise ValueError(f"longitude {self.lon} out of [-180, 180]")
 
 
@@ -123,10 +125,21 @@ class ProviderSpec:
             raise DistanceError(f"earth_radius must be a positive finite number, got {self.earth_radius!r}")
 
 
+def as_floats(values) -> np.ndarray:
+    """values as a float64 array. A number past float64's range (an integer
+    can be: compared exactly with the Python float sys.float_info.max), where
+    numpy raises OverflowError, reads as inf of its sign: not finite."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([(math.inf if v > 0 else -math.inf) if is_real(v) and abs(v) > sys.float_info.max else v
+                         for v in values], dtype=np.float64)
+
+
 def weight_fault(weights) -> Optional[int]:
-    """The index of the first weight that is not positive and finite (NaN is
-    neither), or None. As in matrix_fault, valid weights cost no mask."""
-    w = np.asarray(weights, dtype=np.float64)
+    """The first index whose weight (read by as_floats) is not positive and
+    finite (NaN is neither), or None; valid weights cost no mask."""
+    w = as_floats(weights)
     if not w.size or 0 < w.min() and w.max() < np.inf:
         return None
     return int(np.argmax(~((w > 0) & (w < np.inf))))
@@ -657,9 +670,8 @@ def _trailer_points(path, trailer: dict, key: str) -> list:
     first entry that is not a [lat, lon] pair of numbers GeoPoint accepts."""
     points = []
     for i, pair in enumerate(trailer[key]):
-        # type() and not isinstance: JSON true and false are not coordinates
-        numbers = type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)
-        if not numbers:
+        # JSON true and false are not coordinates: is_real refuses a bool
+        if not (type(pair) is list and len(pair) == 2 and all(map(is_real, pair))):
             raise MatrixFormatError(f"{path}: trailer {key}[{i}] is not a [lat, lon] pair of numbers: {pair!r}")
         try:
             points.append(GeoPoint(*pair))

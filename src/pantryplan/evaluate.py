@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distance import GeoPoint, ProviderSpec, build_matrix, nearest_great_circle, weight_fault
+from .distance import GeoPoint, ProviderSpec, as_floats, build_matrix, nearest_great_circle, weight_fault
 from .errors import EvaluateError
 from .hierarchy import PlacementPlan, point_feature
 from .ingest import HouseholdTable
@@ -116,8 +116,8 @@ def nearest_facility_stats(households, facilities: FacilitySet, provider: Provid
     if weights is not None:
         if len(weights) != len(households):
             raise EvaluateError("weights do not match households")
-        if (i := weight_fault(weights)) is not None:
-            raise EvaluateError(f"weight {i} must be positive and finite, got {float(weights[i])!r}")
+        if (i := weight_fault(w := as_floats(weights))) is not None:
+            raise EvaluateError(f"weight {i} must be positive and finite, got {float(w[i])!r}")
     per_household = _nearest(provider, HouseholdTable.of(households).points, facilities.points, max_in_flight).tolist()
     if weights is None:
         total = math.fsum(per_household)

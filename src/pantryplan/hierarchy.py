@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .distance import as_floats
 from .errors import SolveError, require_fields, require_int
 from .kmedoids import DEFAULT_EPSILON, DEFAULT_MODE, MatrixLike, SolveParams, as_square_array, assign, solve
 
@@ -109,7 +110,7 @@ def place_two_level(matrix: MatrixLike, params: HierarchyParams, weights=None) -
     """Run the bank-level solve, then a pantry-level solve per bank cluster."""
     d = as_square_array(matrix)
     n = d.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.ones(n) if weights is None else as_floats(weights)
 
     # level 2 differs only in k and weights; solve is looked up in this
     # module on each call, level 1 first, which bench/tracer.py relies on

@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .distance import GeoPoint, require_fits, weight_fault
+from .distance import GeoPoint, as_floats, require_fits, weight_fault
 from .errors import IngestError, is_int, require_fields, require_int, require_real
 from .rng import sample_indices
 
@@ -44,16 +44,16 @@ DEFAULT_WEIGHT_CAP = 50.0
 
 
 def _require_weights(ids: Sequence[str], weights: Sequence[float]) -> None:
-    if (i := weight_fault(weights)) is not None:
-        raise IngestError(f"household {ids[i]}: weight must be positive and finite, got {weights[i]}")
+    if (i := weight_fault(w := as_floats(weights))) is not None:
+        raise IngestError(f"household {ids[i]}: weight must be positive and finite, got {w[i]}")
 
 
 def income_fault(incomes: Sequence[Optional[float]]) -> Optional[int]:
     """The index of the first known income (not None) that is not finite
-    and nonnegative (NaN is neither), or None. numpy reads None as NaN, so
-    the known cells are told apart only when the column is not all valid,
-    as in weight_fault."""
-    x = np.array(incomes, dtype=np.float64)
+    and nonnegative (NaN is neither; as_floats reads the incomes), or None.
+    numpy reads None as NaN, so the known cells are told apart only when the
+    column is not all valid, as in weight_fault."""
+    x = as_floats(incomes)
     if not x.size or 0 <= x.min() and np.isfinite(x.max()):
         return None
     bad = ~((x >= 0) & np.isfinite(x)) & np.array([v is not None for v in incomes])
@@ -77,8 +77,8 @@ class Household:
         _require_weights((self.id,), (self.weight,))
         if self.income is not None:
             require_fields(self, require_real, IngestError, "income")
-            if income_fault((self.income,)) is not None:
-                raise IngestError(f"household {self.id}: income must be finite and nonnegative, got {self.income}")
+            if income_fault(income := as_floats((self.income,))) is not None:
+                raise IngestError(f"household {self.id}: income must be finite and nonnegative, got {income[0]}")
         if not self.origin_id:
             object.__setattr__(self, "origin_id", self.id)
 
@@ -311,8 +311,10 @@ def _first_fault(header: list, rows: list, line_nos: list, at: tuple, fault: Exc
             raise IngestError(f"line {line_no}: no cell for column {_first_missing(header, len(row))!r}")
         lat = _parse_float(row[lat_at], "latitude", line_no)
         lon = _parse_float(row[lon_at], "longitude", line_no)
-        if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-            raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})")
+        try:
+            GeoPoint(lat, lon)
+        except ValueError:
+            raise IngestError(f"line {line_no}: coordinate out of range ({lat}, {lon})") from None
         if income_at is not None and row[income_at] != "":
             raw = row[income_at]
             if income_fault([_parse_float(raw, "income", line_no)]) is not None:

@@ -81,7 +81,7 @@ from zlib import crc32
 
 import numpy as np
 
-from .distance import DistanceMatrix, matrix_fault, weight_fault
+from .distance import DistanceMatrix, as_floats, matrix_fault, weight_fault
 from .errors import ConvergenceError, SolveError, require_fields, require_int, require_real
 from .rng import SplitMix64
 
@@ -139,7 +139,7 @@ def as_square_array(matrix: MatrixLike) -> np.ndarray:
 def _check_weights(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.ones(n, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    w = as_floats(weights)
     if w.shape != (n,):
         raise SolveError(f"weights length {w.shape} does not match {n} points")
     if (i := weight_fault(w)) is not None:
@@ -255,13 +255,11 @@ def _medoid_state(rows: np.ndarray, w: np.ndarray, med: np.ndarray):
     assign()'s objective, and the k x n nearest-other rows: row j holds
     every point's distance to its nearest medoid other than med[j] (the
     second-nearest distance where med[j] is the nearest, else the nearest;
-    inf when k == 1). Also _nearest's rows, from which _assignment gives
-    the assignment. All of it comes from one gather of the medoids'
-    columns."""
+    inf when k == 1, the minimum over no other medoid). Also _nearest's
+    rows, from which _assignment gives the assignment. All of it comes from
+    one gather of the medoids' columns."""
     sub = rows.take(med, axis=0)  # sub[j, i] is d[i, med[j]], bit for bit
     obj, first, nearest = _nearest(sub, w, med)
-    if len(med) == 1:
-        return obj, np.full(sub.shape, np.inf), first
     other = np.empty(sub.shape)
     other[:] = nearest
     # each point's nearest cell, in the flat order of sub and other
@@ -277,10 +275,10 @@ def block_height(n: int) -> int:
     return min(BLOCK, max(1, BLOCK_CELLS // n))
 
 
-def _solve_core(d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, symmetric=None) -> Clustering:
-    """The swap engine on distinct points; symmetric is _symmetric(d), or None."""
-    n = d.shape[0]
-    rows = _column_rows(d, _symmetric(d) if symmetric is None else symmetric)
+def _solve_core(d: np.ndarray, w: np.ndarray, params: SolveParams, trace, symmetric: bool) -> Clustering:
+    """The swap engine on distinct points; symmetric is _symmetric(d)."""
+    n, k = d.shape[0], params.k
+    rows = _column_rows(d, symmetric)
     med = np.array(initialize(n, k), dtype=np.intp)  # the medoids, sorted: the one medoid state
     obj, other, first = _medoid_state(rows, w, med)
     slot = np.zeros(n, dtype=np.intp)  # slot[m]: the row of medoid m in med and other
@@ -374,7 +372,7 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     symmetric = _symmetric(d)
     reps, class_of = _duplicate_classes(d, symmetric)
     if len(reps) == n:
-        return _solve_core(d, w, params.k, params, trace, symmetric=symmetric)
+        return _solve_core(d, w, params, trace, symmetric)
     if params.k > len(reps):
         raise SolveError(f"k={params.k} out of range for {len(reps)} distinct of {n} points")
 
@@ -395,7 +393,7 @@ def solve(matrix: MatrixLike, params: SolveParams, trace=None) -> Clustering:
     # trace in original indices even though the walk is over representatives
     wrapped = None if trace is None else (lambda p, o, i, obj: trace(p, reps[o], reps[i], obj))
     try:
-        core = _solve_core(dc, wc, params.k, params, wrapped, symmetric=symmetric)
+        core = _solve_core(dc, wc, params, wrapped, symmetric)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), best=expand(exc.best)) from None
     return expand(core)

@@ -11,7 +11,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .distance import GeoPoint
+from .distance import MAX_LAT, MAX_LON, GeoPoint
 from .errors import ConfigError, require_fields, require_int, require_real
 from .ingest import Household
 
@@ -53,8 +53,8 @@ def generate(params: SynthParams) -> list[Household]:
     households = []
     for c, (clat, clon) in enumerate(centers):
         for p in range(params.points_per_cluster):
-            lat = min(90.0, max(-90.0, rng.gauss(clat, params.spread_deg)))
-            lon = min(180.0, max(-180.0, rng.gauss(clon, params.spread_deg)))
+            lat = min(MAX_LAT, max(-MAX_LAT, rng.gauss(clat, params.spread_deg)))
+            lon = min(MAX_LON, max(-MAX_LON, rng.gauss(clon, params.spread_deg)))
             income = rng.lognormvariate(params.income_log_mean, params.income_log_sigma)
             households.append(
                 Household(

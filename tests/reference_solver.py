@@ -34,7 +34,7 @@ def _no_scan(pass_number, position, status):
 
 
 def reference_solve_core(
-    d: np.ndarray, w: np.ndarray, k: int, params: SolveParams, trace=None, scan=_no_scan, symmetric=None
+    d: np.ndarray, w: np.ndarray, params: SolveParams, trace=None, symmetric=None, scan=_no_scan
 ) -> Clustering:
     """scan is called as scan(pass_number, position, status) for every
     candidate in scan order, status being "stale", "rejected" or "accepted":
@@ -43,7 +43,7 @@ def reference_solve_core(
     symmetric, solve's answer to whether d equals its transpose, is taken
     so that this can stand in for kmedoids._solve_core, and not read: the
     reference reads d's columns as they are."""
-    n = d.shape[0]
+    n, k = d.shape[0], params.k
     medoids = initialize(n, k)
     assignment, obj = assign(d, medoids, w)
     rng = SplitMix64(params.seed)

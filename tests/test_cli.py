@@ -82,6 +82,16 @@ def test_synth_row_count_and_determinism(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_synth_without_flags_writes_the_default_synth_params(tmp_path):
+    # the flags have no defaults of their own: SynthParams' are the only ones
+    from pantryplan import synth
+
+    cfg_path, cfg = write_config(tmp_path)
+    out = tmp_path / "default.csv"
+    assert run(["--config", cfg_path, "synth", "--output", out]) == 0
+    assert load_prepared(out) == ingest.HouseholdTable.of(synth.generate(synth.SynthParams(seed=cfg["seed"])))
+
+
 @pytest.mark.parametrize("seed", ["3", True, 1.5])
 def test_synth_with_a_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, seed):
     cfg_path, _ = write_config(tmp_path, seed=seed)
@@ -863,11 +873,12 @@ def assign_household_to_another_pantry(data):
         ([1, 2], [1], False),
         (None, [], False),
         ([], {}, False),
+        ([-0.0], [0.0], False),  # == takes -0.0 for 0.0; only a hand-edited plan holds -0.0
     ],
 )
 def test_same_json_is_equality_with_the_same_types(a, b, same):
-    assert cli._same_json(a, b) is same
-    assert cli._same_json(b, a) is same
+    # evaluate compares a plan's fields with place's by their canonical text
+    assert (cli._canonical(a) == cli._canonical(b)) is same
 
 
 def assign_household_to_true(data):
@@ -1564,6 +1575,40 @@ def test_a_write_failing_partway_leaves_the_previous_artifact(tmp_path, monkeypa
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+def test_synth_that_fails_to_write_leaves_the_previous_file(tmp_path, monkeypatch, capsys):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "synth.csv"
+    assert run(["--config", cfg_path, "synth", "--clusters", 2, "--points", 5, "--output", out]) == 0
+    before = out.read_bytes()
+
+    def half_write(households, path, header_comment=None):
+        Path(path).write_text("id,lat\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(ingest, "write_households_csv", half_write)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "synth", "--clusters", 3, "--output", out]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    # the previous file whole, and no temporary file left behind
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "synth.csv"]
+
+
+def test_every_file_a_stage_writes_is_renamed_into_place(tmp_path, monkeypatch):
+    renamed, rename = [], os.replace
+
+    def recording(src, dst):
+        renamed.append(Path(dst))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    _, out_dir = pipeline_through_place(tmp_path)
+    assert run(["--config", evaluate_config(tmp_path, out_dir), "evaluate"]) == 0
+    # synth's file and every output: none is written in place
+    assert sorted(renamed) == sorted([tmp_path / "synth.csv", *out_dir.iterdir()])
+    assert len(renamed) == 8
+
+
 @pytest.mark.parametrize("stage", ["ingest", "matrix", "evaluate"])
 def test_short_csv_row_exits_2_naming_line_and_column(tmp_path, capsys, stage):
     _, out_dir = pipeline_through_place(tmp_path)
@@ -1699,13 +1744,15 @@ def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", refuse)  # from here main must reuse the first
     assert run(["--config", cfg_path, "place"]) == 0
     assert run(["--threads", 2, "synth"]) == 0
+    # a synth flag left out is absent (SynthParams' default holds), and the
+    # first call's --clusters does not reach the third
     assert seen == [
         (7, {"config": None, "seed": 7, "threads": None, "out_dir": None, "force": True, "command": "synth",
-             "clusters": 2, "points": 100, "spread": 0.05, "output": "a.csv"}),
+             "clusters": 2, "output": "a.csv"}),
         (5, {"config": str(cfg_path), "seed": None, "threads": None, "out_dir": None, "force": False,
              "command": "place"}),
         (0, {"config": None, "seed": None, "threads": 2, "out_dir": None, "force": False, "command": "synth",
-             "clusters": 3, "points": 100, "spread": 0.05, "output": "synth.csv"}),
+             "output": "synth.csv"}),
     ]
 
 

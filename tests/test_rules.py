@@ -1,10 +1,12 @@
 """The package's input rules, each written once: an integer, a real number
-(pantryplan.errors), the weight contract (distance.weight_fault) and the
-income contract (ingest.income_fault). Every dataclass field and CLI key
-they cover refuses the same values with its stage's error family, every
-weight check names the same index and every income check refuses the same
-incomes. A numpy number that a rule passes gives every output that the
-Python number of its value gives."""
+(pantryplan.errors), the weight contract (distance.weight_fault), the
+income contract (ingest.income_fault) and a coordinate's bounds
+(distance.GeoPoint). Every dataclass field and CLI key they cover refuses
+the same values with its stage's error family, every weight check names
+the same index and every income check refuses the same incomes, a number
+past float64's range among them. A numpy number that a rule passes gives
+every output that the Python number of its value gives. The CLI writes
+its outputs' provenance and canonical JSON once each."""
 
 import argparse
 import ast
@@ -19,13 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pantryplan import cli
-from pantryplan.distance import GeoPoint, ProviderSpec, build_matrix, provider_tag, save_matrix, weight_fault
+from pantryplan.distance import GeoPoint, ProviderSpec, as_floats, build_matrix, provider_tag, save_matrix, weight_fault
 from pantryplan.errors import ConfigError, DistanceError, EvaluateError, IngestError, SolveError
 from pantryplan.evaluate import FacilitySet, nearest_facility_stats
 from pantryplan.hierarchy import HierarchyParams, place_two_level
 from pantryplan.ingest import (ColumnSchema, Household, IngestConfig, income_fault, load_households, load_prepared,
                                prepare, write_households_csv)
-from pantryplan.kmedoids import SolveParams, assign, solve
+from pantryplan.kmedoids import SolveParams, assign, brute_force_solve, solve
 from pantryplan.synth import SynthParams, generate
 
 from conftest import line_matrix
@@ -282,6 +284,40 @@ def test_every_income_check_refuses_the_same_incomes(tmp_path, bad):
         load_prepared(path)
 
 
+# --- numbers past float64's range ---------------------------------------------------
+
+def with_weight(value):
+    return [1.0, value, 2.0, 0.5]
+
+
+SOLVER_MESSAGE = "weights must all be positive and finite; weight 1 is {}"
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400])
+@pytest.mark.parametrize("check, error, message", [
+    (lambda v: Household("h", GeoPoint(0.0, 0.0), weight=v), IngestError,
+     "household h: weight must be positive and finite, got {}"),
+    (lambda v: Household("h", GeoPoint(0.0, 0.0), income=v), IngestError,
+     "household h: income must be finite and nonnegative, got {}"),
+    (lambda v: solve(LINE, SolveParams(k=1, weights=with_weight(v))), SolveError, SOLVER_MESSAGE),
+    (lambda v: assign(LINE, [0], with_weight(v)), SolveError, SOLVER_MESSAGE),
+    (lambda v: brute_force_solve(LINE, 1, with_weight(v)), SolveError, SOLVER_MESSAGE),
+    (lambda v: place_two_level(LINE, HierarchyParams(k_banks=1, k_pantries_total=1), with_weight(v)), SolveError,
+     SOLVER_MESSAGE),
+    (lambda v: nearest_facility_stats([Household(f"h{i}", GeoPoint(0.0, float(i))) for i in range(4)],
+                                      FacilitySet("f", (GeoPoint(0.0, 0.5),)), ProviderSpec(), weights=with_weight(v)),
+     EvaluateError, "weight 1 must be positive and finite, got {!r}"),
+])
+def test_a_number_past_float_range_is_refused_as_not_finite(check, error, message, value):
+    # numpy raises OverflowError for the integer; the contracts read it as
+    # inf of its sign, and each entry point raises its own family's error
+    infinite = math.inf if value > 0 else -math.inf
+    assert as_floats([None, value, 1]).tolist()[1:] == [infinite, 1.0]
+    assert weight_fault(with_weight(value)) == 1 and income_fault([None, value]) == 1
+    with pytest.raises(error, match=f"^{re.escape(message.format(infinite))}$"):
+        check(value)
+
+
 # --- each rule is written once ----------------------------------------------------
 
 def is_inf(node) -> bool:
@@ -294,13 +330,17 @@ def rule_copies(src: Path) -> list:
     """Where a module of src other than errors.py spells the bool exclusion,
     isinstance(..., bool), or imports numbers, and where one other than
     distance.py compares a value with math.inf or np.inf (the weight
-    contract's bound), as 'file:line what'."""
+    contract's bound) or spells a coordinate bound, the number 90 or 180, as
+    'file:line what'."""
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Compare) and path.name != "distance.py":
                 if any(map(is_inf, [node.left, *node.comparators])):
                     found.append((path.name, node.lineno, "comparison with inf"))
+            if isinstance(node, ast.Constant) and path.name != "distance.py":
+                if type(node.value) in (int, float) and node.value in (90, 180):
+                    found.append((path.name, node.lineno, "coordinate bound"))
             if path.name == "errors.py":
                 continue
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
@@ -322,10 +362,29 @@ def test_the_number_rules_are_written_only_in_errors():
 
 def test_the_rule_scan_finds_a_copy(tmp_path):
     (tmp_path / "errors.py").write_text("import numbers\nisinstance(1, bool)\n")
-    (tmp_path / "distance.py").write_text("0 < w < math.inf\n")
+    (tmp_path / "distance.py").write_text("0 < w < math.inf\n-90.0 <= lat <= 90.0\n")
     (tmp_path / "m.py").write_text("from numbers import Real\nisinstance(x, (int, bool))\nimport os, numbers\n"
-                                   "if not 0 < w < math.inf: pass\nw.max() < np.inf\nnumpy.inf > w\n")
+                                   "if not 0 < w < math.inf: pass\nw.max() < np.inf\nnumpy.inf > w\n"
+                                   "min(180.0, lon)\nlat > -90\n'90', 90j, 45\n")
     assert rule_copies(tmp_path) == [
         "m.py:1 from numbers import", "m.py:2 isinstance(..., bool)", "m.py:3 import numbers",
         "m.py:4 comparison with inf", "m.py:5 comparison with inf", "m.py:6 comparison with inf",
+        "m.py:7 coordinate bound", "m.py:8 coordinate bound",
     ]
+
+
+def test_cli_writes_each_output_form_once():
+    # one canonical json.dumps, no streaming json.dump, one stamp dict and
+    # one open for writing, in the text writer
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    json_calls = [(c.func.attr, {k.arg for k in c.keywords}) for c in calls if isinstance(c.func, ast.Attribute)
+                  and isinstance(c.func.value, ast.Name) and c.func.value.id == "json"]
+    assert [name for name, keywords in json_calls if "separators" in keywords] == ["dumps"]
+    assert "dump" not in [name for name, _ in json_calls]
+    stamps = [node for node in ast.walk(tree) if isinstance(node, ast.Dict)
+              and [getattr(k, "value", None) for k in node.keys] == ["seed", "config_hash"]]
+    assert len(stamps) == 1
+    writes = [c for c in calls if isinstance(c.func, ast.Name) and c.func.id == "open"
+              and any(isinstance(a, ast.Constant) and "w" in str(a.value) for a in c.args[1:2])]
+    assert len(writes) == 1 and not hasattr(cli, "_same_json")

@@ -76,8 +76,8 @@ def test_engine_matches_reference_loop(instance, size):
     # the core, on the raw instance with its duplicates and ties, with
     # blocks small enough that a scan spans several
     with mock.patch.object(kmedoids, "BLOCK", size):
-        fast = outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace))
-    slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace))
+        fast = outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d)))
+    slow = outcome(lambda trace: reference_solve_core(d, w, params, trace))
     assert fast == slow
     assert_each_pass_swaps_a_point_once(fast[0])
     # each accepted swap lowers the objective by more than epsilon, the
@@ -106,8 +106,8 @@ def test_engine_matches_reference_on_long_trajectories(k):
     d = planar_matrix(rng, n)
     w = rng.uniform(0.5, 3.0, size=n)
     params = SolveParams(k=k, weights=w, seed=k, max_passes=100)
-    fast = outcome(lambda trace: kmedoids._solve_core(d, w, k, params, trace))
-    slow = outcome(lambda trace: reference_solve_core(d, w, k, params, trace))
+    fast = outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d)))
+    slow = outcome(lambda trace: reference_solve_core(d, w, params, trace))
     assert len(fast[0]) > k  # many accepted swaps
     assert fast == slow
     assert_each_pass_swaps_a_point_once(fast[0])
@@ -149,7 +149,7 @@ def block_edges(scan_events, size: int) -> set:
 def scanned(d, w, params):
     """The reference's outcome and its scan events."""
     events = []
-    slow = outcome(lambda trace: reference_solve_core(d, w, params.k, params, trace, lambda *e: events.append(e)))
+    slow = outcome(lambda trace: reference_solve_core(d, w, params, trace, scan=lambda *e: events.append(e)))
     return slow, events
 
 
@@ -166,7 +166,7 @@ def test_engine_matches_reference_at_block_edges(monkeypatch, size):
         w = rng.uniform(0.5, 3.0, size=n)
         params = SolveParams(k=2 + seed % 5, weights=w, seed=seed, max_passes=100)
         slow, events = scanned(d, w, params)
-        assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow
+        assert outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d))) == slow
         edges |= block_edges(events, size)
     expected = {"first", "stale run"} | ({"middle"} if size > 2 else set())
     if 1 < size <= 5:  # a full-size block seldom ends on its accept
@@ -188,7 +188,7 @@ def test_engine_matches_reference_with_blocks_sized_in_cells(monkeypatch, cells,
         params = SolveParams(k=k, weights=w, seed=seed, max_passes=100)
         slow, events = scanned(d, w, params)
         assert len(slow[0]) > k  # many accepted swaps
-        assert outcome(lambda trace: kmedoids._solve_core(d, w, k, params, trace)) == slow
+        assert outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d))) == slow
         # accepts land first in the short blocks and, in those of more than
         # two rows, in their middle; runs of stale candidates span them
         assert block_edges(events, height) >= {"first", "stale run"} | ({"middle"} if height > 2 else set())
@@ -200,7 +200,7 @@ def test_engine_matches_reference_when_k_is_n(n):
     d = planar_matrix(np.random.default_rng(n), n)
     params = SolveParams(k=n)
     w = np.ones(n)
-    fast = outcome(lambda trace: kmedoids._solve_core(d, w, n, params, trace))
+    fast = outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d)))
     assert fast == scanned(d, w, params)[0]
     assert fast[1].passes == 1 and fast[1].objective == 0.0
 
@@ -212,7 +212,7 @@ def test_engine_matches_reference_with_one_medoid():
     d = planar_matrix(rng, 30)
     w = rng.uniform(0.5, 3.0, size=30)
     params = SolveParams(k=1, weights=w, seed=3)
-    fast = outcome(lambda trace: kmedoids._solve_core(d, w, 1, params, trace))
+    fast = outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d)))
     assert fast == scanned(d, w, params)[0]
     assert len(fast[0]) > 1
 
@@ -228,4 +228,4 @@ def test_max_passes_partway_through_a_block_gives_the_reference_best():
     slow, events = scanned(d, w, params)
     assert slow[2] is not None  # ConvergenceError.best
     assert block_edges(events, kmedoids.BLOCK) & {"first", "middle"}
-    assert outcome(lambda trace: kmedoids._solve_core(d, w, params.k, params, trace)) == slow
+    assert outcome(lambda trace: kmedoids._solve_core(d, w, params, trace, kmedoids._symmetric(d))) == slow

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from . import distance, evaluate, hierarchy, ingest
 from .errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError, as_python, is_int, is_real
+from .errors import past_float_as_inf
 
 # evaluate's tolerance for a plan's objectives against their recomputation:
 # another host's BLAS may sum np.dot in another order
@@ -127,12 +128,11 @@ def load_config(path, overrides: dict) -> dict:
         raise ConfigError(f"bad config {path}: {constant} is not a JSON number")
 
     def parse_int(literal):
-        # math.isfinite overflows on an int past float range; a JSON int has
-        # no leading zeros, so one of over 309 digits is past it
-        if len(literal.lstrip("-")) <= 309:
-            value = int(literal)
-            if abs(value) <= sys.float_info.max:
-                return value
+        # an int past float range would read as inf (errors.past_float_as_inf),
+        # which JSON cannot spell; a JSON int has no leading zeros, so one of
+        # over 309 digits is past the range without int() reading it
+        if len(literal.lstrip("-")) <= 309 and math.isfinite(past_float_as_inf(value := int(literal))):
+            return value
         raise ConfigError(f"bad config {path}: the integer {literal[:12]}... is past the range of a float")
 
     cfg = DEFAULTS

@@ -49,6 +49,9 @@ know. Nothing depends on the time of writing. All integers little-endian.
 The float block is checksummed and written from the matrix's own buffer, and
 read back into one aligned array, so neither side holds a second copy of it.
 
+Numbers are read by the rules in errors: GeoPoint's coordinates by
+require_real, and weights, incomes and a table tile's rows by as_floats.
+
 No stage builds a matrix of more than MAX_MATRIX_BYTES: ingest refuses a
 prepared row count whose square matrix would pass it, and build_matrix
 refuses any matrix that would, before it allocates or plans a tile.
@@ -60,7 +63,6 @@ import json
 import math
 import os
 import struct
-import sys
 import threading
 import time
 import zlib
@@ -73,7 +75,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import DistanceError, MatrixFormatError, StaleMatrixError, UnreachablePairsError, is_real
-from .errors import require_fields, require_int, require_real
+from .errors import past_float_as_inf, require_fields, require_int, require_real
 
 EARTH_RADIUS_M = 6_371_000.0
 MAGIC = b"DMAT1"
@@ -89,12 +91,15 @@ MAX_LAT, MAX_LON = 90.0, 180.0  # a coordinate's bounds, in degrees either way o
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """WGS84 coordinate in degrees; both components finite and in range."""
+    """WGS84 coordinate in degrees; both components real numbers
+    (errors.require_real, with ValueError), finite and in range."""
 
     lat: float
     lon: float
 
     def __post_init__(self):
+        if not type(self.lat) is type(self.lon) is float:  # the loaders' two floats skip the rule
+            require_fields(self, require_real, ValueError, "lat", "lon")
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
             raise ValueError(f"non-finite coordinate ({self.lat}, {self.lon})")
         if not -MAX_LAT <= self.lat <= MAX_LAT:
@@ -126,14 +131,13 @@ class ProviderSpec:
 
 
 def as_floats(values) -> np.ndarray:
-    """values as a float64 array. A number past float64's range (an integer
-    can be: compared exactly with the Python float sys.float_info.max), where
-    numpy raises OverflowError, reads as inf of its sign: not finite."""
+    """values, flat or a table tile's rows, as a float64 array. An integer
+    past float64's range, where numpy raises OverflowError, reads as inf of
+    its sign (errors.past_float_as_inf): not finite."""
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
-        return np.array([(math.inf if v > 0 else -math.inf) if is_real(v) and abs(v) > sys.float_info.max else v
-                         for v in values], dtype=np.float64)
+        return np.frompyfunc(past_float_as_inf, 1, 1)(np.array(values, dtype=object)).astype(np.float64)
 
 
 def weight_fault(weights) -> Optional[int]:
@@ -383,13 +387,10 @@ def _distances(rows, n_src: int, n_dst: int, url: str) -> np.ndarray:
         bad = [(i, j) for i, j, v in cells if v is None]
         if bad:
             raise UnreachablePairsError(bad)
-        try:
-            block = np.asarray(rows, dtype=np.float64)
-        except OverflowError:
-            block = None
-    if block is None or not np.isfinite(block).all():
+    block = as_floats(block)
+    if not np.isfinite(block).all():
         raise DistanceError(f"table response has a distance that is not finite: {url}")
-    return block.astype(np.float64, copy=False)
+    return block
 
 
 def _tiles(n_src: int, n_dst: int, chunk_size: int):
@@ -675,7 +676,7 @@ def _trailer_points(path, trailer: dict, key: str) -> list:
             raise MatrixFormatError(f"{path}: trailer {key}[{i}] is not a [lat, lon] pair of numbers: {pair!r}")
         try:
             points.append(GeoPoint(*pair))
-        except (ValueError, OverflowError) as exc:  # out of range, or an integer past float range
+        except ValueError as exc:  # not finite (an integer past float range too), or out of range
             raise MatrixFormatError(f"{path}: trailer {key}[{i}]: {exc}") from None
     return points
 

@@ -1,5 +1,5 @@
-"""Exception classes, one family per pipeline stage, and the two number
-rules every module checks its inputs by.
+"""Exception classes, one family per pipeline stage, and the number rules
+every module checks its inputs by.
 
 Each family carries the CLI's stable exit code as its exit_code, which its
 subclasses inherit: ingest/config 2, distance 3, solver 4, evaluation 5.
@@ -7,10 +7,13 @@ This is the one place the codes are written, and the one place the rules
 are: an integer is a numbers.Integral and a real number a numbers.Real, so
 numpy numbers pass, and a bool is neither. What passes leaves as a Python
 number (as_python), so a numpy number hashes, prints and writes as the
-Python number of the same value does.
+Python number of the same value does. An integer past float64's range, where
+float() overflows, reads as inf of its sign (past_float_as_inf): not finite.
 """
 
+import math
 import operator
+import sys
 from numbers import Integral, Real
 
 
@@ -20,6 +23,14 @@ def is_int(value) -> bool:
 
 def is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def past_float_as_inf(value):
+    """value, save that an integer past float64's range is inf of its sign.
+    Only an integer is compared with the bound, exactly, as a Python int."""
+    if is_int(value) and abs(number := operator.index(value)) > sys.float_info.max:
+        return math.inf if number > 0 else -math.inf
+    return value
 
 
 def as_python(value):
@@ -38,11 +49,11 @@ def require_int(name: str, value, error) -> int:
 
 
 def require_real(name: str, value, error):
-    """value as a Python number (as_python); the caller's error family when
-    it is not a real number."""
+    """value as a Python number (as_python, after past_float_as_inf); the
+    caller's error family when it is not a real number."""
     if not is_real(value):
         raise error(f"{name} must be a real number, got {value!r}")
-    return as_python(value)
+    return as_python(past_float_as_inf(value))
 
 
 def require_fields(owner, rule, error, *names) -> None:

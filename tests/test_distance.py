@@ -713,7 +713,7 @@ TRAILER_DAMAGE = {
     "bool_coordinate": (with_source([True, 2.0]), "sources[0] is not a [lat, lon] pair"),
     "string_coordinate": (with_source([1.0, "2"]), "sources[0] is not a [lat, lon] pair"),
     "latitude_out_of_range": (with_source([91.0, 2.0]), "sources[0]: latitude 91.0 out of [-90, 90]"),
-    "integer_past_float": (with_source([10**400, 2.0]), "sources[0]: int too large"),
+    "integer_past_float": (with_source([10**400, 2.0]), "sources[0]: non-finite coordinate (inf, 2.0)"),
     # json parses an integer literal with int(), which raises ValueError past
     # 4300 digits: neither a JSONDecodeError nor a UnicodeDecodeError
     "int_of_5001_digits": (lambda trailer: json.dumps(trailer)[:-1] + ', "note": 1' + "0" * 5000 + "}",

@@ -72,11 +72,12 @@ REALS = [
       ("spread_deg", "extent_deg", "center_lat", "center_lon", "income_log_mean", "income_log_sigma")],
     (lambda **kw: Household("h", GeoPoint(39.0, -86.5), **kw), "weight", IngestError),
     (lambda **kw: Household("h", GeoPoint(39.0, -86.5), **kw), "income", IngestError),
+    *[(lambda **kw: GeoPoint(**{"lat": 39.0, "lon": -86.5, **kw}), name, ValueError) for name in ("lat", "lon")],
 ]
 # a value each field accepts where its default is not one, or where the
 # default would not show in the provider tag
 VALID = {"sample_size": 3, "k": 2, "k_banks": 1, "k_pantries_total": 1, "max_passes": 3, "earth_radius": 6e6,
-         "income": 20000.0}
+         "income": 20000.0, "lat": 39.0, "lon": -86.5}
 CLASSES = (IngestConfig, ProviderSpec, SolveParams, HierarchyParams, SynthParams, Household)
 
 
@@ -140,7 +141,8 @@ def config_at(name: str, value):
 def outputs(here: Path, monkeypatch, build, name, value) -> list:
     """What value reaches as the field called name: the object build makes;
     for IngestConfig, the prepared.csv of HOUSEHOLDS under direct weights;
-    for a Household, the households CSV of it;
+    for a Household or a GeoPoint, the households CSV of it or of a
+    household on it;
     for ProviderSpec, the provider tag and the DMAT1 file of their points;
     and for a config key, the config hash and the prepared.csv and DMAT1
     file that ingest and matrix write. Files go to here, the working
@@ -151,8 +153,8 @@ def outputs(here: Path, monkeypatch, build, name, value) -> list:
     found = [repr(built)]
     if isinstance(built, IngestConfig):
         write_households_csv(prepare(HOUSEHOLDS, replace(built, weighting_mode="direct")), "prepared.csv")
-    if isinstance(built, Household):
-        write_households_csv([built], "households.csv")
+    if isinstance(built, (Household, GeoPoint)):
+        write_households_csv([Household("h", built) if isinstance(built, GeoPoint) else built], "households.csv")
     if isinstance(built, ProviderSpec):
         found.append(provider_tag(built))
         points = [h.location for h in HOUSEHOLDS]
@@ -174,6 +176,13 @@ def test_a_numpy_number_gives_what_its_python_number_gives(tmp_path, monkeypatch
     twin = (np.int64 if isinstance(plain, int) else np.float64)(plain)
     assert outputs(tmp_path / "numpy", monkeypatch, build, name, twin) == outputs(
         tmp_path / "python", monkeypatch, build, name, plain)
+
+
+def test_a_household_on_numpy_coordinates_reads_back_from_prepared_csv(tmp_path):
+    path = tmp_path / "prepared.csv"
+    write_households_csv([Household("h", GeoPoint(np.float64(39.0), np.float64(-86.5)), np.float64(2e4))], path)
+    assert path.read_text().splitlines()[1] == "h,39.0,-86.5,20000.0,1.0,h,"
+    assert list(load_prepared(path)) == [Household("h", GeoPoint(39.0, -86.5), 20000.0)]
 
 
 def test_numpy_numbers_run_each_stage_as_python_numbers_do():
@@ -307,6 +316,14 @@ SOLVER_MESSAGE = "weights must all be positive and finite; weight 1 is {}"
     (lambda v: nearest_facility_stats([Household(f"h{i}", GeoPoint(0.0, float(i))) for i in range(4)],
                                       FacilitySet("f", (GeoPoint(0.0, 0.5),)), ProviderSpec(), weights=with_weight(v)),
      EvaluateError, "weight 1 must be positive and finite, got {!r}"),
+    (lambda v: GeoPoint(v, 0.0), ValueError, "non-finite coordinate ({}, 0.0)"),
+    (lambda v: GeoPoint(0.0, v), ValueError, "non-finite coordinate (0.0, {})"),
+    (lambda v: SynthParams(center_lat=v), ConfigError, "center_lat must be finite, got {}"),
+    (lambda v: IngestConfig(weight_cap=v), IngestError, "weight_cap must be finite, got {}"),
+    (lambda v: IngestConfig(weight_numerator=v), IngestError, "weight_numerator must be finite, got {}"),
+    (lambda v: ProviderSpec(earth_radius=v), DistanceError, "earth_radius must be a positive finite number, got {}"),
+    (lambda v: SolveParams(k=1, epsilon=v), SolveError, "epsilon must be positive and finite, got {}"),
+    (lambda v: placed(epsilon=v), SolveError, "epsilon must be positive and finite, got {}"),
 ])
 def test_a_number_past_float_range_is_refused_as_not_finite(check, error, message, value):
     # numpy raises OverflowError for the integer; the contracts read it as
@@ -316,6 +333,10 @@ def test_a_number_past_float_range_is_refused_as_not_finite(check, error, messag
     assert weight_fault(with_weight(value)) == 1 and income_fault([None, value]) == 1
     with pytest.raises(error, match=f"^{re.escape(message.format(infinite))}$"):
         check(value)
+
+
+def test_an_income_cap_past_float_range_is_no_cap():
+    assert IngestConfig(income_cap=10**400).income_cap == math.inf == IngestConfig(income_cap=1e999).income_cap
 
 
 # --- each rule is written once ----------------------------------------------------
@@ -328,13 +349,17 @@ def is_inf(node) -> bool:
 
 def rule_copies(src: Path) -> list:
     """Where a module of src other than errors.py spells the bool exclusion,
-    isinstance(..., bool), or imports numbers, and where one other than
-    distance.py compares a value with math.inf or np.inf (the weight
-    contract's bound) or spells a coordinate bound, the number 90 or 180, as
-    'file:line what'."""
+    isinstance(..., bool), imports numbers or reads sys.float_info (the
+    bound of past_float_as_inf), or names OverflowError outside
+    distance.as_floats, and where one other than distance.py compares a
+    value with math.inf or np.inf (the weight contract's bound) or spells a
+    coordinate bound, the number 90 or 180, as 'file:line what'."""
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        as_floats = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree) if path.name == "distance.py"
+                     and isinstance(node, ast.FunctionDef) and node.name == "as_floats"]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Compare) and path.name != "distance.py":
                 if any(map(is_inf, [node.left, *node.comparators])):
                     found.append((path.name, node.lineno, "comparison with inf"))
@@ -353,6 +378,11 @@ def rule_copies(src: Path) -> list:
                 found.append((path.name, node.lineno, "import numbers"))
             elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
                 found.append((path.name, node.lineno, "from numbers import"))
+            elif isinstance(node, ast.Attribute) and node.attr == "float_info":
+                found.append((path.name, node.lineno, "sys.float_info"))
+            elif isinstance(node, ast.Name) and node.id == "OverflowError":
+                if not any(node.lineno in lines for lines in as_floats):
+                    found.append((path.name, node.lineno, "OverflowError"))
     return [f"{name}:{line} {what}" for name, line, what in sorted(found)]
 
 
@@ -361,15 +391,20 @@ def test_the_number_rules_are_written_only_in_errors():
 
 
 def test_the_rule_scan_finds_a_copy(tmp_path):
-    (tmp_path / "errors.py").write_text("import numbers\nisinstance(1, bool)\n")
-    (tmp_path / "distance.py").write_text("0 < w < math.inf\n-90.0 <= lat <= 90.0\n")
+    (tmp_path / "errors.py").write_text("import numbers\nisinstance(1, bool)\nabs(n) > sys.float_info.max\n"
+                                        "try: float(n)\nexcept OverflowError: pass\n")
+    (tmp_path / "distance.py").write_text("0 < w < math.inf\n-90.0 <= lat <= 90.0\n"
+                                          "def as_floats(v):\n    try: pass\n    except OverflowError: pass\n"
+                                          "try: pass\nexcept (ValueError, OverflowError): pass\n")
     (tmp_path / "m.py").write_text("from numbers import Real\nisinstance(x, (int, bool))\nimport os, numbers\n"
                                    "if not 0 < w < math.inf: pass\nw.max() < np.inf\nnumpy.inf > w\n"
-                                   "min(180.0, lon)\nlat > -90\n'90', 90j, 45\n")
+                                   "min(180.0, lon)\nlat > -90\n'90', 90j, 45\n"
+                                   "abs(v) <= sys.float_info.max\ntry: pass\nexcept OverflowError: pass\n")
     assert rule_copies(tmp_path) == [
+        "distance.py:7 OverflowError",
         "m.py:1 from numbers import", "m.py:2 isinstance(..., bool)", "m.py:3 import numbers",
         "m.py:4 comparison with inf", "m.py:5 comparison with inf", "m.py:6 comparison with inf",
-        "m.py:7 coordinate bound", "m.py:8 coordinate bound",
+        "m.py:7 coordinate bound", "m.py:8 coordinate bound", "m.py:10 sys.float_info", "m.py:12 OverflowError",
     ]
 
 

@@ -2,10 +2,11 @@
 
 Stages communicate through files in the output directory so an expensive
 distance matrix is computed once and reused across placement experiments.
-Every file a stage writes (synth's too) is written beside its final name
-and renamed over it (_replacing), so a failed stage leaves the previous file
-whole. One seed makes the chain reproducible; every output carries _stamp,
-the seed and config hash. Flag precedence is flags > config file > defaults.
+A stage returns its outputs, and main commits them as one set (_commit),
+so a failed stage leaves the previous files whole, synth's too; a kill
+between two renames is not guarded against, as a power loss is not. One
+seed makes the chain reproducible; every output carries _stamp, the seed
+and config hash. Flag precedence is flags > config file > defaults.
 
 A JSON value's identity is its canonical text (_canonical: sorted keys, no
 whitespace). config_hash hashes it, the GeoJSON files are it and evaluate
@@ -24,12 +25,11 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import distance, evaluate, hierarchy, ingest
-from .errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError, as_python, is_int, is_real
+from .errors import ConfigError, DistanceError, EvaluateError, IngestError, PantryPlanError, SolveError, as_python, is_int
 from .errors import past_float_as_inf
 
 # evaluate's tolerance for a plan's objectives against their recomputation:
@@ -156,11 +156,22 @@ def load_config(path, overrides: dict) -> dict:
         if not ok(value):
             raise ConfigError(f"config key {key} must be {want}, got {value!r}")
     for label, box in (cfg["cities"] or {}).items():
-        if not (isinstance(box, list) and len(box) == 4 and all(map(is_real, box))):
+        if not _is_box(box):
             raise ConfigError(
-                f"config key cities.{label} must be [lat_min, lon_min, lat_max, lon_max] numbers, got {box!r}"
+                f"config key cities.{label} must be [lat_min, lon_min, lat_max, lon_max], two corners "
+                f"distance.GeoPoint takes with each minimum at most its maximum, got {box!r}"
             )
     return cfg
+
+
+def _is_box(box) -> bool:
+    if not (isinstance(box, list) and len(box) == 4):
+        return False
+    try:
+        low, high = distance.GeoPoint(*box[:2]), distance.GeoPoint(*box[2:])
+    except ValueError:
+        return False
+    return low.lat <= high.lat and low.lon <= high.lon
 
 
 def _canonical(value) -> str:
@@ -183,48 +194,50 @@ def _provenance(cfg: dict) -> str:
     return " ".join(f"{key}={value}" for key, value in _stamp(cfg).items())
 
 
-@contextmanager
-def _replacing(path: Path):
-    """A temporary path beside path, for the with block to write an artifact
-    to; it then replaces path in one rename, so a reader sees the previous
-    artifact or the whole new one. If the block raises, the temporary file
-    is removed and path is left as it was. There is no fsync: this guards
-    against a failed or killed run, not against a power loss."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+def _json(payload: dict, cfg: dict) -> str:
+    return json.dumps({"meta": _stamp(cfg), **payload}, sort_keys=True, indent=1) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_json(path: Path, payload: dict, cfg: dict) -> None:
-    _write_text(path, json.dumps({"meta": _stamp(cfg), **payload}, sort_keys=True, indent=1) + "\n")
-
-
-def _write_geojson(path: Path, collection: dict, cfg: dict) -> None:
+def _geojson(collection: dict, cfg: dict) -> str:
     # provenance rides along as a foreign member, which GeoJSON permits
-    _write_text(path, _canonical({**collection, "properties": _stamp(cfg)}) + "\n")
+    return _canonical({**collection, "properties": _stamp(cfg)}) + "\n"
 
 
-def cmd_synth(cfg: dict, args) -> None:
+def _commit(outputs: dict) -> None:
+    """Write outputs, each path's text or writer (called with the path to
+    write), as one set: each to a temporary file beside its path, renamed
+    over it once every one is written. If a write raises, every temporary
+    file is removed and every path is left as it was. No fsync: this guards
+    a failed run, not a kill between two renames or a power loss."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in outputs}
+    try:
+        for tmp, output in zip(temps.values(), outputs.values()):
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+            if callable(output):
+                output(tmp)
+            else:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(output)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+
+
+# A stage returns (outputs, line) for main to commit and print; it looks each
+# writer up in its module as it runs, so a wrapper installed there sees it.
+def cmd_synth(cfg: dict, args) -> tuple:
     from . import synth  # deferred: no other stage generates households
 
     given = {name: getattr(args, name) for name in ("clusters", "points_per_cluster", "spread_deg") if name in args}
     households = synth.generate(synth.SynthParams(**given, seed=cfg["seed"]))
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with _replacing(out) as tmp:
-        ingest.write_households_csv(households, tmp, header_comment=f"pantryplan synth {_provenance(cfg)}")
-    print(f"synth: wrote {len(households)} households to {out}")
+    out, note = Path(args.output), f"pantryplan synth {_provenance(cfg)}"
+    write = functools.partial(ingest.write_households_csv, households, header_comment=note)
+    return {out: write}, f"synth: wrote {len(households)} households to {out}"
 
 
-def cmd_ingest(cfg: dict, args) -> None:
+def cmd_ingest(cfg: dict, args) -> tuple:
     ds = cfg["dataset"]
     if not ds["path"]:
         raise ConfigError("dataset.path is required for ingest")
@@ -233,15 +246,12 @@ def cmd_ingest(cfg: dict, args) -> None:
     prepared = ingest.prepare(households, icfg)
     if not prepared:
         raise IngestError(f"{len(households)} households read from {ds['path']}, and the income filter kept none")
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / PREPARED_CSV
-    with _replacing(path) as tmp:
-        ingest.write_households_csv(prepared, tmp, header_comment=f"pantryplan ingest {_provenance(cfg)}")
-    print(f"ingest: {len(households)} read, {len(prepared)} prepared -> {path}")
+    path, note = Path(cfg["out_dir"]) / PREPARED_CSV, f"pantryplan ingest {_provenance(cfg)}"
+    write = functools.partial(ingest.write_households_csv, prepared, header_comment=note)
+    return {path: write}, f"ingest: {len(households)} read, {len(prepared)} prepared -> {path}"
 
 
-def cmd_matrix(cfg: dict, args) -> None:
+def cmd_matrix(cfg: dict, args) -> tuple:
     out_dir = Path(cfg["out_dir"])
     prepared = out_dir / PREPARED_CSV
     if not prepared.exists():
@@ -258,13 +268,11 @@ def cmd_matrix(cfg: dict, args) -> None:
         except distance.StaleMatrixError as exc:
             print(f"matrix: rebuilding {exc}")
         else:
-            print(f"matrix: cache hit at {path}")
-            return
+            return {}, f"matrix: cache hit at {path}"
 
     matrix = distance.build_matrix(spec, points, points, max_in_flight=cfg["threads"])
-    with _replacing(path) as tmp:
-        distance.save_matrix(matrix, tmp, meta=_stamp(cfg))
-    print(f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}")
+    write = functools.partial(distance.save_matrix, matrix, meta=_stamp(cfg))
+    return {path: write}, f"matrix: {matrix.shape[0]}x{matrix.shape[1]} via {matrix.provider_tag} -> {path}"
 
 
 def _matrix_and_households(out_dir: Path, spec: distance.ProviderSpec, error):
@@ -282,7 +290,7 @@ def _matrix_and_households(out_dir: Path, spec: distance.ProviderSpec, error):
     return matrix, households
 
 
-def cmd_place(cfg: dict, args) -> None:
+def cmd_place(cfg: dict, args) -> tuple:
     out_dir = Path(cfg["out_dir"])
     spec = distance.ProviderSpec(**cfg["provider"])
     matrix, households = _matrix_and_households(out_dir, spec, SolveError)
@@ -291,9 +299,8 @@ def cmd_place(cfg: dict, args) -> None:
     plan = hierarchy.place_two_level(matrix, params, households.weights)
 
     record = hierarchy.plan_to_dict(plan, households)
-    _write_json(out_dir / PLAN_JSON, record, cfg)
-    _write_geojson(out_dir / PLAN_GEOJSON, hierarchy.plan_to_geojson(record), cfg)
-    print(
+    geojson = _geojson(hierarchy.plan_to_geojson(record), cfg)
+    return {out_dir / PLAN_JSON: _json(record, cfg), out_dir / PLAN_GEOJSON: geojson}, (
         f"place: {len(plan.banks)} banks, {len(plan.pantries)} pantries, "
         f"objectives {plan.level1_objective:.1f}/{plan.level2_objective:.1f} m -> {out_dir / PLAN_JSON}"
     )
@@ -366,7 +373,7 @@ def _check_plan(data, matrix, households, plan_path) -> hierarchy.PlacementPlan:
     return plan
 
 
-def cmd_evaluate(cfg: dict, args) -> None:
+def cmd_evaluate(cfg: dict, args) -> tuple:
     out_dir = Path(cfg["out_dir"])
     plan_path = out_dir / PLAN_JSON
     if not plan_path.exists():
@@ -403,14 +410,18 @@ def cmd_evaluate(cfg: dict, args) -> None:
     groups = evaluate.compare(cand_m, base_m, groups=_city_groups(households, cfg["cities"]))
     report = evaluate.EvaluationReport(groups=groups, penalty=penalty)
 
-    _write_json(out_dir / REPORT_JSON, asdict(report), cfg)
-    _write_text(out_dir / REPORT_CSV, f"# pantryplan evaluate {_provenance(cfg)}\n" + evaluate.report_to_csv(report))
-    _write_geojson(out_dir / HOUSEHOLDS_GEOJSON, evaluate.households_geojson(households, cand_m, base_m), cfg)
-
+    outputs = {
+        out_dir / REPORT_JSON: _json(asdict(report), cfg),
+        out_dir / REPORT_CSV: f"# pantryplan evaluate {_provenance(cfg)}\n" + evaluate.report_to_csv(report),
+        out_dir / HOUSEHOLDS_GEOJSON: _geojson(evaluate.households_geojson(households, cand_m, base_m), cfg),
+    }
     overall = groups[evaluate.OVERALL]
-    print(
+    # a box that holds no prepared household has no group in the report
+    empty = [label for label in cfg["cities"] or () if label not in groups]
+    return outputs, (
         f"evaluate: candidate {overall.candidate_avg_mi:.2f} mi vs baseline {overall.baseline_avg_mi:.2f} mi "
         f"(saving {overall.saving_mi:.2f} mi, {overall.saving_pct:.1f}%) -> {out_dir / REPORT_JSON}"
+        + (f"; no prepared household in cities box {', '.join(empty)}" if empty else "")
     )
 
 
@@ -458,10 +469,12 @@ def main(argv=None) -> int:
     command, _, family = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, overrides)
-        command(cfg, args)
+        outputs, line = command(cfg, args)
+        _commit(outputs)
     except (PantryPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, PantryPlanError) else family.exit_code
+    print(line)
     return 0
 
 

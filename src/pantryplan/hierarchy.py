@@ -83,7 +83,7 @@ def allocate_pantry_counts(cluster_sizes: Sequence[int], total: int) -> list[int
 
     s = sum(sizes)
     quotas = [divmod(total * size, s) for size in sizes]  # (floor, remainder over s)
-    counts = [min(max(1, q), size) for (q, _), size in zip(quotas, sizes)]
+    counts = [max(1, q) for q, _ in quotas]  # q <= size, as total <= s
     remainders = [r for _, r in quotas]
 
     inc_order = sorted(range(m), key=lambda i: (-remainders[i], i))

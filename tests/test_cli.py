@@ -776,6 +776,10 @@ def test_evaluate_city_bounding_boxes_override_tags(tmp_path):
         ({"a": [0, 0, 1, True]}, "cities.a"),
         ({"a": {"lat_min": 0}}, "cities.a"),
         ([[0, 0, 1, 1]], "cities"),
+        ({"a": [95, 0, 96, 1]}, "cities.a"),  # a corner GeoPoint refuses
+        ({"a": [0, 0, 1, 181]}, "cities.a"),
+        ({"a": [39.8, -86.3, 39.3, -85.7]}, "cities.a"),  # a minimum above its maximum
+        ({"a": [39.3, -85.7, 39.8, -86.3]}, "cities.a"),
     ],
 )
 def test_evaluate_with_a_malformed_city_box_exits_2(tmp_path, capsys, cities, key):
@@ -791,6 +795,27 @@ def test_evaluate_with_a_malformed_city_box_exits_2(tmp_path, capsys, cities, ke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"config key {key} must be" in err
     assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
+def test_a_city_box_bound_that_geopoint_refuses_is_a_config_error(bound):
+    # JSON cannot spell these; a library caller's overrides can
+    for box in ([bound, -86.3, 39.8, -85.7], [39.3, -86.3, 39.8, bound]):
+        with pytest.raises(ConfigError, match=r"^config key cities\.a must be "):
+            cli.load_config(None, {"cities": {"a": box}})
+
+
+def test_evaluate_names_a_city_box_that_holds_no_household(tmp_path, capsys):
+    _, out_dir = pipeline_through_place(tmp_path)
+    boxes = {"everywhere": [-10, -170, 80, 170], "pole": [89, 0, 89.5, 1], "cape": [-60, 0, -59, 1]}
+    cfg_path = evaluate_config(tmp_path, out_dir, cities=boxes)
+    capsys.readouterr()
+    assert run(["--config", cfg_path, "evaluate"]) == 0
+    line = capsys.readouterr().out
+    assert line.endswith("; no prepared household in cities box pole, cape\n")
+    # the report still has no group for a box that holds no household
+    assert set(json.loads((out_dir / "report.json").read_text())["groups"]) == {"overall", "everywhere"}
+    assert "pole" not in (out_dir / "report.csv").read_text()
 
 
 def evaluate_config(tmp_path, out_dir, banks=True, **overrides):
@@ -1562,6 +1587,9 @@ def test_a_write_failing_partway_leaves_the_previous_artifact(tmp_path, monkeypa
         assert run(["--config", cfg_path, *again]) == 0
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert artifact in before and not any(name.startswith(".") for name in before)
+    # under another config every output the stage writes differs, if only
+    # by its stamp, so none of them may replace its file unless all do
+    cfg_path = evaluate_config(tmp_path, out_dir, hierarchy={"k_banks": 2, "k_pantries_total": 5})
 
     def open_failing(file, mode="r", *args, **kwargs):
         fh = open(file, mode, *args, **kwargs)
@@ -1732,7 +1760,7 @@ def test_a_great_circle_chain_imports_no_pool_fraction_transport_or_synth(tmp_pa
 def test_successive_main_calls_parse_independently(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "COMMANDS", {
-        name: (lambda cfg, args: seen.append((cfg["seed"], vars(args))), text, family)
+        name: (lambda cfg, args: seen.append((cfg["seed"], vars(args))) or ({}, ""), text, family)
         for name, (_, text, family) in cli.COMMANDS.items()
     })
     cfg_path, _ = write_config(tmp_path)

@@ -145,8 +145,8 @@ def outputs(here: Path, monkeypatch, build, name, value) -> list:
     household on it;
     for ProviderSpec, the provider tag and the DMAT1 file of their points;
     and for a config key, the config hash and the prepared.csv and DMAT1
-    file that ingest and matrix write. Files go to here, the working
-    directory, so configs name the same paths."""
+    file that ingest and matrix return, as cli._commit writes them. Files
+    go to here, the working directory, so configs name the same paths."""
     here.mkdir()
     monkeypatch.chdir(here)
     built = build(**{name: value})
@@ -165,8 +165,8 @@ def outputs(here: Path, monkeypatch, build, name, value) -> list:
             "path": "households.csv", "schema": {"income": "income", "id": "id"}}}))
         cfg = cli.load_config("run.json", overrides)
         found.append(cli.config_hash(cfg))
-        cli.cmd_ingest(cfg, None)
-        cli.cmd_matrix(cfg, argparse.Namespace(force=True))
+        cli._commit(cli.cmd_ingest(cfg, None)[0])
+        cli._commit(cli.cmd_matrix(cfg, argparse.Namespace(force=True))[0])
     return found + [(str(p), p.read_bytes()) for p in sorted(Path().rglob("*")) if p.is_file()]
 
 
@@ -409,8 +409,8 @@ def test_the_rule_scan_finds_a_copy(tmp_path):
 
 
 def test_cli_writes_each_output_form_once():
-    # one canonical json.dumps, no streaming json.dump, one stamp dict and
-    # one open for writing, in the text writer
+    # one canonical json.dumps, no streaming json.dump, one stamp dict, and
+    # one open for writing and one rename, in _commit, which only main calls
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     json_calls = [(c.func.attr, {k.arg for k in c.keywords}) for c in calls if isinstance(c.func, ast.Attribute)
@@ -420,6 +420,13 @@ def test_cli_writes_each_output_form_once():
     stamps = [node for node in ast.walk(tree) if isinstance(node, ast.Dict)
               and [getattr(k, "value", None) for k in node.keys] == ["seed", "config_hash"]]
     assert len(stamps) == 1
-    writes = [c for c in calls if isinstance(c.func, ast.Name) and c.func.id == "open"
+    # the top-level function each call is in
+    owner = {c: node.name for node in tree.body if isinstance(node, ast.FunctionDef) for c in ast.walk(node)}
+    writes = [owner.get(c) for c in calls if isinstance(c.func, ast.Name) and c.func.id == "open"
               and any(isinstance(a, ast.Constant) and "w" in str(a.value) for a in c.args[1:2])]
-    assert len(writes) == 1 and not hasattr(cli, "_same_json")
+    renames = [owner.get(c) for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "replace"
+               and isinstance(c.func.value, ast.Name) and c.func.value.id == "os"]
+    commits = [owner.get(c) for c in calls if isinstance(c.func, ast.Name) and c.func.id == "_commit"]
+    assert (writes, renames, commits) == (["_commit"], ["_commit"], ["main"])
+    gone = ("_same_json", "_replacing", "_write_text", "_write_json", "_write_geojson")
+    assert not [name for name in gone if hasattr(cli, name)]
